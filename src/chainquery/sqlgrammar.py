@@ -98,7 +98,6 @@ _UPDATE_COLUMNS = ("amount", "addresses", "timestamp")
 _FUZZY_FIELDS = {"ts_str": "timestamp_string", "address": "address"}
 
 _ADDR_RE = re.compile(r"^0x[0-9a-f]{40}$")
-_HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
 
 
 class _Tokens:
@@ -212,10 +211,16 @@ def _parse_addresses(raw: str, pos: int) -> tuple[str, ...]:
 
 
 def _parse_payload(raw: str, pos: int) -> bytes:
-    if not _HEX_RE.match(raw):
+    # bytes.fromhex is linear but lenient (upper case, whitespace); the
+    # round trip admits exactly the canonical even-length lowercase form.
+    try:
+        data = bytes.fromhex(raw)
+    except ValueError:
+        data = None
+    if data is None or data.hex() != raw:
         raise SqlSyntaxError("payload literal must be even-length lowercase "
                              "hex", pos)
-    return bytes.fromhex(raw)
+    return data
 
 
 def _parse_insert(toks: _Tokens) -> InsertQuery:

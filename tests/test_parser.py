@@ -1,6 +1,7 @@
 """Parser tests: the six statement shapes, error positions, and totality
 under fuzzing (every input yields an AST or a typed error)."""
 import random
+import re
 import string
 
 import pytest
@@ -159,3 +160,51 @@ def test_fuzz_totality_hypothesis(sql):
         parse(sql)
     except (SqlSyntaxError, UnsupportedFeature):
         pass
+
+
+# --- payload literals ----------------------------------------------------
+
+_PAYLOAD_PREFIX = (f"INSERT INTO entries (amount, addresses, timestamp, "
+                   f"image) VALUES (1, '{ADDR}', 2, ")
+
+
+def _parse_image(literal: str):
+    return parse(_PAYLOAD_PREFIX + "'" + literal + "')").image_payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=40).map(bytes.hex),
+    st.text(alphabet="0123456789abcdefABCDEFx \n\t\u00e9\uff11",
+            max_size=40)))
+def test_payload_literal_accepted_iff_lowercase_even_hex(literal):
+    canonical = re.fullmatch(r"(?:[0-9a-f]{2})*", literal) is not None
+    try:
+        payload = _parse_image(literal)
+    except SqlSyntaxError as exc:
+        assert not canonical
+        assert exc.position == len(_PAYLOAD_PREFIX)
+    else:
+        assert canonical
+        assert payload == bytes.fromhex(literal)
+
+
+@pytest.mark.parametrize("literal", [
+    "ABCD",         # upper case
+    "abC0",
+    "abc",          # odd length
+    "ab cd",        # embedded space
+    "abcd\n",       # trailing newline
+    "0xabcd",       # 0x prefix
+    "ab\u00e9d",    # non-ASCII
+    "\uff11\uff12",  # non-ASCII digits
+])
+def test_payload_literal_rejections(literal):
+    with pytest.raises(SqlSyntaxError) as exc:
+        _parse_image(literal)
+    assert exc.value.position == len(_PAYLOAD_PREFIX)
+
+
+def test_payload_literal_empty_and_canonical():
+    assert _parse_image("") == b""
+    assert _parse_image("00ff10") == b"\x00\xff\x10"
