@@ -139,13 +139,18 @@ class Engine:
 
     # -- writes --------------------------------------------------------
 
-    def _index_entry(self, entry: DataEntry) -> None:
-        self.entries[entry.entry_id] = entry
-        self.time_index.insert(entry.entry_id, entry.timestamp)
-        self.trie.insert(NS_TIMESTAMP + timestamp_string(entry.timestamp),
-                         entry.entry_id)
-        for addr in entry.addresses:
-            self.trie.insert(NS_ADDRESS + addr[2:], entry.entry_id)
+    def _index_entries(self, entries) -> None:
+        """Index entries in order; the trie takes all their keys in one
+        call, so nodes shared between them are rehashed once."""
+        keys = []
+        for entry in entries:
+            self.entries[entry.entry_id] = entry
+            self.time_index.insert(entry.entry_id, entry.timestamp)
+            keys.append((NS_TIMESTAMP + timestamp_string(entry.timestamp),
+                         entry.entry_id))
+            keys.extend((NS_ADDRESS + addr[2:], entry.entry_id)
+                        for addr in entry.addresses)
+        self.trie.insert_many(keys)
 
     def _append(self, entries, ops) -> None:
         self.ledger.append_block(
@@ -169,20 +174,18 @@ class Engine:
     def insert_batch(self, inserts: list[InsertQuery]) -> list[int]:
         """Apply several inserts as a single ledger block. Returns the
         assigned entry ids."""
-        entries = []
-        for ins in inserts:
-            entry = self._make_entry(ins.amount, ins.addresses,
-                                     ins.timestamp, ins.image_payload,
-                                     ins.video_payload)
-            self._index_entry(entry)
-            entries.append(entry)
+        entries = [self._make_entry(ins.amount, ins.addresses,
+                                    ins.timestamp, ins.image_payload,
+                                    ins.video_payload)
+                   for ins in inserts]
+        self._index_entries(entries)
         self._append(entries, [(OP_INSERT, e.entry_id) for e in entries])
         return [e.entry_id for e in entries]
 
     def _exec_insert(self, ast: InsertQuery) -> QueryResult:
         entry = self._make_entry(ast.amount, ast.addresses, ast.timestamp,
                                  ast.image_payload, ast.video_payload)
-        self._index_entry(entry)
+        self._index_entries([entry])
         self._append([entry], [(OP_INSERT, entry.entry_id)])
         return QueryResult([], plan_query(ast), affected=1)
 
@@ -211,7 +214,7 @@ class Engine:
                         addresses=new.addresses, timestamp=new.timestamp,
                         image_cid=old.image_cid, video_cid=old.video_cid)
         self.superseded.add(ast.entry_id)
-        self._index_entry(new)
+        self._index_entries([new])
         self._append([new], [(OP_UPDATE, ast.entry_id)])
         return QueryResult([], plan_query(ast), affected=1)
 
@@ -308,20 +311,20 @@ def replay(ledger: Ledger, store: Optional[ContentStore] = None,
     engine = Engine(store=store, threshold_t=threshold_t)
     for block in ledger.blocks:
         by_id = {e.entry_id: e for e in block.entries}
+        indexed = []
         for kind, target in block.ops:
             if kind == OP_INSERT:
-                entry = by_id[target]
-                engine._index_entry(entry)
-                engine._next_id = max(engine._next_id, target + 1)
+                indexed.append(by_id[target])
             elif kind == OP_DELETE:
                 engine.tombstones.add(target)
             elif kind == OP_UPDATE:
                 engine.superseded.add(target)
                 # the replacement entry rides in the same block
-                new = next(e for e in block.entries
-                           if e.entry_id not in (target,))
-                engine._index_entry(new)
-                engine._next_id = max(engine._next_id, new.entry_id + 1)
+                indexed.append(next(e for e in block.entries
+                                    if e.entry_id not in (target,)))
+        engine._index_entries(indexed)
+        for entry in indexed:
+            engine._next_id = max(engine._next_id, entry.entry_id + 1)
         rebuilt_roots = (engine.time_index.root_digest(),
                          engine.trie.root_digest())
         if rebuilt_roots != block.anchored_roots:

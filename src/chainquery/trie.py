@@ -8,6 +8,7 @@ a path of sibling digests plus the matched subtree reproduces the root.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from typing import Optional
 
 from chainquery import _kernels
@@ -32,27 +33,34 @@ class VODecodeError(ValueError):
     pass
 
 
+# one-byte encodings; a dict, so a negative index fails as bytes([i]) would
+_BYTE = {i: bytes([i]) for i in range(256)}
+# char index, terminal flag, id count and child count of a node without ids
+_HEAD_NO_IDS = struct.Struct(">BBIB")
+
+
 def node_digest(char_index: int, entry_ids, child_items) -> bytes:
-    """child_items: iterable of (index, digest) pairs in ascending index
+    """child_items: sequence of (index, digest) pairs in ascending index
     order.  is_terminal is implied by a non-empty entry id list."""
-    parts = [bytes([char_index, 1 if entry_ids else 0]),
-             _kernels.pack_u64_list(entry_ids),
-             bytes([len(child_items)])]
-    for idx, d in child_items:
-        parts.append(bytes([idx]))
-        parts.append(d)
-    return digest(DOM_TRIE, b"".join(parts))
+    n = len(entry_ids)
+    if n:
+        head = struct.pack(f">BBI{n}QB", char_index, 1, n, *entry_ids,
+                           len(child_items))
+    else:
+        head = _HEAD_NO_IDS.pack(char_index, 0, 0, len(child_items))
+    return digest(DOM_TRIE,
+                  head + b"".join([_BYTE[i] + d for i, d in child_items]))
 
 
 class TrieNode:
-    __slots__ = ("node_id", "char_index", "children", "entry_ids",
-                 "node_digest")
+    __slots__ = ("char_index", "children", "entry_ids", "node_digest")
 
-    def __init__(self, node_id: int, char_index: int):
-        self.node_id = node_id
+    def __init__(self, char_index: int):
         self.char_index = char_index
         self.children: dict[int, TrieNode] = {}
-        self.entry_ids: list[int] = []
+        # a shared empty tuple until the node turns terminal: most nodes
+        # never do, and a list each would cost memory and GC time
+        self.entry_ids: list[int] | tuple = ()
         self.node_digest = b""
 
     @property
@@ -158,7 +166,7 @@ def _decode_ids(data: bytes, off: int):
     off += 4
     if off + 8 * cnt > len(data):
         raise VODecodeError("truncated ids")
-    ids = [struct.unpack_from(">Q", data, off + 8 * i)[0] for i in range(cnt)]
+    ids = list(struct.unpack_from(f">{cnt}Q", data, off))
     return ids, off + 8 * cnt
 
 
@@ -194,16 +202,10 @@ class Trie:
 
     def __init__(self, meter: Optional[GasMeter] = None):
         self.meter = meter
-        self._next_node_id = 0
-        self.root = self._new_node(ROOT_CHAR)
+        self.root = TrieNode(ROOT_CHAR)
         self.root.recompute_digest(None)
         self.key_count = 0
         self.last_descent_visits = 0
-
-    def _new_node(self, char_index: int) -> TrieNode:
-        node = TrieNode(self._next_node_id, char_index)
-        self._next_node_id += 1
-        return node
 
     def root_digest(self) -> bytes:
         return self.root.node_digest
@@ -221,31 +223,44 @@ class Trie:
             raise InvalidCharacter(f"character {bad!r} not in alphabet") from None
 
     def insert(self, key: str, entry_id: int) -> None:
-        if entry_id < 0:
-            raise ValueError("entry_id must be non-negative")
-        indices = self._check_key(key)
-        node = self.root
-        path = [node]
-        for idx in indices:
-            child = node.children.get(idx)
-            if child is None:
-                child = self._new_node(idx)
-                node.children[idx] = child
-                if self.meter:
-                    self.meter.write()
-            node = child
-            path.append(node)
-            if self.meter:
-                self.meter.read()
-        if not node.entry_ids:
-            self.key_count += 1
-        pos = _bisect(node.entry_ids, entry_id)
-        if pos == len(node.entry_ids) or node.entry_ids[pos] != entry_id:
-            node.entry_ids.insert(pos, entry_id)
-        for n in reversed(path):
-            n.recompute_digest(self.meter)
-            if self.meter:
-                self.meter.write()
+        self.insert_many([(key, entry_id)])
+
+    def insert_many(self, pairs) -> None:
+        """Insert (key, entry_id) pairs, then recompute the digest of every
+        touched node once, children before parents.  All keys are checked
+        first, so a bad pair leaves the trie unchanged."""
+        checked = []
+        for key, entry_id in pairs:
+            if entry_id < 0:
+                raise ValueError("entry_id must be non-negative")
+            checked.append((self._check_key(key), entry_id))
+        meter = self.meter
+        dirty: dict[TrieNode, int] = {}  # touched node -> depth
+        for indices, entry_id in checked:
+            node = self.root
+            dirty[node] = 0
+            created = 0
+            for depth, idx in enumerate(indices, 1):
+                child = node.children.get(idx)
+                if child is None:
+                    child = node.children[idx] = TrieNode(idx)
+                    created += 1
+                node = child
+                dirty[node] = depth
+            ids = node.entry_ids
+            if not ids:
+                self.key_count += 1
+                node.entry_ids = [entry_id]
+            else:
+                pos = bisect_left(ids, entry_id)
+                if pos == len(ids) or ids[pos] != entry_id:
+                    ids.insert(pos, entry_id)
+            if meter:
+                meter.read(len(indices))
+                # one write per new node and one per path node
+                meter.write(created + len(indices) + 1)
+        for node in sorted(dirty, key=dirty.__getitem__, reverse=True):
+            node.recompute_digest(meter)
 
     def prefix_query(self, prefix: str):
         """All entry ids whose key starts with prefix, sorted ascending,
@@ -291,17 +306,6 @@ class Trie:
         children = [self._collect(node.children[i], ids)
                     for i in sorted(node.children)]
         return (node.char_index, list(node.entry_ids), children)
-
-
-def _bisect(lst, value):
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 # --- verification --------------------------------------------------------

@@ -199,3 +199,34 @@ def test_property_oracle(pairs, prefix):
     results, vo = trie.prefix_query(prefix)
     assert results == oracle(pairs, prefix)
     assert verify_prefix(vo, trie.root_digest(), prefix, results)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet="0123:-", min_size=1, max_size=6),
+                          st.integers(0, 40)), max_size=30),
+       st.integers(1, 8))
+def test_insert_many_matches_single_inserts(pairs, chunk):
+    meter_one, meter_many = GasMeter(), GasMeter()
+    one, many = Trie(meter=meter_one), Trie(meter=meter_many)
+    for key, eid in pairs:
+        one.insert(key, eid)
+    for i in range(0, len(pairs), chunk):
+        many.insert_many(pairs[i:i + chunk])
+    assert many.root_digest() == one.root_digest()
+    assert many.key_count == one.key_count
+    # same reads and writes; each touched node is rehashed at most once
+    # per call instead of once per key
+    assert meter_many.storage_writes == meter_one.storage_writes
+    assert meter_many.storage_reads == meter_one.storage_reads
+    assert meter_many.compute_units <= meter_one.compute_units
+
+
+def test_insert_many_rejects_bad_pair_before_changing_anything():
+    trie = build([("ab", 1)])
+    root = trie.root_digest()
+    with pytest.raises(InvalidCharacter):
+        trie.insert_many([("abc", 2), ("a_c", 3)])
+    with pytest.raises(ValueError):
+        trie.insert_many([("abc", 2), ("abd", -1)])
+    assert trie.root_digest() == root
+    assert trie.prefix_query("abc")[0] == []
