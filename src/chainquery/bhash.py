@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_left
 from typing import Optional
 
 from chainquery import _kernels
@@ -71,10 +72,43 @@ def internal_digest(child_triples, lo: int, hi: int) -> bytes:
 
 
 def _merkle_levels(leaves):
-    levels = [list(leaves)]
+    """Every merkle level, bottom up; levels[0] is `leaves` itself."""
+    levels = [leaves]
     while len(levels[-1]) > 1:
         levels.append(_kernels.merkle_level(levels[-1], DOM_BUCKET))
     return levels
+
+
+def _update_merkle_levels(levels, changed, start) -> None:
+    """Bring the levels above levels[0] up to date after levels[0] changed
+    at the sorted positions `changed` and, unless start is None, at every
+    position from `start` on (leaves only ever get added).  Each affected
+    slice is refolded from an even index, so an odd tail is promoted
+    exactly as in a full rebuild."""
+    lvl = 0
+    while len(levels[lvl]) > 1:
+        src = levels[lvl]
+        if lvl + 1 == len(levels):
+            levels.append([])
+            start = 0
+        dst = levels[lvl + 1]
+        if start is not None:
+            start -= start % 2
+            dst[start // 2:] = _kernels.merkle_level(src[start:], DOM_BUCKET)
+        parents = []
+        for pos in changed:
+            pos -= pos % 2
+            if start is not None and pos >= start:
+                break
+            if parents and parents[-1] == pos // 2:
+                continue
+            dst[pos // 2] = _kernels.merkle_level(src[pos:pos + 2],
+                                                  DOM_BUCKET)[0]
+            parents.append(pos // 2)
+        changed = parents
+        if start is not None:
+            start //= 2
+        lvl += 1
 
 
 def merkle_root(leaves) -> bytes:
@@ -109,40 +143,35 @@ def _merkle_root_from_window(n: int, start: int, window, sibs):
         return EMPTY_DIGEST if not window and not sibs else None
     if not window:
         return None
-    sibs = list(sibs)
+    prefix = bytes([DOM_BUCKET]) + b"\x01"
     cur = list(window)
+    si = 0  # next unread sibling
     a, b = start, start + len(window)
     m = n
     if b > m:
         return None
     while m > 1:
+        # the row spans [a, b) once widened to even a and, short of the
+        # level's end, even b; only a row ending the level has an odd tail
         if a % 2 == 1:
-            if not sibs:
+            if si == len(sibs):
                 return None
-            cur.insert(0, sibs.pop(0))
+            cur = [sibs[si]] + cur
+            si += 1
             a -= 1
-        if b % 2 == 1:
-            if b < m:
-                if not sibs:
-                    return None
-                cur.append(sibs.pop(0))
-                b += 1
-        nxt = []
-        i = a
-        idx = 0
-        prefix = bytes([DOM_BUCKET]) + b"\x01"
-        while i < b:
-            if i == m - 1 and m % 2 == 1:
-                nxt.append(cur[idx])
-                i += 1
-                idx += 1
-            else:
-                nxt.append(hashlib.sha256(prefix + cur[idx] + cur[idx + 1]).digest())
-                i += 2
-                idx += 2
+        if b % 2 == 1 and b < m:
+            if si == len(sibs):
+                return None
+            cur.append(sibs[si])
+            si += 1
+            b += 1
+        nxt = [hashlib.sha256(prefix + cur[i] + cur[i + 1]).digest()
+               for i in range(0, len(cur) - 1, 2)]
+        if len(cur) % 2:
+            nxt.append(cur[-1])
         cur = nxt
         a, b, m = a // 2, (b + 1) // 2, (m + 1) // 2
-    if sibs or len(cur) != 1:
+    if si != len(sibs) or len(cur) != 1:
         return None
     return cur[0]
 
@@ -150,13 +179,12 @@ def _merkle_root_from_window(n: int, start: int, window, sibs):
 # --- nodes ---------------------------------------------------------------
 
 class BHashNode:
-    __slots__ = ("node_id", "is_leaf", "is_hash_node", "pairs", "children",
+    __slots__ = ("is_leaf", "is_hash_node", "pairs", "children",
                  "lo", "hi", "buckets", "bucket_keys", "bucket_digests",
-                 "bucket_leaves", "merkle_cache", "dirty",
-                 "fingerprint", "node_digest")
+                 "bucket_leaves", "merkle_cache", "merkle_changed",
+                 "merkle_from", "dirty", "fingerprint", "node_digest")
 
-    def __init__(self, node_id: int, is_leaf: bool):
-        self.node_id = node_id
+    def __init__(self, is_leaf: bool):
         self.is_leaf = is_leaf
         self.is_hash_node = False
         self.pairs = [] if is_leaf else None     # [(key, entry_id)] sorted
@@ -167,7 +195,11 @@ class BHashNode:
         self.bucket_keys = None    # sorted [key]
         self.bucket_digests = None  # {key: ids_digest}
         self.bucket_leaves = None  # leaf digests aligned with bucket_keys
-        self.merkle_cache = None   # cached merkle levels over bucket_leaves
+        self.merkle_cache = None   # merkle levels; [0] is bucket_leaves
+        # bucket_leaves positions the cached levels have not absorbed yet:
+        # replaced leaves, and every position from the first new leaf on
+        self.merkle_changed: set[int] = set()
+        self.merkle_from: Optional[int] = None
         self.dirty = False         # digest stale (deferred recompute)
         self.fingerprint = None
         self.node_digest = EMPTY_DIGEST
@@ -175,6 +207,12 @@ class BHashNode:
     def merkle_levels_cached(self):
         if self.merkle_cache is None:
             self.merkle_cache = _merkle_levels(self.bucket_leaves)
+        elif self.merkle_changed or self.merkle_from is not None:
+            _update_merkle_levels(self.merkle_cache,
+                                  sorted(self.merkle_changed),
+                                  self.merkle_from)
+        self.merkle_changed.clear()
+        self.merkle_from = None
         return self.merkle_cache
 
     def recompute_digest(self, meter: Optional[GasMeter]) -> None:
@@ -403,8 +441,7 @@ def _decode_proof(data: bytes, off: int):
                     off += 4
                 if off + 8 * cnt > len(data):
                     raise VODecodeError("truncated ids")
-                ids = [struct.unpack_from(">Q", data, off + 8 * i)[0]
-                       for i in range(cnt)]
+                ids = list(struct.unpack_from(f">{cnt}Q", data, off))
                 off += 8 * cnt
                 window.append((W_REVEALED, key, ids))
             if flags & 2:
@@ -442,19 +479,13 @@ class BHashTree:
         self.threshold_t = threshold_t
         self.branching = branching
         self.meter = meter
-        self._next_node_id = 0
-        self.root = self._new_node(is_leaf=True)
+        self.root = BHashNode(is_leaf=True)
         self.root.recompute_digest(None)
         self.entry_count = 0
         self.node_count = 1
         self.converted = False
         self._stale = False
         self._inserted: set[int] = set()
-
-    def _new_node(self, is_leaf: bool) -> BHashNode:
-        node = BHashNode(self._next_node_id, is_leaf)
-        self._next_node_id += 1
-        return node
 
     def root_digest(self) -> bytes:
         self._flush()
@@ -559,7 +590,7 @@ class BHashTree:
     def _split(self, node: BHashNode, path) -> None:
         """Split an over-full leaf and propagate up the recorded path."""
         mid = len(node.pairs) // 2
-        sibling = self._new_node(is_leaf=True)
+        sibling = BHashNode(is_leaf=True)
         self.node_count += 1
         sibling.pairs = node.pairs[mid:]
         node.pairs = node.pairs[:mid]
@@ -569,7 +600,7 @@ class BHashTree:
             n.recompute_digest(self.meter)
             self._touch(n)
         if not path:
-            new_root = self._new_node(is_leaf=False)
+            new_root = BHashNode(is_leaf=False)
             self.node_count += 1
             new_root.children = [node, sibling]
             self._update_range(new_root)
@@ -589,7 +620,7 @@ class BHashTree:
 
     def _split_internal(self, node: BHashNode, path) -> None:
         mid = len(node.children) // 2
-        sibling = self._new_node(is_leaf=False)
+        sibling = BHashNode(is_leaf=False)
         self.node_count += 1
         sibling.children = node.children[mid:]
         node.children = node.children[:mid]
@@ -598,7 +629,7 @@ class BHashTree:
             n.recompute_digest(self.meter)
             self._touch(n)
         if not path:
-            new_root = self._new_node(is_leaf=False)
+            new_root = BHashNode(is_leaf=False)
             self.node_count += 1
             new_root.children = [node, sibling]
             self._update_range(new_root)
@@ -659,25 +690,26 @@ class BHashTree:
             path.append(node)
             node = node.children[idx]
             self._visit(node)
+        pos = bisect_left(node.bucket_keys, key)
         ids = node.buckets.get(key)
         if ids is None:
-            node.buckets[key] = [entry_id]
-            insort_at = _bisect(node.bucket_keys, key)
-            node.bucket_keys.insert(insort_at, key)
+            ids = node.buckets[key] = [entry_id]
+            node.bucket_keys.insert(pos, key)
         else:
-            insort_at = _bisect(node.bucket_keys, key)
-            ids.insert(_bisect(ids, entry_id), entry_id)
-        node.bucket_digests[key] = bucket_ids_digest(node.buckets[key])
+            ids.insert(bisect_left(ids, entry_id), entry_id)
+        node.bucket_digests[key] = bucket_ids_digest(ids)
         new_leaf = bucket_leaf_digest(key, node.bucket_digests[key])
-        if ids is None:
-            node.bucket_leaves.insert(insort_at, new_leaf)
+        if len(ids) == 1:
+            node.bucket_leaves.insert(pos, new_leaf)
+            if node.merkle_from is None or pos < node.merkle_from:
+                node.merkle_from = pos
         else:
-            node.bucket_leaves[insort_at] = new_leaf
-        node.merkle_cache = None
+            node.bucket_leaves[pos] = new_leaf
+            node.merkle_changed.add(pos)
         node.lo = node.bucket_keys[0]
         node.hi = node.bucket_keys[-1]
-        # digest recomputation is deferred to the next root_digest() call:
-        # rebuilding the merkle layer per insert would be O(n_buckets)
+        # digest recomputation is deferred to the next root_digest() call,
+        # which refolds only the merkle positions recorded above
         node.dirty = True
         self._stale = True
         self._touch(node)
@@ -744,17 +776,6 @@ class BHashTree:
                                         wend - wstart) if n else [])
         return (P_HASHLEAF, node.lo, node.hi, node.fingerprint, n, wstart,
                 window, sibs)
-
-
-def _bisect(lst, value):
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 # --- verification --------------------------------------------------------

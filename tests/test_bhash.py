@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from chainquery.bhash import (BHashTree, DuplicateEntry, RangeVO, verify_range,
-                              verify_range_bytes)
+from chainquery.bhash import (BHashTree, DuplicateEntry, RangeVO,
+                              _merkle_levels, verify_range, verify_range_bytes)
 from chainquery.gas import GasMeter
 
 
@@ -224,3 +224,35 @@ def test_multi_leaf_conversion():
         results, vo = tree.range_query(lo, hi)
         assert results == oracle(entries, lo, hi)
         assert verify_range(vo, tree.root_digest(), lo, hi, results)
+
+
+def _nodes(node):
+    yield node
+    if not node.is_leaf:
+        for child in node.children:
+            yield from _nodes(child)
+
+
+@pytest.mark.parametrize("threshold,seed", [(10, 1), (10, 2), (40, 3)])
+def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
+    # out-of-order inserts into a few hundred buckets, with repeated keys,
+    # flushed after 1..6 inserts at a time
+    rng = random.Random(seed)
+    tree = BHashTree(threshold_t=threshold)
+    eid = 0
+    while eid < 400:
+        for _ in range(rng.randint(1, 6)):
+            tree.insert(eid, rng.randrange(300))
+            eid += 1
+        tree.root_digest()
+        for node in _nodes(tree.root):
+            if node.is_hash_node:
+                assert node.merkle_cache == _merkle_levels(
+                    list(node.bucket_leaves))
+    # rehashing every node from scratch gives the same root
+    root = tree.root_digest()
+    for node in _nodes(tree.root):
+        node.merkle_cache = None
+        node.dirty = True
+    tree._stale = True
+    assert tree.root_digest() == root
