@@ -5,7 +5,8 @@ dict lookup, so a cold miss costs one probe of a bitset instead of hashing
 into a large map.  Every write to the ledger bumps the epoch, which is
 mixed into the cache fingerprint, so stale entries can never be returned:
 there are no false negatives for the current epoch, and entries from prior
-epochs are unreachable by construction.
+epochs are unreachable by construction, so invalidation frees them and
+starts a clean bloom filter.
 """
 from __future__ import annotations
 
@@ -52,9 +53,12 @@ class QueryCache:
             self.epoch.to_bytes(8, "big") + ast_fingerprint(ast)).digest()
 
     def invalidate(self) -> None:
-        """Advance the epoch; all previously cached results become
-        unreachable."""
+        """Advance the epoch and free the previous epochs' results, which
+        the new epoch's keys can never reach."""
         self.epoch += 1
+        if self._store:
+            self._store = {}
+            self._bloom = BloomFilter()
 
     def get(self, ast: QueryAst):
         key = self._key(ast)

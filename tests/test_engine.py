@@ -263,3 +263,18 @@ def test_cache_epoch_isolation():
     assert cache.get(ast) == ("x",)
     cache.invalidate()
     assert cache.get(ast) is None
+
+
+def test_cache_invalidate_frees_dead_epochs():
+    cache = QueryCache()
+    asts = [parse(f"SELECT * FROM entries WHERE entry_id = {i}")
+            for i in range(3)]
+    for _ in range(200):
+        for i, ast in enumerate(asts):
+            cache.put(ast, (i,))
+        assert len(cache._store) <= len(asts)
+        cache.invalidate()
+    assert len(cache._store) == 0
+    cache.put(asts[0], ("fresh",))
+    assert cache.get(asts[0]) == ("fresh",)
+    assert cache.get(asts[1]) is None
