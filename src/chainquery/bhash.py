@@ -692,14 +692,15 @@ class BHashTree:
             self._visit(node)
         pos = bisect_left(node.bucket_keys, key)
         ids = node.buckets.get(key)
-        if ids is None:
+        new_bucket = ids is None
+        if new_bucket:
             ids = node.buckets[key] = [entry_id]
             node.bucket_keys.insert(pos, key)
         else:
             ids.insert(bisect_left(ids, entry_id), entry_id)
         node.bucket_digests[key] = bucket_ids_digest(ids)
         new_leaf = bucket_leaf_digest(key, node.bucket_digests[key])
-        if len(ids) == 1:
+        if new_bucket:
             node.bucket_leaves.insert(pos, new_leaf)
             if node.merkle_from is None or pos < node.merkle_from:
                 node.merkle_from = pos

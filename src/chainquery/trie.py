@@ -35,19 +35,14 @@ class VODecodeError(ValueError):
 
 # one-byte encodings; a dict, so a negative index fails as bytes([i]) would
 _BYTE = {i: bytes([i]) for i in range(256)}
-# char index, terminal flag, id count and child count of a node without ids
-_HEAD_NO_IDS = struct.Struct(">BBIB")
 
 
 def node_digest(char_index: int, entry_ids, child_items) -> bytes:
     """child_items: sequence of (index, digest) pairs in ascending index
     order.  is_terminal is implied by a non-empty entry id list."""
     n = len(entry_ids)
-    if n:
-        head = struct.pack(f">BBI{n}QB", char_index, 1, n, *entry_ids,
-                           len(child_items))
-    else:
-        head = _HEAD_NO_IDS.pack(char_index, 0, 0, len(child_items))
+    head = struct.pack(f">BBI{n}QB", char_index, 1 if n else 0, n,
+                       *entry_ids, len(child_items))
     return digest(DOM_TRIE,
                   head + b"".join([_BYTE[i] + d for i, d in child_items]))
 
