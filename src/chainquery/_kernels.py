@@ -1,33 +1,31 @@
-"""Pure-Python kernels: byte packing, range scans, merkle level folding.
+"""Hot-loop kernels: byte packing, range scans, merkle level folding.
 
-Mirror of the Cython module; keep both in sync.
+Both indexes commit id lists in the u64 layout packed here.  The stdlib is
+imported as modules, not names, so this namespace holds only the kernels.
 """
+import bisect
 import hashlib
-from bisect import bisect_left, bisect_right
-
-BACKEND = "python"
+import itertools
+import struct
 
 
 def pack_u64_pairs(pairs):
     """4-byte BE count, then each (a, b) as two 8-byte BE integers."""
-    out = bytearray(len(pairs).to_bytes(4, "big"))
-    for a, b in pairs:
-        out += a.to_bytes(8, "big")
-        out += b.to_bytes(8, "big")
-    return bytes(out)
+    n = len(pairs)
+    return struct.pack(f">I{2 * n}Q", n,
+                       *itertools.chain.from_iterable(pairs))
 
 
 def pack_u64_list(values):
     """4-byte BE count, then each value as an 8-byte BE integer."""
-    out = bytearray(len(values).to_bytes(4, "big"))
-    for v in values:
-        out += v.to_bytes(8, "big")
-    return bytes(out)
+    n = len(values)
+    return struct.pack(f">I{n}Q", n, *values)
 
 
 def range_bounds(sorted_keys, lo, hi):
     """Half-open index window [i, j) of keys with lo <= key <= hi."""
-    return bisect_left(sorted_keys, lo), bisect_right(sorted_keys, hi)
+    return (bisect.bisect_left(sorted_keys, lo),
+            bisect.bisect_right(sorted_keys, hi))
 
 
 def merkle_level(nodes, domain):

@@ -800,7 +800,8 @@ def verify_range(vo: RangeVO, trusted_root: bytes, start_time: int,
             return False
         collected.sort()
         return [eid for _, eid in collected] == list(results)
-    except (VODecodeError, ValueError, TypeError, IndexError, OverflowError):
+    except (VODecodeError, ValueError, TypeError, IndexError, OverflowError,
+            struct.error):
         return False
 
 

@@ -256,3 +256,12 @@ def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
         node.dirty = True
     tree._stale = True
     assert tree.root_digest() == root
+
+
+@pytest.mark.parametrize("bad_id", [-1, 1 << 64])
+def test_out_of_range_id_in_proof_rejected(bad_id):
+    tree = build([(0, 10), (1, 20), (2, 30)], threshold=None)
+    results, vo = tree.range_query(0, 100)
+    kind, lo, hi, pairs = vo.proof
+    vo.proof = (kind, lo, hi, [(pairs[0][0], bad_id)] + pairs[1:])
+    assert verify_range(vo, tree.root_digest(), 0, 100, results) is False

@@ -1,57 +1,47 @@
-"""Compiled and pure-Python kernels must agree exactly."""
-import random
+"""The stdlib kernels: the u64 wire layout, range windows, merkle folding."""
+import hashlib
 
 from hypothesis import given, strategies as st
 
-from chainquery._kernels import _py
-
-try:
-    from chainquery._kernels import _cy
-except ImportError:
-    _cy = None
-
-import pytest
-
-pytestmark = pytest.mark.skipif(_cy is None, reason="extension not built")
+from chainquery import _kernels
+from chainquery.core import DOM_BUCKET
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
-@given(st.lists(st.tuples(u64, u64), max_size=50))
-def test_pack_pairs_parity(pairs):
-    assert _cy.pack_u64_pairs(pairs) == _py.pack_u64_pairs(pairs)
-
-
-@given(st.lists(u64, max_size=50))
-def test_pack_list_parity(values):
-    assert _cy.pack_u64_list(values) == _py.pack_u64_list(values)
-
-
-@given(st.lists(u64, max_size=60), u64, u64)
-def test_range_bounds_parity(keys, lo, hi):
-    keys = sorted(keys)
-    assert _cy.range_bounds(keys, lo, hi) == _py.range_bounds(keys, lo, hi)
-
-
-def test_range_bounds_negative_lo():
-    assert _cy.range_bounds([1, 2, 3], -5, 2) == _py.range_bounds([1, 2, 3], 0, 2)
-
-
-@given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=33))
-def test_merkle_level_parity(nodes):
-    assert _cy.merkle_level(nodes, 0x02) == _py.merkle_level(nodes, 0x02)
-
-
 def test_pack_layout():
-    assert _py.pack_u64_pairs([(1, 2)]) == (
+    assert _kernels.pack_u64_pairs([(1, 2)]) == (
         b"\x00\x00\x00\x01" + (1).to_bytes(8, "big") + (2).to_bytes(8, "big"))
-    assert _py.pack_u64_list([]) == b"\x00\x00\x00\x00"
+    assert _kernels.pack_u64_list([5, (1 << 64) - 1]) == (
+        b"\x00\x00\x00\x02" + (5).to_bytes(8, "big") + b"\xff" * 8)
+    assert _kernels.pack_u64_list([]) == b"\x00\x00\x00\x00"
 
 
-def test_random_cross_check():
-    rng = random.Random(7)
-    keys = sorted(rng.randrange(1 << 40) for _ in range(500))
-    for _ in range(200):
-        lo = rng.randrange(1 << 40)
-        hi = rng.randrange(1 << 40)
-        assert _cy.range_bounds(keys, lo, hi) == _py.range_bounds(keys, lo, hi)
+@given(st.lists(st.tuples(u64, u64), max_size=50))
+def test_pack_matches_per_value_encoding(pairs):
+    flat = [v for pair in pairs for v in pair]
+    assert _kernels.pack_u64_list(flat) == (
+        len(flat).to_bytes(4, "big")
+        + b"".join(v.to_bytes(8, "big") for v in flat))
+    assert _kernels.pack_u64_pairs(pairs) == (
+        len(pairs).to_bytes(4, "big") + _kernels.pack_u64_list(flat)[4:])
+
+
+@given(st.lists(st.integers(0, 100), max_size=60),
+       st.integers(-5, 105), st.integers(-5, 105))
+def test_range_bounds_matches_linear_scan(keys, lo, hi):
+    keys.sort()
+    i, j = _kernels.range_bounds(keys, lo, hi)
+    assert keys[i:j] == [k for k in keys if lo <= k <= hi]
+    assert all(k < lo for k in keys[:i])
+    assert all(k > hi for k in keys[j:])
+
+
+def test_merkle_level_promotes_odd_tail():
+    nodes = [bytes([i]) * 32 for i in range(5)]
+    prefix = bytes([DOM_BUCKET, 0x01])
+    pair = [hashlib.sha256(prefix + nodes[i] + nodes[i + 1]).digest()
+            for i in (0, 2)]
+    assert _kernels.merkle_level(nodes, DOM_BUCKET) == pair + [nodes[4]]
+    assert _kernels.merkle_level(nodes[:4], DOM_BUCKET) == pair
+    assert _kernels.merkle_level(nodes[:1], DOM_BUCKET) == nodes[:1]
