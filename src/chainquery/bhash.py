@@ -15,7 +15,7 @@ from typing import Optional
 
 from chainquery import _kernels
 from chainquery.core import (DOM_BUCKET, DOM_INTERNAL, DOM_LEAF, EMPTY_DIGEST,
-                             MAX_TIMESTAMP, TimeKey, digest)
+                             MAX_TIMESTAMP, TimeKey, VODecodeError, digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
@@ -23,10 +23,6 @@ DEFAULT_THRESHOLD = 10
 
 
 class DuplicateEntry(ValueError):
-    pass
-
-
-class VODecodeError(ValueError):
     pass
 
 
@@ -266,11 +262,6 @@ class RangeVO:
         out.sort()
         return out
 
-    def frontier_digests(self):
-        out = []
-        _collect_frontier(self.proof, (), out)
-        return out
-
     def boundary_keys(self, start_key: int, end_key: int):
         below = [k for k, _ in _revealed_keys(self.proof) if k < start_key]
         above = [k for k, _ in _revealed_keys(self.proof) if k > end_key]
@@ -328,21 +319,6 @@ def _collect_in_range(node, lo, hi, out):
     elif kind == P_INTERNAL:
         for c in node[3]:
             _collect_in_range(c, lo, hi, out)
-
-
-def _collect_frontier(node, pos, out):
-    kind = node[0]
-    if kind == P_PRUNED:
-        out.append((pos, node[3]))
-    elif kind == P_INTERNAL:
-        for i, c in enumerate(node[3]):
-            _collect_frontier(c, pos + (i,), out)
-    elif kind == P_HASHLEAF:
-        for i, (wkind, key, payload) in enumerate(node[6]):
-            if wkind == W_DIGEST_ONLY:
-                out.append((pos + (i,), payload))
-        for i, sib in enumerate(node[7]):
-            out.append((pos + ("sib", i), sib))
 
 
 # --- wire format for proof trees ----------------------------------------

@@ -38,6 +38,10 @@ class EncodingError(ValueError):
     pass
 
 
+class VODecodeError(ValueError):
+    pass
+
+
 def digest(domain_tag: int, payload: bytes) -> bytes:
     """32-byte SHA-256 of the domain tag byte followed by the payload."""
     return hashlib.sha256(bytes([domain_tag]) + payload).digest()

@@ -120,13 +120,6 @@ class Ledger:
             prev = block.block_digest
         return True
 
-    def entry_by_id(self, entry_id: int) -> Optional[DataEntry]:
-        for block in self.blocks:
-            for entry in block.entries:
-                if entry.entry_id == entry_id:
-                    return entry
-        return None
-
     # -- persistence --
 
     def save(self, path: str) -> None:

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from typing import Optional
 
 from chainquery import _kernels
-from chainquery.core import DOM_TRIE, digest
+from chainquery.core import DOM_TRIE, VODecodeError, digest
 from chainquery.gas import GasMeter
 
 ALPHABET = "0123456789abcdef-:"
@@ -26,10 +26,6 @@ class InvalidCharacter(ValueError):
 
 
 class KeyTooLong(ValueError):
-    pass
-
-
-class VODecodeError(ValueError):
     pass
 
 
