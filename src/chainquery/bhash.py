@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Optional
 
 from chainquery import _kernels
@@ -538,19 +538,9 @@ class BHashTree:
     @staticmethod
     def _leaf_insert_pair(leaf: BHashNode, key: int, entry_id: int) -> None:
         pairs = leaf.pairs
-        lo, hi = 0, len(pairs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pairs[mid] < (key, entry_id):
-                lo = mid + 1
-            else:
-                hi = mid
-        pairs.insert(lo, (key, entry_id))
-        if len(pairs) == 1:
-            leaf.lo = leaf.hi = key
-        else:
-            leaf.lo = pairs[0][0]
-            leaf.hi = pairs[-1][0]
+        insort(pairs, (key, entry_id))
+        leaf.lo = pairs[0][0]
+        leaf.hi = pairs[-1][0]
 
     def _route(self, node: BHashNode, key: int) -> int:
         for i, child in enumerate(node.children):
@@ -575,24 +565,7 @@ class BHashTree:
             n.hi = n.pairs[-1][0]
             n.recompute_digest(self.meter)
             self._touch(n)
-        if not path:
-            new_root = BHashNode(is_leaf=False)
-            self.node_count += 1
-            new_root.children = [node, sibling]
-            self._update_range(new_root)
-            new_root.recompute_digest(self.meter)
-            self._touch(new_root)
-            self.root = new_root
-            return
-        parent, idx = path[-1]
-        parent.children.insert(idx + 1, sibling)
-        if len(parent.children) > self.branching:
-            self._split_internal(parent, path[:-1])
-        else:
-            for p, _ in reversed(path):
-                self._update_range(p)
-                p.recompute_digest(self.meter)
-                self._touch(p)
+        self._attach_sibling(node, sibling, path)
 
     def _split_internal(self, node: BHashNode, path) -> None:
         mid = len(node.children) // 2
@@ -604,6 +577,12 @@ class BHashTree:
             self._update_range(n)
             n.recompute_digest(self.meter)
             self._touch(n)
+        self._attach_sibling(node, sibling, path)
+
+    def _attach_sibling(self, node: BHashNode, sibling: BHashNode,
+                        path) -> None:
+        """Place a split-off sibling right of node: under a new root, or in
+        the parent, which splits in turn when over-full."""
         if not path:
             new_root = BHashNode(is_leaf=False)
             self.node_count += 1

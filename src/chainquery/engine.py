@@ -228,28 +228,14 @@ class Engine:
             rows.append(self._entry_row(self.entries[eid]))
         return rows
 
-    def _exec_time_range(self, ast, start: int, end: int,
-                         emit_vo: bool) -> QueryResult:
-        plan = plan_query(ast)
-        cached = self.cache.get(ast)
-        if cached is not None:
-            return QueryResult(list(cached), plan, verified=True,
-                               cached=True)
+    def _exec_time_range(self, start: int, end: int):
         ids, vo = self.time_index.range_query(start, end)
         bhash_root, _ = self._trusted_roots()
         if not verify_range(vo, bhash_root, start, end, ids):
             raise VerificationFailure("time-range proof rejected")
-        rows = self._rows_for_ids(ids)
-        self.cache.put(ast, tuple(rows))
-        return QueryResult(rows, plan, verified=True,
-                           vo_bytes=vo.to_bytes() if emit_vo else None)
+        return self._rows_for_ids(ids), vo
 
-    def _exec_fuzzy(self, ast: SelectFuzzy, emit_vo: bool) -> QueryResult:
-        plan = plan_query(ast)
-        cached = self.cache.get(ast)
-        if cached is not None:
-            return QueryResult(list(cached), plan, verified=True,
-                               cached=True)
+    def _exec_fuzzy(self, ast: SelectFuzzy):
         if ast.field == "timestamp_string":
             key = NS_TIMESTAMP + ast.prefix
         else:
@@ -260,23 +246,13 @@ class Engine:
         _, trie_root = self._trusted_roots()
         if not verify_prefix(vo, trie_root, key, ids):
             raise VerificationFailure("prefix proof rejected")
-        rows = self._rows_for_ids(ids)
-        self.cache.put(ast, tuple(rows))
-        return QueryResult(rows, plan, verified=True,
-                           vo_bytes=vo.to_bytes() if emit_vo else None)
+        return self._rows_for_ids(ids), vo
 
-    def _exec_simple_id(self, ast: SelectSimple) -> QueryResult:
-        plan = plan_query(ast)
-        cached = self.cache.get(ast)
-        if cached is not None:
-            return QueryResult(list(cached), plan, verified=True,
-                               cached=True)
-        entry = self.entries.get(ast.entry_id)
-        rows = []
-        if entry is not None and self.is_live(ast.entry_id):
-            rows = [self._entry_row(entry)]
-        self.cache.put(ast, tuple(rows))
-        return QueryResult(rows, plan, verified=True)
+    def _exec_simple_id(self, entry_id: int) -> list[dict]:
+        entry = self.entries.get(entry_id)
+        if entry is not None and self.is_live(entry_id):
+            return [self._entry_row(entry)]
+        return []
 
     # -- entry points --------------------------------------------------
 
@@ -288,17 +264,25 @@ class Engine:
             return self._exec_delete(ast)
         if isinstance(ast, UpdateQuery):
             return self._exec_update(ast)
-        if isinstance(ast, SelectSimple):
-            if ast.entry_id is not None:
-                return self._exec_simple_id(ast)
-            return self._exec_time_range(ast, ast.timestamp, ast.timestamp,
-                                         emit_vo)
-        if isinstance(ast, SelectTimeRange):
-            return self._exec_time_range(ast, ast.start_time, ast.end_time,
-                                         emit_vo)
+        if not isinstance(ast, (SelectSimple, SelectTimeRange, SelectFuzzy)):
+            raise TypeError(f"unexecutable ast {ast!r}")
+        plan = plan_query(ast)
+        cached = self.cache.get(ast)
+        if cached is not None:
+            return QueryResult(list(cached), plan, verified=True,
+                               cached=True)
+        vo = None
         if isinstance(ast, SelectFuzzy):
-            return self._exec_fuzzy(ast, emit_vo)
-        raise TypeError(f"unexecutable ast {ast!r}")
+            rows, vo = self._exec_fuzzy(ast)
+        elif isinstance(ast, SelectTimeRange):
+            rows, vo = self._exec_time_range(ast.start_time, ast.end_time)
+        elif ast.entry_id is not None:
+            rows = self._exec_simple_id(ast.entry_id)
+        else:
+            rows, vo = self._exec_time_range(ast.timestamp, ast.timestamp)
+        self.cache.put(ast, tuple(rows))
+        vo_bytes = vo.to_bytes() if emit_vo and vo is not None else None
+        return QueryResult(rows, plan, verified=True, vo_bytes=vo_bytes)
 
     def execute(self, sql: str, emit_vo: bool = False) -> QueryResult:
         return self.execute_ast(parse(sql), emit_vo=emit_vo)
