@@ -20,6 +20,9 @@ from chainquery.gas import GasMeter
 
 BRANCHING = 16
 DEFAULT_THRESHOLD = 10
+# Deepest proof nesting the decoder accepts.  Split nodes keep at least 8
+# children, so an honest tree this deep would hold over 2^64 entries.
+MAX_PROOF_DEPTH = 64
 
 
 class DuplicateEntry(ValueError):
@@ -277,7 +280,7 @@ class RangeVO:
         if len(data) < 32:
             raise VODecodeError("truncated")
         root = bytes(data[:32])
-        proof, off = _decode_proof(data, 32)
+        proof, off = _decode_proof(data, 32, 0)
         if off != len(data):
             raise VODecodeError("trailing bytes")
         mode = "post" if _has_hash_leaf(proof) else "pre"
@@ -361,7 +364,9 @@ def _encode_proof(node) -> bytes:
     return b"".join(parts)
 
 
-def _decode_proof(data: bytes, off: int):
+def _decode_proof(data: bytes, off: int, depth: int):
+    if depth > MAX_PROOF_DEPTH:
+        raise VODecodeError("proof nested too deep")
     try:
         kind = data[off]
         if kind == P_PRUNED:
@@ -384,7 +389,7 @@ def _decode_proof(data: bytes, off: int):
             off += 21
             children = []
             for _ in range(n):
-                child, off = _decode_proof(data, off)
+                child, off = _decode_proof(data, off, depth + 1)
                 children.append(child)
             return (P_INTERNAL, lo, hi, children), off
         if kind == P_HASHLEAF:

@@ -128,7 +128,7 @@ class PrefixVO:
                     off += 33
                 path.append((char_index, ids, taken, sibs))
             if mode == cls.MODE_MATCH:
-                terminal, off = _decode_subtree(data, off)
+                terminal, off = _decode_subtree(data, off, 0)
             elif mode == cls.MODE_NONMATCH:
                 char_index = data[off]
                 ids, off = _decode_ids(data, off + 1)
@@ -170,7 +170,11 @@ def _encode_subtree(sub) -> bytes:
     return b"".join(parts)
 
 
-def _decode_subtree(data: bytes, off: int):
+def _decode_subtree(data: bytes, off: int, depth: int):
+    # _subtree_digest rejects deeper subtrees; stopping here keeps crafted
+    # nesting from exhausting the stack
+    if depth > MAX_KEY_LEN + 1:
+        raise VODecodeError("subtree nested too deep")
     try:
         char_index = data[off]
     except IndexError:
@@ -183,7 +187,7 @@ def _decode_subtree(data: bytes, off: int):
     off += 1
     children = []
     for _ in range(nchild):
-        child, off = _decode_subtree(data, off)
+        child, off = _decode_subtree(data, off, depth + 1)
         children.append(child)
     return (char_index, ids, children), off
 

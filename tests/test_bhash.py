@@ -1,9 +1,12 @@
 import random
+import struct
 
 import pytest
 
-from chainquery.bhash import (BHashTree, DuplicateEntry, RangeVO,
-                              _merkle_levels, verify_range, verify_range_bytes)
+from chainquery.bhash import (MAX_PROOF_DEPTH, P_INTERNAL, P_PRUNED,
+                              BHashTree, DuplicateEntry, RangeVO,
+                              VODecodeError, _merkle_levels, verify_range,
+                              verify_range_bytes)
 from chainquery.gas import GasMeter
 
 
@@ -256,6 +259,22 @@ def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
         node.dirty = True
     tree._stale = True
     assert tree.root_digest() == root
+
+
+def _nested_range_vo(root: bytes, depth: int) -> bytes:
+    """`depth` one-child internal proof nodes around a pruned subtree."""
+    return (root + struct.pack(">BQQI", P_INTERNAL, 0, 1 << 62, 1) * depth
+            + struct.pack(">BQQ", P_PRUNED, 0, 0) + bytes(32))
+
+
+def test_deeply_nested_vo_bytes_rejected():
+    root = build(random_entries(50, 1)).root_digest()
+    blob = _nested_range_vo(root, 2000)
+    assert len(blob) == 42_081
+    assert verify_range_bytes(blob, root, 0, 10, []) is False
+    RangeVO.from_bytes(_nested_range_vo(root, MAX_PROOF_DEPTH))
+    with pytest.raises(VODecodeError):
+        RangeVO.from_bytes(_nested_range_vo(root, MAX_PROOF_DEPTH + 1))
 
 
 @pytest.mark.parametrize("bad_id", [-1, 1 << 64])

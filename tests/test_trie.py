@@ -1,10 +1,12 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainquery.trie import (ALPHABET, InvalidCharacter, KeyTooLong, PrefixVO,
-                             Trie, verify_prefix, verify_prefix_bytes)
+from chainquery.trie import (ALPHABET, MAX_KEY_LEN, InvalidCharacter,
+                             KeyTooLong, PrefixVO, Trie, VODecodeError,
+                             verify_prefix, verify_prefix_bytes)
 from chainquery.gas import GasMeter
 
 
@@ -230,3 +232,20 @@ def test_insert_many_rejects_bad_pair_before_changing_anything():
         trie.insert_many([("abc", 2), ("abd", -1)])
     assert trie.root_digest() == root
     assert trie.prefix_query("abc")[0] == []
+
+
+def _nested_prefix_vo(root: bytes, nodes: int) -> bytes:
+    """Match mode, empty path, a chain of `nodes` single-child subtrees."""
+    node = b"\x00" + struct.pack(">I", 0)
+    return (root + bytes([PrefixVO.MODE_MATCH, 0])
+            + (node + b"\x01") * (nodes - 1) + node + b"\x00")
+
+
+def test_deeply_nested_vo_bytes_rejected():
+    root = build([("abc", 1)]).root_digest()
+    blob = _nested_prefix_vo(root, 2001)
+    assert len(blob) == 12_040
+    assert verify_prefix_bytes(blob, root, "", [1]) is False
+    PrefixVO.from_bytes(_nested_prefix_vo(root, MAX_KEY_LEN + 2))
+    with pytest.raises(VODecodeError):
+        PrefixVO.from_bytes(_nested_prefix_vo(root, MAX_KEY_LEN + 3))
