@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -284,3 +285,39 @@ def test_out_of_range_id_in_proof_rejected(bad_id):
     kind, lo, hi, pairs = vo.proof
     vo.proof = (kind, lo, hi, [(pairs[0][0], bad_id)] + pairs[1:])
     assert verify_range(vo, tree.root_digest(), 0, 100, results) is False
+
+
+def _metered_run(threshold):
+    """600 inserts with random flushes and a range VO every 50 inserts."""
+    meter = GasMeter()
+    tree = BHashTree(threshold_t=threshold, meter=meter)
+    rng = random.Random(21)
+    vos = hashlib.sha256()
+    for eid in range(600):
+        tree.insert(eid, rng.randrange(5000))
+        if rng.random() < 0.1:
+            tree.root_digest()
+        if eid % 50 == 49:
+            lo = rng.randrange(5000)
+            _, vo = tree.range_query(lo, lo + rng.randrange(800))
+            vos.update(vo.to_bytes())
+    return (meter.storage_writes, meter.storage_reads,
+            tree.root_digest().hex(), vos.hexdigest())
+
+
+@pytest.mark.parametrize("threshold,writes,reads,root,vos", [
+    (None, 1707, 1930,
+     "c0db63fc3e9541ac8eb97b53b301825e8c6c68252d438850611a8c300b345e4d",
+     "2dcc5309ffc70ff60b59a85be734967b5bf18918650812f5c421064c2138c355"),
+    (10, 601, 891,
+     "4a95c61c5ae51a5663eb059a87d9104e9454e32ad7b51baf52c6f10f21908267",
+     "a564cdbaeae55e9c304ba88a47bda79f80b3fc7906fbd134c04762ad37d1a19b"),
+    (40, 1195, 1491,
+     "8e644ceb43ad5f8d64cc03fa03e683d699db6ba13f99859d522e705a208a3fd8",
+     "bad86220069a3cfa357978e170614e23022a31cc3d0e0d3ec337dc8919e9c8d1"),
+])
+def test_storage_ticks_and_root_pinned(threshold, writes, reads, root, vos):
+    # storage ticks, the root and the VO bytes are part of the contract;
+    # compute ticks are not, since they count digest recomputations
+    got = _metered_run(threshold)
+    assert got == (writes, reads, root, vos)
