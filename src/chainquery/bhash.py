@@ -110,12 +110,6 @@ def _update_merkle_levels(levels, changed, start) -> None:
         lvl += 1
 
 
-def merkle_root(leaves) -> bytes:
-    if not leaves:
-        return EMPTY_DIGEST
-    return _merkle_levels(leaves)[-1][0]
-
-
 def _merkle_window_siblings(levels, start: int, count: int):
     """Sibling digests needed to recompute the root from a contiguous
     leaf window; ordered exactly as the verifier consumes them."""
@@ -179,9 +173,9 @@ def _merkle_root_from_window(n: int, start: int, window, sibs):
 
 class BHashNode:
     __slots__ = ("is_leaf", "is_hash_node", "pairs", "children",
-                 "lo", "hi", "buckets", "bucket_keys", "bucket_digests",
-                 "bucket_leaves", "merkle_cache", "merkle_changed",
-                 "merkle_from", "dirty", "fingerprint", "node_digest")
+                 "lo", "hi", "buckets", "bucket_keys", "bucket_leaves",
+                 "merkle_cache", "merkle_changed", "merkle_from", "dirty",
+                 "fingerprint", "node_digest")
 
     def __init__(self, is_leaf: bool):
         self.is_leaf = is_leaf
@@ -192,14 +186,13 @@ class BHashNode:
         self.hi = 0
         self.buckets = None        # {key: sorted [entry_id]}
         self.bucket_keys = None    # sorted [key]
-        self.bucket_digests = None  # {key: ids_digest}
         self.bucket_leaves = None  # leaf digests aligned with bucket_keys
         self.merkle_cache = None   # merkle levels; [0] is bucket_leaves
         # bucket_leaves positions the cached levels have not absorbed yet:
         # replaced leaves, and every position from the first new leaf on
         self.merkle_changed: set[int] = set()
         self.merkle_from: Optional[int] = None
-        self.dirty = False         # digest stale (deferred recompute)
+        self.dirty = False         # digest stale until the next flush
         self.fingerprint = None
         self.node_digest = EMPTY_DIGEST
 
@@ -247,9 +240,8 @@ class RangeVO:
     """Proof that a range query's results are exactly the entries the
     anchored tree holds in [start_key, end_key]."""
 
-    def __init__(self, claimed_root: bytes, mode: str, proof):
+    def __init__(self, claimed_root: bytes, proof):
         self.claimed_root = claimed_root
-        self.mode = mode  # "pre" | "post"
         self.proof = proof
 
     # proof nodes are plain tuples:
@@ -259,20 +251,7 @@ class RangeVO:
     #   (P_HASHLEAF, lo, hi, fingerprint, n_buckets, window_start,
     #    [(kind, key, ids_or_digest)], [sibling digests])
 
-    def in_range_entries(self, start_key: int, end_key: int):
-        out = []
-        _collect_in_range(self.proof, start_key, end_key, out)
-        out.sort()
-        return out
-
-    def boundary_keys(self, start_key: int, end_key: int):
-        below = [k for k, _ in _revealed_keys(self.proof) if k < start_key]
-        above = [k for k, _ in _revealed_keys(self.proof) if k > end_key]
-        return (max(below) if below else None, min(above) if above else None)
-
     def to_bytes(self) -> bytes:
-        # mode is not serialized: it is recoverable from the proof shape and
-        # an unbound wire byte would not be covered by verification.
         return self.claimed_root + _encode_proof(self.proof)
 
     @classmethod
@@ -283,45 +262,7 @@ class RangeVO:
         proof, off = _decode_proof(data, 32, 0)
         if off != len(data):
             raise VODecodeError("trailing bytes")
-        mode = "post" if _has_hash_leaf(proof) else "pre"
-        return cls(root, mode, proof)
-
-
-def _has_hash_leaf(node) -> bool:
-    if node[0] == P_HASHLEAF:
-        return True
-    if node[0] == P_INTERNAL:
-        return any(_has_hash_leaf(c) for c in node[3])
-    return False
-
-
-def _revealed_keys(node):
-    kind = node[0]
-    if kind == P_LEAF:
-        return [(k, i) for k, i in node[3]]
-    if kind == P_HASHLEAF:
-        return [(e[1], None) for e in node[6]]
-    if kind == P_INTERNAL:
-        out = []
-        for c in node[3]:
-            out.extend(_revealed_keys(c))
-        return out
-    return []
-
-
-def _collect_in_range(node, lo, hi, out):
-    kind = node[0]
-    if kind == P_LEAF:
-        for k, eid in node[3]:
-            if lo <= k <= hi:
-                out.append((k, eid))
-    elif kind == P_HASHLEAF:
-        for wkind, key, payload in node[6]:
-            if wkind == W_REVEALED and lo <= key <= hi:
-                out.extend((key, eid) for eid in payload)
-    elif kind == P_INTERNAL:
-        for c in node[3]:
-            _collect_in_range(c, lo, hi, out)
+        return cls(root, proof)
 
 
 # --- wire format for proof trees ----------------------------------------
@@ -450,15 +391,16 @@ class BHashTree:
 
     threshold_t=None disables conversion (the plain-B+Tree variant used
     for the VO-size comparison).
+
+    Inserts only mark the nodes they change; root_digest() recomputes the
+    marked digests once, children before parents.
     """
 
     def __init__(self, threshold_t: Optional[int] = DEFAULT_THRESHOLD,
-                 branching: int = BRANCHING,
                  meter: Optional[GasMeter] = None):
         if threshold_t is not None and threshold_t <= 0:
             raise ValueError("threshold_t must be positive")
         self.threshold_t = threshold_t
-        self.branching = branching
         self.meter = meter
         self.root = BHashNode(is_leaf=True)
         self.root.recompute_digest(None)
@@ -469,15 +411,10 @@ class BHashTree:
         self._inserted: set[int] = set()
 
     def root_digest(self) -> bytes:
-        self._flush()
+        if self._stale:
+            self._flush_node(self.root)
+            self._stale = False
         return self.root.node_digest
-
-    def _flush(self) -> None:
-        """Recompute digests deferred by post-conversion inserts."""
-        if not self._stale:
-            return
-        self._flush_node(self.root)
-        self._stale = False
 
     def _flush_node(self, node: BHashNode) -> None:
         if not node.dirty:
@@ -504,23 +441,8 @@ class BHashTree:
         key = int(TimeKey(timestamp))
         if (self.threshold_t is not None and not self.converted
                 and self.entry_count >= self.threshold_t):
-            self._convert()
-        if self.converted:
-            self._insert_hash(key, entry_id)
-        else:
-            self._insert_btree(key, entry_id)
-        self._inserted.add(entry_id)
-        self.entry_count += 1
-
-    def _touch(self, node: BHashNode) -> None:
-        if self.meter:
-            self.meter.write()
-
-    def _visit(self, node: BHashNode) -> None:
-        if self.meter:
-            self.meter.read()
-
-    def _insert_btree(self, key: int, entry_id: int) -> None:
+            self._convert_node(self.root)
+            self.converted = True
         path = []
         node = self.root
         self._visit(node)
@@ -529,23 +451,36 @@ class BHashTree:
             path.append((node, idx))
             node = node.children[idx]
             self._visit(node)
-        self._leaf_insert_pair(node, key, entry_id)
+        if node.is_hash_node:
+            self._bucket_insert(node, key, entry_id)
+        else:
+            insort(node.pairs, (key, entry_id))
         self._touch(node)
-        node.recompute_digest(self.meter)
-        if len(node.pairs) > self.branching:
+        if len(node.pairs) > BRANCHING:  # hash nodes keep no pairs
             self._split(node, path)
         else:
             for parent, _ in reversed(path):
-                self._update_range(parent)
-                parent.recompute_digest(self.meter)
                 self._touch(parent)
+        self._inserted.add(entry_id)
+        self.entry_count += 1
 
-    @staticmethod
-    def _leaf_insert_pair(leaf: BHashNode, key: int, entry_id: int) -> None:
-        pairs = leaf.pairs
-        insort(pairs, (key, entry_id))
-        leaf.lo = pairs[0][0]
-        leaf.hi = pairs[-1][0]
+    def _touch(self, node: BHashNode) -> None:
+        """Record a change to node: refresh its key range from its pairs,
+        buckets or children, and leave its digest to the next flush."""
+        if node.is_hash_node:
+            node.lo, node.hi = node.bucket_keys[0], node.bucket_keys[-1]
+        elif node.is_leaf:
+            node.lo, node.hi = node.pairs[0][0], node.pairs[-1][0]
+        else:
+            node.lo, node.hi = node.children[0].lo, node.children[-1].hi
+        node.dirty = True
+        self._stale = True
+        if self.meter:
+            self.meter.write()
+
+    def _visit(self, node: BHashNode) -> None:
+        if self.meter:
+            self.meter.read()
 
     def _route(self, node: BHashNode, key: int) -> int:
         for i, child in enumerate(node.children):
@@ -553,69 +488,39 @@ class BHashTree:
                 return i
         return len(node.children) - 1
 
-    @staticmethod
-    def _update_range(node: BHashNode) -> None:
-        node.lo = node.children[0].lo
-        node.hi = node.children[-1].hi
-
     def _split(self, node: BHashNode, path) -> None:
-        """Split an over-full leaf and propagate up the recorded path."""
-        mid = len(node.pairs) // 2
-        sibling = BHashNode(is_leaf=True)
+        """Move the upper half of an over-full node into a new right
+        sibling, placed under a new root or in the parent, which splits in
+        turn when over-full; path holds node's ancestors as (node, index)."""
+        sibling = BHashNode(is_leaf=node.is_leaf)
         self.node_count += 1
-        sibling.pairs = node.pairs[mid:]
-        node.pairs = node.pairs[:mid]
-        for n in (node, sibling):
-            n.lo = n.pairs[0][0]
-            n.hi = n.pairs[-1][0]
-            n.recompute_digest(self.meter)
-            self._touch(n)
-        self._attach_sibling(node, sibling, path)
-
-    def _split_internal(self, node: BHashNode, path) -> None:
-        mid = len(node.children) // 2
-        sibling = BHashNode(is_leaf=False)
-        self.node_count += 1
-        sibling.children = node.children[mid:]
-        node.children = node.children[:mid]
-        for n in (node, sibling):
-            self._update_range(n)
-            n.recompute_digest(self.meter)
-            self._touch(n)
-        self._attach_sibling(node, sibling, path)
-
-    def _attach_sibling(self, node: BHashNode, sibling: BHashNode,
-                        path) -> None:
-        """Place a split-off sibling right of node: under a new root, or in
-        the parent, which splits in turn when over-full."""
+        if node.is_leaf:
+            mid = len(node.pairs) // 2
+            node.pairs, sibling.pairs = node.pairs[:mid], node.pairs[mid:]
+        else:
+            mid = len(node.children) // 2
+            node.children, sibling.children = (node.children[:mid],
+                                               node.children[mid:])
+        self._touch(node)
+        self._touch(sibling)
         if not path:
-            new_root = BHashNode(is_leaf=False)
+            self.root = BHashNode(is_leaf=False)
             self.node_count += 1
-            new_root.children = [node, sibling]
-            self._update_range(new_root)
-            new_root.recompute_digest(self.meter)
-            self._touch(new_root)
-            self.root = new_root
+            self.root.children = [node, sibling]
+            self._touch(self.root)
             return
         parent, idx = path[-1]
         parent.children.insert(idx + 1, sibling)
-        if len(parent.children) > self.branching:
-            self._split_internal(parent, path[:-1])
+        if len(parent.children) > BRANCHING:
+            self._split(parent, path[:-1])
         else:
             for p, _ in reversed(path):
-                self._update_range(p)
-                p.recompute_digest(self.meter)
                 self._touch(p)
 
     # -- conversion --
 
-    def _convert(self) -> None:
-        """Turn every leaf into a hash-bucket node in place; only converted
-        leaves and their ancestors are re-digested."""
-        self._convert_node(self.root)
-        self.converted = True
-
     def _convert_node(self, node: BHashNode) -> None:
+        """Turn every leaf under node into a hash-bucket node in place."""
         if node.is_leaf:
             buckets: dict[int, list[int]] = {}
             all_ids = []
@@ -627,75 +532,48 @@ class BHashTree:
             node.is_hash_node = True
             node.buckets = buckets
             node.bucket_keys = sorted(buckets)
-            node.bucket_digests = {k: bucket_ids_digest(buckets[k])
-                                   for k in node.bucket_keys}
-            node.bucket_leaves = [bucket_leaf_digest(k, node.bucket_digests[k])
-                                  for k in node.bucket_keys]
+            node.bucket_leaves = [
+                bucket_leaf_digest(k, bucket_ids_digest(buckets[k]))
+                for k in node.bucket_keys]
             node.fingerprint = fingerprint_digest(all_ids)
             node.pairs = []
-            node.recompute_digest(self.meter)
-            self._touch(node)
         else:
             for child in node.children:
                 self._convert_node(child)
-            node.recompute_digest(self.meter)
-            self._touch(node)
+        self._touch(node)
 
-    def _insert_hash(self, key: int, entry_id: int) -> None:
-        node = self.root
-        self._visit(node)
-        path = []
-        while not node.is_leaf:
-            idx = self._route(node, key)
-            path.append(node)
-            node = node.children[idx]
-            self._visit(node)
+    @staticmethod
+    def _bucket_insert(node: BHashNode, key: int, entry_id: int) -> None:
+        """Add entry_id to key's bucket and record the merkle position the
+        next flush must refold."""
         pos = bisect_left(node.bucket_keys, key)
-        ids = node.buckets.get(key)
-        new_bucket = ids is None
-        if new_bucket:
-            ids = node.buckets[key] = [entry_id]
+        ids = node.buckets.setdefault(key, [])
+        insort(ids, entry_id)
+        leaf = bucket_leaf_digest(key, bucket_ids_digest(ids))
+        if len(ids) == 1:
             node.bucket_keys.insert(pos, key)
-        else:
-            ids.insert(bisect_left(ids, entry_id), entry_id)
-        node.bucket_digests[key] = bucket_ids_digest(ids)
-        new_leaf = bucket_leaf_digest(key, node.bucket_digests[key])
-        if new_bucket:
-            node.bucket_leaves.insert(pos, new_leaf)
+            node.bucket_leaves.insert(pos, leaf)
             if node.merkle_from is None or pos < node.merkle_from:
                 node.merkle_from = pos
         else:
-            node.bucket_leaves[pos] = new_leaf
+            node.bucket_leaves[pos] = leaf
             node.merkle_changed.add(pos)
-        node.lo = node.bucket_keys[0]
-        node.hi = node.bucket_keys[-1]
-        # digest recomputation is deferred to the next root_digest() call,
-        # which refolds only the merkle positions recorded above
-        node.dirty = True
-        self._stale = True
-        self._touch(node)
-        for parent in reversed(path):
-            self._update_range(parent)
-            parent.dirty = True
-            self._touch(parent)
 
     # -- queries --
 
     def range_query(self, start_time: int, end_time: int):
         """All entry ids with start_time <= timestamp <= end_time, ordered
         by (time key, entry_id), plus a verification object."""
-        mode = "post" if self.converted else "pre"
-        self._flush()
+        root = self.root_digest()
         if start_time > end_time:
-            proof = (P_PRUNED, self.root.lo, self.root.hi,
-                     self.root.node_digest)
-            return [], RangeVO(self.root_digest(), mode, proof)
+            proof = (P_PRUNED, self.root.lo, self.root.hi, root)
+            return [], RangeVO(root, proof)
         lo = int(TimeKey(max(start_time, 0)))
         hi = int(TimeKey(min(end_time, MAX_TIMESTAMP)))
         results: list[tuple[int, int]] = []
         proof = self._prove(self.root, lo, hi, results)
         results.sort()
-        return [eid for _, eid in results], RangeVO(self.root_digest(), mode, proof)
+        return [eid for _, eid in results], RangeVO(root, proof)
 
     def _prove(self, node: BHashNode, lo: int, hi: int, results):
         self._visit(node)
@@ -732,7 +610,8 @@ class BHashTree:
                 if self.meter:
                     self.meter.read(len(ids))
             else:
-                window.append((W_DIGEST_ONLY, key, node.bucket_digests[key]))
+                window.append((W_DIGEST_ONLY, key,
+                               bucket_ids_digest(node.buckets[key])))
         sibs = (_merkle_window_siblings(node.merkle_levels_cached(), wstart,
                                         wend - wstart) if n else [])
         return (P_HASHLEAF, node.lo, node.hi, node.fingerprint, n, wstart,

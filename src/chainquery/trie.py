@@ -35,7 +35,7 @@ _BYTE = {i: bytes([i]) for i in range(256)}
 
 def node_digest(char_index: int, entry_ids, child_items) -> bytes:
     """child_items: sequence of (index, digest) pairs in ascending index
-    order.  is_terminal is implied by a non-empty entry id list."""
+    order.  The terminal flag is set by a non-empty entry id list."""
     n = len(entry_ids)
     head = struct.pack(f">BBI{n}QB", char_index, 1 if n else 0, n,
                        *entry_ids, len(child_items))
@@ -53,10 +53,6 @@ class TrieNode:
         # never do, and a list each would cost memory and GC time
         self.entry_ids: list[int] | tuple = ()
         self.node_digest = b""
-
-    @property
-    def is_terminal(self) -> bool:
-        return bool(self.entry_ids)
 
     def recompute_digest(self, meter: Optional[GasMeter]) -> None:
         items = [(i, self.children[i].node_digest)
