@@ -47,6 +47,10 @@ class VerificationFailure(RuntimeError):
     pass
 
 
+class MalformedBlock(ValueError):
+    """A block's operation records do not match its entries."""
+
+
 def timestamp_string(ts: int) -> str:
     dt = datetime.datetime.fromtimestamp(ts, tz=datetime.timezone.utc)
     return dt.strftime(TS_FORMAT)
@@ -152,7 +156,43 @@ class Engine:
                         for addr in entry.addresses)
         self.trie.insert_many(keys)
 
-    def _append(self, entries, ops) -> None:
+    def _commit(self, entries, ops) -> None:
+        """Apply one block: check its operation records against its
+        entries and the live state, then index the entries, append the
+        block with the new roots and invalidate the cache.  Live writes and
+        replay both come here, so a replayed block meets the same rules.
+
+        In op order, each INSERT names the next entry of the block, each
+        UPDATE takes the next entry as its replacement, and DELETE and
+        UPDATE targets must be live.  Raises UnknownEntry or MalformedBlock
+        before changing any state."""
+        n_named = 0
+        ended = set()
+        for kind, target in ops:
+            if kind == OP_INSERT:
+                if (n_named == len(entries)
+                        or entries[n_named].entry_id != target):
+                    raise MalformedBlock(
+                        f"INSERT of entry {target} does not name the "
+                        "block's next entry")
+                n_named += 1
+            elif kind in (OP_DELETE, OP_UPDATE):
+                if target in ended:
+                    raise UnknownEntry(target)
+                self._require_live(target)
+                ended.add(target)
+                n_named += kind == OP_UPDATE
+            else:
+                raise MalformedBlock(f"unknown op kind {kind}")
+        if n_named != len(entries):
+            raise MalformedBlock(f"{len(entries)} entries but {n_named} "
+                                 "INSERT and UPDATE ops")
+        for kind, target in ops:
+            if kind == OP_DELETE:
+                self.tombstones.add(target)
+            elif kind == OP_UPDATE:
+                self.superseded.add(target)
+        self._index_entries(entries)
         self.ledger.append_block(
             entries,
             (self.time_index.root_digest(), self.trie.root_digest()),
@@ -178,15 +218,13 @@ class Engine:
                                     ins.timestamp, ins.image_payload,
                                     ins.video_payload)
                    for ins in inserts]
-        self._index_entries(entries)
-        self._append(entries, [(OP_INSERT, e.entry_id) for e in entries])
+        self._commit(entries, [(OP_INSERT, e.entry_id) for e in entries])
         return [e.entry_id for e in entries]
 
     def _exec_insert(self, ast: InsertQuery) -> QueryResult:
         entry = self._make_entry(ast.amount, ast.addresses, ast.timestamp,
                                  ast.image_payload, ast.video_payload)
-        self._index_entries([entry])
-        self._append([entry], [(OP_INSERT, entry.entry_id)])
+        self._commit([entry], [(OP_INSERT, entry.entry_id)])
         return QueryResult([], plan_query(ast), affected=1)
 
     def _require_live(self, entry_id: int) -> DataEntry:
@@ -196,9 +234,7 @@ class Engine:
         return entry
 
     def _exec_delete(self, ast: DeleteQuery) -> QueryResult:
-        self._require_live(ast.entry_id)
-        self.tombstones.add(ast.entry_id)
-        self._append([], [(OP_DELETE, ast.entry_id)])
+        self._commit([], [(OP_DELETE, ast.entry_id)])
         return QueryResult([], plan_query(ast), affected=1)
 
     def _exec_update(self, ast: UpdateQuery) -> QueryResult:
@@ -213,9 +249,7 @@ class Engine:
         new = DataEntry(entry_id=new.entry_id, amount=new.amount,
                         addresses=new.addresses, timestamp=new.timestamp,
                         image_cid=old.image_cid, video_cid=old.video_cid)
-        self.superseded.add(ast.entry_id)
-        self._index_entries([new])
-        self._append([new], [(OP_UPDATE, ast.entry_id)])
+        self._commit([new], [(OP_UPDATE, ast.entry_id)])
         return QueryResult([], plan_query(ast), affected=1)
 
     # -- reads ---------------------------------------------------------
@@ -291,31 +325,23 @@ class Engine:
 def replay(ledger: Ledger, store: Optional[ContentStore] = None,
            threshold_t: Optional[int] = 10) -> Engine:
     """Rebuild engine state from a ledger by re-applying every block's
-    operation records in order."""
+    operation records in order; each block's rebuilt roots must equal its
+    anchored roots."""
     engine = Engine(store=store, threshold_t=threshold_t)
     for block in ledger.blocks:
-        by_id = {e.entry_id: e for e in block.entries}
-        indexed = []
-        for kind, target in block.ops:
-            if kind == OP_INSERT:
-                indexed.append(by_id[target])
-            elif kind == OP_DELETE:
-                engine.tombstones.add(target)
-            elif kind == OP_UPDATE:
-                engine.superseded.add(target)
-                # the replacement entry rides in the same block
-                indexed.append(next(e for e in block.entries
-                                    if e.entry_id not in (target,)))
-        engine._index_entries(indexed)
-        for entry in indexed:
-            engine._next_id = max(engine._next_id, entry.entry_id + 1)
-        rebuilt_roots = (engine.time_index.root_digest(),
-                         engine.trie.root_digest())
-        if rebuilt_roots != block.anchored_roots:
+        try:
+            engine._commit(block.entries, block.ops)
+        except UnknownEntry as exc:
+            raise VerificationFailure(
+                f"block at height {block.height} changes entry "
+                f"{exc.args[0]}, which is not live") from None
+        except MalformedBlock as exc:
+            raise VerificationFailure(
+                f"block at height {block.height}: {exc}") from None
+        if block.entries:
+            engine._next_id = block.entries[-1].entry_id + 1
+        if engine.ledger.latest_roots() != block.anchored_roots:
             raise VerificationFailure(
                 f"replayed roots at height {block.height} do not match the "
                 "anchored roots")
-        engine.ledger.append_block(block.entries, rebuilt_roots,
-                                   ops=block.ops)
-    engine.cache.invalidate()
     return engine

@@ -8,6 +8,7 @@ import pytest
 from chainquery.cache import BloomFilter, QueryCache
 from chainquery.engine import (Engine, UnknownEntry, VerificationFailure,
                                plan_query, replay, timestamp_string)
+from chainquery.ledger import OP_DELETE, OP_INSERT, OP_UPDATE
 from chainquery.sqlgrammar import parse
 
 ADDRS = ["0x" + f"{i:040x}" for i in range(16)]
@@ -235,6 +236,23 @@ def test_replay_detects_foreign_roots():
     eng, _ = seeded_engine(12)
     block = eng.ledger.blocks[4]
     object.__setattr__(block, "trie_root", b"\x11" * 32)
+    with pytest.raises(VerificationFailure):
+        replay(eng.ledger, store=eng.store)
+
+
+@pytest.mark.parametrize("ops", [
+    [(OP_UPDATE, 0)],     # no replacement entry rides in the block
+    [(OP_INSERT, 99)],    # names an entry the block does not carry
+    [(7, 0)],             # unknown op kind
+    [(OP_DELETE, 999)],   # target never existed
+], ids=["update-without-entry", "insert-without-entry", "unknown-kind",
+        "delete-unknown"])
+def test_replay_rejects_ops_that_do_not_fit(ops):
+    # the crafted block re-anchors the previous roots and links correctly,
+    # so only the op check can catch it
+    eng, _ = seeded_engine(12)
+    eng.ledger.append_block([], eng.ledger.latest_roots(), ops=ops)
+    assert eng.ledger.verify_chain()
     with pytest.raises(VerificationFailure):
         replay(eng.ledger, store=eng.store)
 
