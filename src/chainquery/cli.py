@@ -181,51 +181,54 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chainquery",
         description="verifiable hybrid-storage query middleware")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--seed": dict(type=int, default=0),
+        "--entries-per-block": dict(type=int, default=1),
+        "--index-variant": dict(choices=["bhash", "bplus-only"],
+                                default="bhash"),
+        "--threshold-t": dict(type=int, default=10),
+    }
 
-    def common(p, needs_dataset=True):
-        if needs_dataset:
-            p.add_argument("--dataset", required=True,
-                           help="dataset directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--index-variant", choices=["bhash", "bplus-only"],
-                       default="bhash")
-        p.add_argument("--threshold-t", type=int, default=10)
-        p.add_argument("--entries-per-block", type=int, default=1)
-        p.add_argument("--format", choices=["table", "jsonl", "csv"],
-                       default="table")
+    def command(name, func, help, *flags):
+        """A subcommand with --dataset and only the shared flags it reads."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--dataset", required=True, help="dataset directory")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("generate", help="write a deterministic dataset")
-    common(p)
+    p = command("generate", cmd_generate, "write a deterministic dataset",
+                "--seed", "--entries-per-block")
     p.add_argument("--blocks", type=int, default=64,
                    help="number of blocks (power of two)")
     p.add_argument("--density", type=float, default=0.01,
                    help="event rate; mean inter-arrival is 1/density")
     p.add_argument("--queries-per-primitive", type=int, default=8)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("ingest", help="build and save a ledger from a "
-                                      "dataset")
-    common(p)
+    p = command("ingest", cmd_ingest, "build and save a ledger from a "
+                                      "dataset",
+                "--entries-per-block", "--index-variant", "--threshold-t")
     p.add_argument("--blocks", type=int, default=64)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("query", help="run one SQL statement")
-    common(p)
+    p = command("query", cmd_query, "run one SQL statement",
+                "--index-variant", "--threshold-t")
+    p.add_argument("--format", choices=["table", "jsonl", "csv"],
+                   default="table")
     p.add_argument("--emit-vo", action="store_true")
     p.add_argument("sql", help="statement to execute")
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("verify", help="check chain integrity and re-derive "
-                                      "all anchored roots")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "check chain integrity and re-derive all "
+                                  "anchored roots",
+            "--index-variant", "--threshold-t")
 
-    p = sub.add_parser("bench", help="ingest at several scales and report "
-                                     "latency, VO size, and gas")
-    common(p)
+    p = command("bench", cmd_bench, "ingest at several scales and report "
+                                    "latency, VO size, and gas",
+                "--seed", "--entries-per-block", "--index-variant",
+                "--threshold-t")
+    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--scales", default="16,64",
                    help="comma-separated block counts")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

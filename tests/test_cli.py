@@ -5,6 +5,7 @@ import os
 import pytest
 
 from chainquery.cli import main
+from chainquery.ledger import OP_UPDATE, Ledger
 
 
 def run(capsys, *argv):
@@ -92,6 +93,16 @@ def test_verify_detects_tamper(dataset, capsys):
     assert "verification failed" in err
 
 
+def test_verify_rejects_op_without_entry(dataset, capsys):
+    path = os.path.join(dataset, "ledger.bin")
+    ledger = Ledger.load(path)
+    ledger.append_block([], ledger.latest_roots(), ops=[(OP_UPDATE, 0)])
+    ledger.save(path)
+    code, _, err = run(capsys, "verify", "--dataset", dataset)
+    assert code == 1
+    assert "verification failed" in err and "height 32" in err
+
+
 def test_verify_detects_payload_corruption(dataset, capsys):
     store = os.path.join(dataset, "store", "objects")
     victim = None
@@ -138,3 +149,19 @@ def test_bench_csv_and_jsonl(tmp_path, capsys):
     assert code == 0
     row = json.loads(out.strip().splitlines()[-1])
     assert row["n_blocks"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--format", "csv"),
+    ("verify", "--seed", "1"),
+    ("generate", "--blocks", "8", "--threshold-t", "5"),
+    ("ingest", "--blocks", "8", "--format", "jsonl"),
+    ("query", "--entries-per-block", "2",
+     "SELECT * FROM entries WHERE entry_id = 1"),
+    ("bench", "--scales", "8", "--format", "table"),
+])
+def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
+    # each command line runs to exit 0 without its last unread flag
+    code, _, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
+    assert code == 2
+    assert "unrecognized arguments" in err or "invalid choice" in err
