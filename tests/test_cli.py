@@ -159,7 +159,8 @@ def test_bench_csv_and_jsonl(tmp_path, capsys):
     ("query", "--entries-per-block", "2",
      "SELECT * FROM entries WHERE entry_id = 1"),
     ("bench", "--scales", "8", "--format", "table"),
-])
+], ids=["verify-format", "verify-seed", "generate-threshold-t",
+        "ingest-format", "query-entries-per-block", "bench-format-table"])
 def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
     # each command line runs to exit 0 without its last unread flag
     code, _, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
