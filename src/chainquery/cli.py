@@ -11,6 +11,7 @@ import os
 import sys
 
 from chainquery import workload
+from chainquery.bhash import DEFAULT_THRESHOLD
 from chainquery.engine import Engine, VerificationFailure, replay
 from chainquery.ledger import Ledger, LedgerDecodeError
 from chainquery.sqlgrammar import SqlSyntaxError, UnsupportedFeature
@@ -35,24 +36,20 @@ def _meta_path(dataset: str) -> str:
     return os.path.join(dataset, "ingest-meta.json")
 
 
-def _saved_threshold(args) -> int | None:
-    """Replaying a saved ledger must use the same index variant it was
-    built with, or the rebuilt roots cannot match the anchors."""
-    path = _meta_path(args.dataset)
-    if os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)["threshold_t"]
-    return _threshold(args)
-
-
 def _load_engine(args) -> Engine:
-    path = _ledger_path(args.dataset)
-    if not os.path.exists(path):
-        raise SystemExit2(f"no ingested ledger at {path}; run `ingest` "
-                          "first")
-    ledger = Ledger.load(path)
+    """Decode and chain-check the saved ledger, then replay it with the
+    index variant `ingest` saved: any other variant rebuilds roots that
+    cannot match the anchors."""
+    for path in (_ledger_path(args.dataset), _meta_path(args.dataset)):
+        if not os.path.exists(path):
+            raise SystemExit2(f"no {path}; run `ingest` first")
+    with open(_meta_path(args.dataset)) as fh:
+        threshold_t = json.load(fh)["threshold_t"]
+    ledger = Ledger.load(_ledger_path(args.dataset))
+    if not ledger.verify_chain():
+        raise VerificationFailure("block chain is inconsistent")
     store = ContentStore(_store_dir(args.dataset))
-    return replay(ledger, store=store, threshold_t=_saved_threshold(args))
+    return replay(ledger, store=store, threshold_t=threshold_t)
 
 
 class SystemExit2(Exception):
@@ -126,26 +123,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    path = _ledger_path(args.dataset)
-    if not os.path.exists(path):
-        raise SystemExit2(f"no ingested ledger at {path}")
-    try:
-        ledger = Ledger.load(path)
-    except LedgerDecodeError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    if not ledger.verify_chain():
-        print("verification failed: block chain is inconsistent",
-              file=sys.stderr)
-        return 1
-    store = ContentStore(_store_dir(args.dataset))
-    try:
-        engine = replay(ledger, store=store,
-                        threshold_t=_saved_threshold(args))
-    except (VerificationFailure, IntegrityFailure) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"ok: {len(ledger.blocks)} blocks, "
+    engine = _load_engine(args)
+    print(f"ok: {len(engine.ledger.blocks)} blocks, "
           f"{len(engine.entries)} entries, roots match at every height")
     return 0
 
@@ -165,8 +144,6 @@ def cmd_bench(args) -> int:
         for row in report.rows:
             print(json.dumps({
                 "n_blocks": row.n_blocks,
-                "insert_cpu_ms": row.insert_cpu_ms,
-                "latency_ms": row.latency_ms,
                 "vo_bytes": row.vo_bytes,
                 "gas": row.gas,
                 "root_digest": row.root_digest,
@@ -186,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--entries-per-block": dict(type=int, default=1),
         "--index-variant": dict(choices=["bhash", "bplus-only"],
                                 default="bhash"),
-        "--threshold-t": dict(type=int, default=10),
+        "--threshold-t": dict(type=int, default=DEFAULT_THRESHOLD),
     }
 
     def command(name, func, help, *flags):
@@ -211,19 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
                 "--entries-per-block", "--index-variant", "--threshold-t")
     p.add_argument("--blocks", type=int, default=64)
 
-    p = command("query", cmd_query, "run one SQL statement",
-                "--index-variant", "--threshold-t")
+    p = command("query", cmd_query, "run one SQL statement")
     p.add_argument("--format", choices=["table", "jsonl", "csv"],
                    default="table")
     p.add_argument("--emit-vo", action="store_true")
     p.add_argument("sql", help="statement to execute")
 
     command("verify", cmd_verify, "check chain integrity and re-derive all "
-                                  "anchored roots",
-            "--index-variant", "--threshold-t")
+                                  "anchored roots")
 
     p = command("bench", cmd_bench, "ingest at several scales and report "
-                                    "latency, VO size, and gas",
+                                    "VO size, gas, and the root",
                 "--seed", "--entries-per-block", "--index-variant",
                 "--threshold-t")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -244,7 +219,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailure, IntegrityFailure) as exc:
+    except (VerificationFailure, IntegrityFailure, LedgerDecodeError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

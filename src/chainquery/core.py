@@ -31,7 +31,7 @@ EMPTY_DIGEST = b"\x00" * DIGEST_SIZE
 
 MAX_TIMESTAMP = (1 << 63) - 1
 
-_ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
+ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
 
 
 class EncodingError(ValueError):
@@ -87,7 +87,7 @@ class DataEntry:
         if not self.addresses:
             raise EncodingError("addresses must be non-empty")
         for addr in self.addresses:
-            if not _ADDRESS_RE.match(addr):
+            if not ADDRESS_RE.match(addr):
                 raise EncodingError(f"malformed address: {addr!r}")
         if not 0 <= self.timestamp <= MAX_TIMESTAMP:
             raise EncodingError("timestamp must fit in 63 bits")

@@ -13,7 +13,7 @@ import datetime
 from dataclasses import dataclass
 from typing import Optional
 
-from chainquery.bhash import BHashTree, verify_range
+from chainquery.bhash import DEFAULT_THRESHOLD, BHashTree, verify_range
 from chainquery.cache import QueryCache
 from chainquery.core import DataEntry
 from chainquery.gas import GasMeter
@@ -101,7 +101,8 @@ def plan_query(ast: QueryAst) -> Plan:
 
 class Engine:
     def __init__(self, store: Optional[ContentStore] = None,
-                 threshold_t: Optional[int] = 10, meter: GasMeter = None):
+                 threshold_t: Optional[int] = DEFAULT_THRESHOLD,
+                 meter: GasMeter = None):
         self.meter = meter or GasMeter()
         self.ledger = Ledger()
         self.time_index = BHashTree(threshold_t=threshold_t,
@@ -110,7 +111,6 @@ class Engine:
         # not `store or ...`: an empty ContentStore is falsy via __len__
         self.store = store if store is not None else ContentStore()
         self.cache = QueryCache()
-        self.threshold_t = threshold_t
         self.tombstones: set[int] = set()
         self.superseded: set[int] = set()
         self.entries: dict[int, DataEntry] = {}
@@ -323,7 +323,7 @@ class Engine:
 
 
 def replay(ledger: Ledger, store: Optional[ContentStore] = None,
-           threshold_t: Optional[int] = 10) -> Engine:
+           threshold_t: Optional[int] = DEFAULT_THRESHOLD) -> Engine:
     """Rebuild engine state from a ledger by re-applying every block's
     operation records in order; each block's rebuilt roots must equal its
     anchored roots."""

@@ -1,41 +1,19 @@
 """Synthetic gas metering: storage writes/reads and compute units.
 
 Stands in for on-chain execution cost; only relative magnitudes matter,
-so the default cost table mirrors EVM storage pricing ratios.
+so the cost table mirrors EVM storage pricing ratios.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-DEFAULT_WRITE_COST = 20_000
-DEFAULT_READ_COST = 800
-DEFAULT_COMPUTE_COST = 1
-
-
-@dataclass
-class GasReport:
-    op: str
-    storage_writes: int
-    storage_reads: int
-    compute_units: int
-    total_gas: int
-
-    CSV_HEADER = "op,writes,reads,compute,total_gas"
-
-    def csv_row(self) -> str:
-        return (f"{self.op},{self.storage_writes},{self.storage_reads},"
-                f"{self.compute_units},{self.total_gas}")
+WRITE_COST = 20_000
+READ_COST = 800
+COMPUTE_COST = 1
 
 
 class GasMeter:
     """Non-decreasing counters of storage and compute activity."""
 
-    def __init__(self, write_cost: int = DEFAULT_WRITE_COST,
-                 read_cost: int = DEFAULT_READ_COST,
-                 compute_cost: int = DEFAULT_COMPUTE_COST):
-        self.write_cost = write_cost
-        self.read_cost = read_cost
-        self.compute_cost = compute_cost
+    def __init__(self):
         self.storage_writes = 0
         self.storage_reads = 0
         self.compute_units = 0
@@ -50,17 +28,9 @@ class GasMeter:
         self.compute_units += n
 
     def total_gas(self) -> int:
-        return (self.storage_writes * self.write_cost
-                + self.storage_reads * self.read_cost
-                + self.compute_units * self.compute_cost)
+        return (self.storage_writes * WRITE_COST
+                + self.storage_reads * READ_COST
+                + self.compute_units * COMPUTE_COST)
 
     def snapshot(self) -> tuple[int, int, int]:
         return (self.storage_writes, self.storage_reads, self.compute_units)
-
-    def report_since(self, op: str, snapshot: tuple[int, int, int]) -> GasReport:
-        w = self.storage_writes - snapshot[0]
-        r = self.storage_reads - snapshot[1]
-        c = self.compute_units - snapshot[2]
-        return GasReport(op, w, r, c,
-                         w * self.write_cost + r * self.read_cost
-                         + c * self.compute_cost)

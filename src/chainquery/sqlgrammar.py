@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from chainquery.core import digest
+from chainquery.core import ADDRESS_RE, digest
 
 
 class SqlSyntaxError(ValueError):
@@ -96,8 +96,6 @@ _UNSUPPORTED_WORDS = {"count", "sum", "avg", "min", "max", "join", "group",
 _INSERT_COLUMNS = ("amount", "addresses", "timestamp", "image", "video")
 _UPDATE_COLUMNS = ("amount", "addresses", "timestamp")
 _FUZZY_FIELDS = {"ts_str": "timestamp_string", "address": "address"}
-
-_ADDR_RE = re.compile(r"^0x[0-9a-f]{40}$")
 
 
 class _Tokens:
@@ -205,7 +203,7 @@ def _parse_addresses(raw: str, pos: int) -> tuple[str, ...]:
     if not addrs:
         raise SqlSyntaxError("addresses literal is empty", pos)
     for a in addrs:
-        if not _ADDR_RE.match(a):
+        if not ADDRESS_RE.match(a):
             raise SqlSyntaxError(f"malformed address {a!r}", pos)
     return addrs
 

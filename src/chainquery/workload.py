@@ -3,18 +3,18 @@
 `generate` turns a WorkloadSpec into a dataset directory: a jsonl file of
 quintuples, a payload directory keyed by content id, and a jsonl file of
 query statements.  The same seed always produces byte-identical files.
-`run_bench` ingests the dataset at several scales and reports insert
-cost, median query latency, VO size, and gas per operation.
+`run_bench` ingests the dataset at several scales and reports the
+deterministic cost model: VO bytes per primitive, gas ticks after ingest
+and the time-index root.
 """
 from __future__ import annotations
 
 import json
 import os
 import random
-import statistics
-import time
 from dataclasses import dataclass, field
 
+from chainquery.bhash import DEFAULT_THRESHOLD
 from chainquery.core import content_id
 from chainquery.engine import Engine, timestamp_string
 from chainquery.sqlgrammar import InsertQuery
@@ -165,7 +165,8 @@ def _record_to_insert(record: dict, payload_dir: str) -> InsertQuery:
 
 
 def ingest(out_dir: str, n_blocks: int, entries_per_block: int = 1,
-           threshold_t=10, store: ContentStore = None) -> Engine:
+           threshold_t=DEFAULT_THRESHOLD,
+           store: ContentStore = None) -> Engine:
     """Build a fresh engine from the first n_blocks blocks of a generated
     dataset."""
     records, _ = load_dataset(out_dir)
@@ -185,10 +186,8 @@ def ingest(out_dir: str, n_blocks: int, entries_per_block: int = 1,
 @dataclass
 class BenchRow:
     n_blocks: int
-    insert_cpu_ms: float
-    latency_ms: dict        # primitive -> median over >=5 repetitions
     vo_bytes: dict          # primitive -> total VO bytes over the mix
-    gas: dict               # "writes"/"reads"/"compute" totals
+    gas: dict               # "writes"/"reads"/"compute" ticks after ingest
     root_digest: str        # hex of the final time-index root
 
 
@@ -196,16 +195,14 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow]
 
-    CSV_HEADER = ("n_blocks,insert_cpu_ms," +
-                  ",".join(f"latency_ms_{p}" for p in PRIMITIVES) + "," +
+    CSV_HEADER = ("n_blocks," +
                   ",".join(f"vo_bytes_{p}" for p in PRIMITIVES) +
                   ",gas_writes,gas_reads,gas_compute,root_digest")
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.rows:
-            cells = [str(r.n_blocks), f"{r.insert_cpu_ms:.3f}"]
-            cells += [f"{r.latency_ms.get(p, 0.0):.3f}" for p in PRIMITIVES]
+            cells = [str(r.n_blocks)]
             cells += [str(r.vo_bytes.get(p, 0)) for p in PRIMITIVES]
             cells += [str(r.gas["writes"]), str(r.gas["reads"]),
                       str(r.gas["compute"]), r.root_digest]
@@ -214,42 +211,26 @@ class BenchReport:
 
 
 def run_bench(spec: WorkloadSpec, out_dir: str, scales: list[int],
-              threshold_t=10, repetitions: int = 5) -> BenchReport:
-    """Ingest at each scale and run the query mix.  Latencies are medians
-    of `repetitions` runs; VO sizes, gas, and roots are deterministic."""
+              threshold_t=DEFAULT_THRESHOLD) -> BenchReport:
+    """Ingest at each scale and run the query mix once.  Every figure is
+    deterministic; query time is measured by perfbench/, not here."""
+    _, queries = load_dataset(out_dir)
     rows = []
     for scale in sorted(scales):
-        t0 = time.process_time()
         engine = ingest(out_dir, scale, spec.entries_per_block,
                         threshold_t=threshold_t)
-        insert_ms = (time.process_time() - t0) * 1000.0
         gas = {"writes": engine.meter.storage_writes,
                "reads": engine.meter.storage_reads,
                "compute": engine.meter.compute_units}
-        records, queries = load_dataset(out_dir)
-        latency = {}
         vo_bytes = {p: 0 for p in PRIMITIVES}
-        for primitive in PRIMITIVES:
-            sqls = [q for p, q in queries if p == primitive]
-            if not sqls:
+        for primitive, sql in queries:
+            if primitive not in vo_bytes:
                 continue
-            samples = []
-            for _ in range(max(5, repetitions)):
-                engine.cache.invalidate()  # time the index path, not a hit
-                t0 = time.perf_counter()
-                for sql in sqls:
-                    res = engine.execute(sql, emit_vo=True)
-                    assert res.verified
-                samples.append((time.perf_counter() - t0) * 1000.0)
-            total = 0
-            for sql in sqls:
-                engine.cache.invalidate()
-                total += len(engine.execute(sql, emit_vo=True).vo_bytes
-                             or b"")
-            vo_bytes[primitive] = total
-            latency[primitive] = statistics.median(samples)
+            engine.cache.invalidate()  # a repeated statement still emits a VO
+            res = engine.execute(sql, emit_vo=True)
+            assert res.verified
+            vo_bytes[primitive] += len(res.vo_bytes or b"")
         rows.append(BenchRow(
-            n_blocks=scale, insert_cpu_ms=insert_ms, latency_ms=latency,
-            vo_bytes=vo_bytes, gas=gas,
+            n_blocks=scale, vo_bytes=vo_bytes, gas=gas,
             root_digest=engine.time_index.root_digest().hex()))
     return BenchReport(rows)

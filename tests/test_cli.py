@@ -159,10 +159,32 @@ def test_bench_csv_and_jsonl(tmp_path, capsys):
     ("query", "--entries-per-block", "2",
      "SELECT * FROM entries WHERE entry_id = 1"),
     ("bench", "--scales", "8", "--format", "table"),
+    ("verify", "--threshold-t", "3"),
+    ("query", "--index-variant", "bplus-only",
+     "SELECT * FROM entries WHERE entry_id = 1"),
 ], ids=["verify-format", "verify-seed", "generate-threshold-t",
-        "ingest-format", "query-entries-per-block", "bench-format-table"])
+        "ingest-format", "query-entries-per-block", "bench-format-table",
+        "verify-threshold-t", "query-index-variant"])
 def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
     # each command line runs to exit 0 without its last unread flag
     code, _, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
     assert code == 2
     assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "SELECT * FROM entries WHERE entry_id = 1"), ("verify",),
+], ids=["query", "verify"])
+def test_query_and_verify_load_the_ledger_alike(dataset, capsys, argv):
+    ledger, meta = (os.path.join(dataset, name)
+                    for name in ("ledger.bin", "ingest-meta.json"))
+    blob = open(ledger, "rb").read()
+    open(ledger, "wb").write(blob[:len(blob) - 7])
+    code, _, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
+    assert code == 1
+    assert "verification failed" in err and "Traceback" not in err
+    open(ledger, "wb").write(blob)
+    os.remove(meta)
+    code, _, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
+    assert code == 2
+    assert "ingest" in err

@@ -136,13 +136,9 @@ def test_jsonl_export(tmp_path):
 
 def test_gas_meter_noop_and_report():
     meter = GasMeter()
-    snap = meter.snapshot()
-    report = meter.report_since("noop", snap)
-    assert (report.storage_writes, report.storage_reads,
-            report.compute_units, report.total_gas) == (0, 0, 0, 0)
+    assert (meter.snapshot(), meter.total_gas()) == ((0, 0, 0), 0)
     meter.write(2)
     meter.read(3)
     meter.compute(5)
-    report = meter.report_since("op", snap)
-    assert report.total_gas == 2 * 20_000 + 3 * 800 + 5
-    assert report.csv_row() == "op,2,3,5,42405"
+    assert meter.snapshot() == (2, 3, 5)
+    assert meter.total_gas() == 2 * 20_000 + 3 * 800 + 5

@@ -116,7 +116,6 @@ def test_bench_smoke_one_row(tmp_path):
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.n_blocks == 16
-    assert all(v >= 0 for v in row.latency_ms.values())
     csv = report.to_csv()
     assert csv.startswith("n_blocks,")
     assert len(csv.strip().splitlines()) == 2
