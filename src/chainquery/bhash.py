@@ -15,7 +15,8 @@ from typing import Optional
 
 from chainquery import _kernels
 from chainquery.core import (DOM_BUCKET, DOM_INTERNAL, DOM_LEAF, EMPTY_DIGEST,
-                             MAX_TIMESTAMP, TimeKey, VODecodeError, digest)
+                             MAX_TIMESTAMP, VODecodeError, _check_timestamp,
+                             _take, digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
@@ -312,19 +313,13 @@ def _decode_proof(data: bytes, off: int, depth: int):
         kind = data[off]
         if kind == P_PRUNED:
             lo, hi = struct.unpack_from(">QQ", data, off + 1)
-            d = bytes(data[off + 17:off + 49])
-            if len(d) != 32:
-                raise VODecodeError("truncated digest")
-            return (P_PRUNED, lo, hi, d), off + 49
+            return (P_PRUNED, lo, hi, _take(data, off + 17, 32)), off + 49
         if kind == P_LEAF:
             lo, hi, n = struct.unpack_from(">QQI", data, off + 1)
-            off += 21
-            pairs = []
-            for _ in range(n):
-                k, e = struct.unpack_from(">QQ", data, off)
-                pairs.append((k, e))
-                off += 16
-            return (P_LEAF, lo, hi, pairs), off
+            raw = _take(data, off + 21, 16 * n)
+            flat = struct.unpack(f">{2 * n}Q", raw)
+            return (P_LEAF, lo, hi, list(zip(flat[::2], flat[1::2]))), \
+                off + 21 + len(raw)
         if kind == P_INTERNAL:
             lo, hi, n = struct.unpack_from(">QQI", data, off + 1)
             off += 21
@@ -335,7 +330,7 @@ def _decode_proof(data: bytes, off: int, depth: int):
             return (P_INTERNAL, lo, hi, children), off
         if kind == P_HASHLEAF:
             lo, hi = struct.unpack_from(">QQ", data, off + 1)
-            fp = bytes(data[off + 17:off + 49])
+            fp = _take(data, off + 17, 32)
             n, wstart, flags, nrev = struct.unpack_from(">IIBI", data,
                                                         off + 49)
             if flags & ~0x03:
@@ -345,10 +340,7 @@ def _decode_proof(data: bytes, off: int, depth: int):
 
             def digest_entry(off):
                 key, = struct.unpack_from(">Q", data, off)
-                d = bytes(data[off + 8:off + 40])
-                if len(d) != 32:
-                    raise VODecodeError("truncated")
-                return (W_DIGEST_ONLY, key, d), off + 40
+                return (W_DIGEST_ONLY, key, _take(data, off + 8, 32)), off + 40
 
             if flags & 1:
                 entry, off = digest_entry(off)
@@ -361,26 +353,20 @@ def _decode_proof(data: bytes, off: int, depth: int):
                 if cnt == 0xFF:
                     cnt, = struct.unpack_from(">I", data, off)
                     off += 4
-                if off + 8 * cnt > len(data):
-                    raise VODecodeError("truncated ids")
-                ids = list(struct.unpack_from(f">{cnt}Q", data, off))
-                off += 8 * cnt
+                raw = _take(data, off, 8 * cnt)
+                ids = list(struct.unpack(f">{cnt}Q", raw))
+                off += len(raw)
                 window.append((W_REVEALED, key, ids))
             if flags & 2:
                 entry, off = digest_entry(off)
                 window.append(entry)
             ns, = struct.unpack_from(">I", data, off)
-            off += 4
-            sibs = []
-            for _ in range(ns):
-                d = bytes(data[off:off + 32])
-                if len(d) != 32:
-                    raise VODecodeError("truncated")
-                sibs.append(d)
-                off += 32
-            return (P_HASHLEAF, lo, hi, fp, n, wstart, window, sibs), off
+            raw = _take(data, off + 4, 32 * ns)
+            sibs = [raw[i:i + 32] for i in range(0, len(raw), 32)]
+            return (P_HASHLEAF, lo, hi, fp, n, wstart, window, sibs), \
+                off + 4 + len(raw)
         raise VODecodeError(f"bad proof kind {kind}")
-    except struct.error as exc:
+    except (IndexError, struct.error) as exc:
         raise VODecodeError(str(exc)) from None
 
 
@@ -438,7 +424,7 @@ class BHashTree:
     def insert(self, entry_id: int, timestamp: int) -> None:
         if entry_id in self._inserted:
             raise DuplicateEntry(f"entry {entry_id} already inserted")
-        key = int(TimeKey(timestamp))
+        key = _check_timestamp(timestamp)
         if (self.threshold_t is not None and not self.converted
                 and self.entry_count >= self.threshold_t):
             self._convert_node(self.root)
@@ -568,8 +554,8 @@ class BHashTree:
         if start_time > end_time:
             proof = (P_PRUNED, self.root.lo, self.root.hi, root)
             return [], RangeVO(root, proof)
-        lo = int(TimeKey(max(start_time, 0)))
-        hi = int(TimeKey(min(end_time, MAX_TIMESTAMP)))
+        lo = _check_timestamp(max(start_time, 0))
+        hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
         results: list[tuple[int, int]] = []
         proof = self._prove(self.root, lo, hi, results)
         results.sort()
@@ -631,8 +617,8 @@ def verify_range(vo: RangeVO, trusted_root: bytes, start_time: int,
             if vo.proof[0] != P_PRUNED:
                 return False
             return results == [] and vo.proof[3] == trusted_root
-        lo = int(TimeKey(max(start_time, 0)))
-        hi = int(TimeKey(min(end_time, MAX_TIMESTAMP)))
+        lo = _check_timestamp(max(start_time, 0))
+        hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
         collected: list[tuple[int, int]] = []
         recomputed = _verify_node(vo.proof, lo, hi, collected)
         if recomputed is None or recomputed != trusted_root:

@@ -19,17 +19,15 @@ BLOOM_HASHES = 7
 
 
 class BloomFilter:
-    def __init__(self, bits: int = BLOOM_BITS, hashes: int = BLOOM_HASHES):
-        self.bits = bits
-        self.hashes = hashes
-        self._array = bytearray(bits // 8)
+    def __init__(self):
+        self._array = bytearray(BLOOM_BITS // 8)
 
     def _positions(self, key: bytes):
         h = hashlib.sha256(key).digest()
         a = int.from_bytes(h[:8], "big")
         b = int.from_bytes(h[8:16], "big") | 1
-        for i in range(self.hashes):
-            yield (a + i * b) % self.bits
+        for i in range(BLOOM_HASHES):
+            yield (a + i * b) % BLOOM_BITS
 
     def add(self, key: bytes) -> None:
         for p in self._positions(key):

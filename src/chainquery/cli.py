@@ -12,7 +12,9 @@ import sys
 
 from chainquery import workload
 from chainquery.bhash import DEFAULT_THRESHOLD
-from chainquery.engine import Engine, VerificationFailure, replay
+from chainquery.core import EncodingError
+from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
+                               VerificationFailure, replay)
 from chainquery.ledger import Ledger, LedgerDecodeError
 from chainquery.sqlgrammar import SqlSyntaxError, UnsupportedFeature
 from chainquery.store import ContentStore, IntegrityFailure
@@ -43,8 +45,15 @@ def _load_engine(args) -> Engine:
     for path in (_ledger_path(args.dataset), _meta_path(args.dataset)):
         if not os.path.exists(path):
             raise SystemExit2(f"no {path}; run `ingest` first")
-    with open(_meta_path(args.dataset)) as fh:
-        threshold_t = json.load(fh)["threshold_t"]
+    try:
+        with open(_meta_path(args.dataset)) as fh:
+            threshold_t = json.load(fh)["threshold_t"]
+        if threshold_t is not None and (type(threshold_t) is not int
+                                        or threshold_t <= 0):
+            raise ValueError(f"threshold_t {threshold_t!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SystemExit2(f"unreadable {_meta_path(args.dataset)} "
+                          f"({exc!r}); run `ingest` again") from None
     ledger = Ledger.load(_ledger_path(args.dataset))
     if not ledger.verify_chain():
         raise VerificationFailure("block chain is inconsistent")
@@ -114,7 +123,8 @@ def cmd_query(args) -> int:
     engine = _load_engine(args)
     try:
         result = engine.execute(args.sql, emit_vo=args.emit_vo)
-    except (SqlSyntaxError, UnsupportedFeature) as exc:
+    except (SqlSyntaxError, UnsupportedFeature, EncodingError,
+            MalformedBlock, UnknownEntry) as exc:
         raise SystemExit2(f"bad query: {exc}")
     _emit_rows(result.rows, args.format)
     if args.emit_vo and result.vo_bytes is not None:

@@ -1,23 +1,17 @@
-"""Core domain types, canonical byte encoding, and the digest primitive.
+"""Core domain types, the data entry body encoding, and the digest
+primitive.
 
-The canonical encoding is the normative wire layout every verifiable
-structure builds on: a one-byte type tag precedes each item, integers are
-big-endian, variable-size fields carry a 4-byte big-endian length prefix,
-and lists carry a 4-byte big-endian element count.
+An entry body is the byte layout the ledger commits for each entry:
+integers are big-endian, variable-size fields carry a 4-byte big-endian
+length prefix, and an absent content id is one zero byte.
 """
 from __future__ import annotations
 
 import hashlib
 import re
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-# Type tags for canonical_encode.
-TAG_TIMEKEY = 0x01
-TAG_DIGEST = 0x02
-TAG_CONTENT_ID = 0x03
-TAG_DATA_ENTRY = 0x04
-TAG_LIST = 0x05
+from typing import Optional
 
 # Domain-separation tags for digest().
 DOM_LEAF = 0x00
@@ -31,7 +25,7 @@ EMPTY_DIGEST = b"\x00" * DIGEST_SIZE
 
 MAX_TIMESTAMP = (1 << 63) - 1
 
-ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
+ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}")
 
 
 class EncodingError(ValueError):
@@ -52,20 +46,21 @@ def content_id(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
-class TimeKey(int):
-    """Order-preserving 64-bit key derived from a unix timestamp.
+def _check_timestamp(timestamp: int) -> int:
+    """The timestamp itself, which is also its time key: numeric order and
+    big-endian byte order coincide.  EncodingError outside 63 bits."""
+    if not 0 <= timestamp <= MAX_TIMESTAMP:
+        raise EncodingError(f"timestamp out of range: {timestamp}")
+    return timestamp
 
-    The key function is the identity map onto an unsigned 64-bit integer,
-    so numeric order and big-endian byte order coincide.
-    """
 
-    def __new__(cls, timestamp: int) -> "TimeKey":
-        if not 0 <= timestamp <= MAX_TIMESTAMP:
-            raise EncodingError(f"timestamp out of range: {timestamp}")
-        return super().__new__(cls, timestamp)
-
-    def to_bytes8(self) -> bytes:
-        return int(self).to_bytes(8, "big")
+def _take(data: bytes, off: int, n: int) -> bytes:
+    """data[off:off + n] as bytes; IndexError, as indexing raises, when
+    fewer than n bytes remain.  Each decoder turns that into its own
+    error."""
+    if off + n > len(data):
+        raise IndexError("truncated")
+    return bytes(data[off:off + n])
 
 
 @dataclass(frozen=True)
@@ -87,10 +82,9 @@ class DataEntry:
         if not self.addresses:
             raise EncodingError("addresses must be non-empty")
         for addr in self.addresses:
-            if not ADDRESS_RE.match(addr):
+            if not ADDRESS_RE.fullmatch(addr):
                 raise EncodingError(f"malformed address: {addr!r}")
-        if not 0 <= self.timestamp <= MAX_TIMESTAMP:
-            raise EncodingError("timestamp must fit in 63 bits")
+        _check_timestamp(self.timestamp)
         for cid in (self.image_cid, self.video_cid):
             if cid is not None and len(cid) != DIGEST_SIZE:
                 raise EncodingError("content id must be 32 bytes")
@@ -132,19 +126,17 @@ def encode_data_entry_body(entry: DataEntry) -> bytes:
 def decode_data_entry_body(data: bytes, off: int) -> tuple[DataEntry, int]:
     """Inverse of encode_data_entry_body; raises EncodingError on bad input."""
     try:
-        entry_id = int.from_bytes(data[off:off + 8], "big")
-        off += 8
-        alen = int.from_bytes(data[off:off + 4], "big")
-        amount = int.from_bytes(data[off + 4:off + 4 + alen], "big")
-        off += 4 + alen
-        n_addr = int.from_bytes(data[off:off + 4], "big")
+        entry_id, alen = struct.unpack_from(">QI", data, off)
+        amount = int.from_bytes(_take(data, off + 12, alen), "big")
+        off += 12 + alen
+        n_addr, = struct.unpack_from(">I", data, off)
         off += 4
         addrs = []
         for _ in range(n_addr):
-            ln = int.from_bytes(data[off:off + 4], "big")
-            addrs.append(data[off + 4:off + 4 + ln].decode("ascii"))
+            ln, = struct.unpack_from(">I", data, off)
+            addrs.append(_take(data, off + 4, ln).decode("ascii"))
             off += 4 + ln
-        timestamp = int.from_bytes(data[off:off + 8], "big")
+        timestamp, = struct.unpack_from(">Q", data, off)
         off += 8
         cids = []
         for _ in range(2):
@@ -152,27 +144,9 @@ def decode_data_entry_body(data: bytes, off: int) -> tuple[DataEntry, int]:
                 cids.append(None)
                 off += 1
             else:
-                cids.append(bytes(data[off + 1:off + 33]))
-                if len(cids[-1]) != DIGEST_SIZE:
-                    raise EncodingError("truncated cid")
-                off += 33
+                cids.append(_take(data, off + 1, DIGEST_SIZE))
+                off += 1 + DIGEST_SIZE
         return DataEntry(entry_id, amount, tuple(addrs), timestamp,
                          cids[0], cids[1]), off
-    except (IndexError, UnicodeDecodeError) as exc:
+    except (IndexError, struct.error, UnicodeDecodeError) as exc:
         raise EncodingError(f"bad entry encoding: {exc}") from None
-
-
-def canonical_encode(item: object) -> bytes:
-    """Injective tagged encoding of a core value or a homogeneous list."""
-    if isinstance(item, TimeKey):
-        return bytes([TAG_TIMEKEY]) + item.to_bytes8()
-    if isinstance(item, DataEntry):
-        return bytes([TAG_DATA_ENTRY]) + encode_data_entry_body(item)
-    if isinstance(item, (bytes, bytearray)):
-        if len(item) != DIGEST_SIZE:
-            raise EncodingError("bare bytes must be a 32-byte digest/cid")
-        return bytes([TAG_DIGEST]) + bytes(item)
-    if isinstance(item, (list, tuple)):
-        body = b"".join(canonical_encode(elem) for elem in item)
-        return bytes([TAG_LIST]) + _encode_uint(len(item), 4) + body
-    raise EncodingError(f"cannot canonically encode {type(item).__name__}")

@@ -114,7 +114,6 @@ class Engine:
         self.tombstones: set[int] = set()
         self.superseded: set[int] = set()
         self.entries: dict[int, DataEntry] = {}
-        self._next_id = 0
 
     # -- state helpers -------------------------------------------------
 
@@ -122,16 +121,20 @@ class Engine:
         return (entry_id not in self.tombstones
                 and entry_id not in self.superseded)
 
+    @property
+    def _next_id(self) -> int:
+        """Id of the next new entry: ids are dense from 0, so the count of
+        committed entries."""
+        return len(self.entries)
+
     def _trusted_roots(self):
         return self.ledger.latest_roots()
 
-    def _entry_row(self, entry: DataEntry, fetch_payloads: bool = True) \
-            -> dict:
-        if fetch_payloads:
-            # get() re-hashes the payload; a corrupted store raises here.
-            for cid in (entry.image_cid, entry.video_cid):
-                if cid is not None:
-                    self.store.get(cid)
+    def _entry_row(self, entry: DataEntry) -> dict:
+        # get() re-hashes the payload; a corrupted store raises here.
+        for cid in (entry.image_cid, entry.video_cid):
+            if cid is not None:
+                self.store.get(cid)
         return {
             "entry_id": entry.entry_id,
             "amount": entry.amount,
@@ -143,18 +146,20 @@ class Engine:
 
     # -- writes --------------------------------------------------------
 
-    def _index_entries(self, entries) -> None:
-        """Index entries in order; the trie takes all their keys in one
-        call, so nodes shared between them are rehashed once."""
+    def _trie_keys(self, entries) -> list[tuple[str, int]]:
+        """The entries' trie keys; MalformedBlock for a timestamp with no
+        date string (after year 9999 or beyond the platform's range)."""
         keys = []
-        for entry in entries:
-            self.entries[entry.entry_id] = entry
-            self.time_index.insert(entry.entry_id, entry.timestamp)
-            keys.append((NS_TIMESTAMP + timestamp_string(entry.timestamp),
-                         entry.entry_id))
-            keys.extend((NS_ADDRESS + addr[2:], entry.entry_id)
-                        for addr in entry.addresses)
-        self.trie.insert_many(keys)
+        for e in entries:
+            try:
+                keys.append((NS_TIMESTAMP + timestamp_string(e.timestamp),
+                             e.entry_id))
+            except (ValueError, OverflowError, OSError) as exc:
+                raise MalformedBlock(f"entry {e.entry_id}: timestamp "
+                                     f"{e.timestamp} has no date string "
+                                     f"({exc})") from None
+            keys.extend((NS_ADDRESS + a[2:], e.entry_id) for a in e.addresses)
+        return keys
 
     def _commit(self, entries, ops) -> None:
         """Apply one block: check its operation records against its
@@ -166,6 +171,7 @@ class Engine:
         UPDATE takes the next entry as its replacement, and DELETE and
         UPDATE targets must be live.  Raises UnknownEntry or MalformedBlock
         before changing any state."""
+        keys = self._trie_keys(entries)
         n_named = 0
         ended = set()
         for kind, target in ops:
@@ -187,44 +193,38 @@ class Engine:
         if n_named != len(entries):
             raise MalformedBlock(f"{len(entries)} entries but {n_named} "
                                  "INSERT and UPDATE ops")
+        # the trie checks every key before it changes, so it goes first
+        self.trie.insert_many(keys)
         for kind, target in ops:
             if kind == OP_DELETE:
                 self.tombstones.add(target)
             elif kind == OP_UPDATE:
                 self.superseded.add(target)
-        self._index_entries(entries)
+        for entry in entries:
+            self.entries[entry.entry_id] = entry
+            self.time_index.insert(entry.entry_id, entry.timestamp)
         self.ledger.append_block(
             entries,
             (self.time_index.root_digest(), self.trie.root_digest()),
             ops=ops)
         self.cache.invalidate()
 
-    def _make_entry(self, amount, addresses, timestamp,
-                    image_payload=None, video_payload=None) -> DataEntry:
-        imagecid = self.store.put(image_payload) \
-            if image_payload is not None else None
-        videocid = self.store.put(video_payload) \
-            if video_payload is not None else None
-        entry = DataEntry(entry_id=self._next_id, amount=amount,
-                          addresses=tuple(addresses), timestamp=timestamp,
-                          image_cid=imagecid, video_cid=videocid)
-        self._next_id += 1
-        return entry
+    def _make_entry(self, entry_id: int, ins: InsertQuery) -> DataEntry:
+        cids = [self.store.put(p) if p is not None else None
+                for p in (ins.image_payload, ins.video_payload)]
+        return DataEntry(entry_id, ins.amount, tuple(ins.addresses),
+                         ins.timestamp, *cids)
 
     def insert_batch(self, inserts: list[InsertQuery]) -> list[int]:
         """Apply several inserts as a single ledger block. Returns the
         assigned entry ids."""
-        entries = [self._make_entry(ins.amount, ins.addresses,
-                                    ins.timestamp, ins.image_payload,
-                                    ins.video_payload)
-                   for ins in inserts]
+        entries = [self._make_entry(eid, ins)
+                   for eid, ins in enumerate(inserts, self._next_id)]
         self._commit(entries, [(OP_INSERT, e.entry_id) for e in entries])
         return [e.entry_id for e in entries]
 
     def _exec_insert(self, ast: InsertQuery) -> QueryResult:
-        entry = self._make_entry(ast.amount, ast.addresses, ast.timestamp,
-                                 ast.image_payload, ast.video_payload)
-        self._commit([entry], [(OP_INSERT, entry.entry_id)])
+        self.insert_batch([ast])
         return QueryResult([], plan_query(ast), affected=1)
 
     def _require_live(self, entry_id: int) -> DataEntry:
@@ -242,13 +242,10 @@ class Engine:
         fields = {"amount": old.amount, "addresses": old.addresses,
                   "timestamp": old.timestamp}
         fields.update(dict(ast.changes))
-        new = self._make_entry(fields["amount"], fields["addresses"],
-                               fields["timestamp"],
-                               None, None)
         # carry payload references forward; the payloads are unchanged
-        new = DataEntry(entry_id=new.entry_id, amount=new.amount,
-                        addresses=new.addresses, timestamp=new.timestamp,
-                        image_cid=old.image_cid, video_cid=old.video_cid)
+        new = DataEntry(self._next_id, fields["amount"],
+                        tuple(fields["addresses"]), fields["timestamp"],
+                        old.image_cid, old.video_cid)
         self._commit([new], [(OP_UPDATE, ast.entry_id)])
         return QueryResult([], plan_query(ast), affected=1)
 
@@ -338,8 +335,6 @@ def replay(ledger: Ledger, store: Optional[ContentStore] = None,
         except MalformedBlock as exc:
             raise VerificationFailure(
                 f"block at height {block.height}: {exc}") from None
-        if block.entries:
-            engine._next_id = block.entries[-1].entry_id + 1
         if engine.ledger.latest_roots() != block.anchored_roots:
             raise VerificationFailure(
                 f"replayed roots at height {block.height} do not match the "

@@ -6,14 +6,13 @@ indexes.  Identical ingest sequences produce identical digest chains.
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from chainquery.core import (DIGEST_SIZE, DOM_ANCHOR, EMPTY_DIGEST, DataEntry,
-                             EncodingError, decode_data_entry_body, digest,
-                             encode_data_entry_body)
+                             EncodingError, _take, decode_data_entry_body,
+                             digest, encode_data_entry_body)
 
 OP_INSERT = 0
 OP_DELETE = 1
@@ -62,8 +61,40 @@ def _block_body(height: int, entries, ops, bhash_root: bytes,
     return b"".join(parts)
 
 
-def block_digest_of(prev_digest: bytes, body: bytes) -> bytes:
-    return digest(DOM_ANCHOR, prev_digest + body)
+def _record(block: Block) -> bytes:
+    """A block's log record: its prev digest, then its body.  The block
+    digest is the anchor digest of this record."""
+    return block.prev_digest + _block_body(
+        block.height, block.entries, block.ops, block.bhash_root,
+        block.trie_root)
+
+
+def _parse_record(record: bytes):
+    """(entries, roots, ops) of a log record.  The prev digest and the
+    height are left to the caller, which re-encodes the block it builds
+    and compares; every count is bounded by the bytes left to read."""
+    try:
+        pos = DIGEST_SIZE + 8
+        n_entries, = struct.unpack_from(">I", record, pos)
+        pos += 4
+        entries = []
+        for _ in range(n_entries):
+            ln, = struct.unpack_from(">I", record, pos)
+            pos += 4
+            entries.append(
+                decode_data_entry_body(record[pos:pos + ln], 0)[0])
+            pos += ln
+        n_ops, = struct.unpack_from(">I", record, pos)
+        pos += 4
+        ops = []
+        for _ in range(n_ops):
+            ops.append(struct.unpack_from(">BQ", record, pos))
+            pos += 9
+        roots = (_take(record, pos, DIGEST_SIZE),
+                 _take(record, pos + DIGEST_SIZE, DIGEST_SIZE))
+    except (EncodingError, struct.error, IndexError) as exc:
+        raise LedgerDecodeError(str(exc)) from None
+    return entries, roots, ops
 
 
 class Ledger:
@@ -80,21 +111,20 @@ class Ledger:
     def append_block(self, entries, roots: tuple[bytes, bytes],
                      ops: Optional[list[tuple[int, int]]] = None) -> Block:
         entries = tuple(entries)
-        for entry in entries:
-            if entry.entry_id != self._next_entry_id:
+        for i, entry in enumerate(entries, self._next_entry_id):
+            if entry.entry_id != i:
                 raise NonDenseEntryIds(
-                    f"expected entry_id {self._next_entry_id}, "
-                    f"got {entry.entry_id}")
-            self._next_entry_id += 1
+                    f"expected entry_id {i}, got {entry.entry_id}")
         if ops is None:
             ops = [(OP_INSERT, e.entry_id) for e in entries]
         ops = tuple(ops)
         prev = self.blocks[-1].block_digest if self.blocks else EMPTY_DIGEST
         height = len(self.blocks)
-        body = _block_body(height, entries, ops, roots[0], roots[1])
+        record = prev + _block_body(height, entries, ops, roots[0], roots[1])
         block = Block(height, prev, entries, ops, roots[0], roots[1],
-                      block_digest_of(prev, body))
+                      digest(DOM_ANCHOR, record))
         self.blocks.append(block)
+        self._next_entry_id += len(entries)
         return block
 
     def trusted_root(self, height: int) -> tuple[bytes, bytes]:
@@ -111,11 +141,9 @@ class Ledger:
         """Recompute every block digest; False if any link is broken."""
         prev = EMPTY_DIGEST
         for block in self.blocks:
-            if block.prev_digest != prev:
-                return False
-            body = _block_body(block.height, block.entries, block.ops,
-                               block.bhash_root, block.trie_root)
-            if block_digest_of(prev, body) != block.block_digest:
+            if (block.prev_digest != prev
+                    or digest(DOM_ANCHOR, _record(block))
+                    != block.block_digest):
                 return False
             prev = block.block_digest
         return True
@@ -126,88 +154,34 @@ class Ledger:
         """Length-prefixed binary log of block records."""
         with open(path, "wb") as fh:
             for block in self.blocks:
-                record = block.prev_digest + _block_body(
-                    block.height, block.entries, block.ops,
-                    block.bhash_root, block.trie_root)
+                record = _record(block)
                 fh.write(len(record).to_bytes(4, "big"))
                 fh.write(record)
 
     @classmethod
     def load(cls, path: str) -> "Ledger":
+        """Inverse of save: each record is appended through append_block,
+        and only the bytes save would write for that block are accepted,
+        so a wrong height or prev digest, or a byte save would not write,
+        is a LedgerDecodeError."""
         ledger = cls()
         with open(path, "rb") as fh:
             data = fh.read()
         off = 0
         while off < len(data):
-            if off + 4 > len(data):
-                raise LedgerDecodeError("truncated record length")
             ln = int.from_bytes(data[off:off + 4], "big")
             record = data[off + 4:off + 4 + ln]
-            if len(record) != ln:
+            if off + 4 > len(data) or len(record) != ln:
                 raise LedgerDecodeError("truncated record")
             off += 4 + ln
-            ledger._append_record(record)
+            entries, roots, ops = _parse_record(record)
+            try:
+                block = ledger.append_block(entries, roots, ops)
+            except NonDenseEntryIds as exc:
+                raise LedgerDecodeError(f"non-dense entry ids in log: "
+                                        f"{exc}") from None
+            if _record(block) != record:
+                raise LedgerDecodeError(
+                    f"record {block.height} is not the record of the block "
+                    "it decodes to (height, prev digest or encoding)")
         return ledger
-
-    def _append_record(self, record: bytes) -> None:
-        try:
-            prev = record[:DIGEST_SIZE]
-            pos = DIGEST_SIZE
-            height = int.from_bytes(record[pos:pos + 8], "big")
-            pos += 8
-            n_entries = int.from_bytes(record[pos:pos + 4], "big")
-            pos += 4
-            entries = []
-            for _ in range(n_entries):
-                ln = int.from_bytes(record[pos:pos + 4], "big")
-                entry, _ = decode_data_entry_body(record, pos + 4)
-                entries.append(entry)
-                pos += 4 + ln
-            n_ops = int.from_bytes(record[pos:pos + 4], "big")
-            pos += 4
-            ops = []
-            for _ in range(n_ops):
-                kind, target = struct.unpack_from(">BQ", record, pos)
-                ops.append((kind, target))
-                pos += 9
-            bhash_root = record[pos:pos + DIGEST_SIZE]
-            trie_root = record[pos + DIGEST_SIZE:pos + 2 * DIGEST_SIZE]
-            if len(trie_root) != DIGEST_SIZE:
-                raise LedgerDecodeError("truncated roots")
-        except (EncodingError, struct.error, IndexError) as exc:
-            raise LedgerDecodeError(str(exc)) from None
-        if height != len(self.blocks):
-            raise LedgerDecodeError("non-dense block heights")
-        expected_prev = (self.blocks[-1].block_digest if self.blocks
-                         else EMPTY_DIGEST)
-        if prev != expected_prev:
-            raise LedgerDecodeError("broken digest chain in log")
-        for entry in entries:
-            if entry.entry_id != self._next_entry_id:
-                raise LedgerDecodeError("non-dense entry ids in log")
-            self._next_entry_id += 1
-        body = _block_body(height, entries, ops, bhash_root, trie_root)
-        self.blocks.append(Block(height, prev, tuple(entries), tuple(ops),
-                                 bhash_root, trie_root,
-                                 block_digest_of(prev, body)))
-
-    def export_jsonl(self, path: str) -> None:
-        """Human-readable companion export, one JSON object per block."""
-        with open(path, "w") as fh:
-            for block in self.blocks:
-                fh.write(json.dumps({
-                    "height": block.height,
-                    "prev_digest": block.prev_digest.hex(),
-                    "block_digest": block.block_digest.hex(),
-                    "bhash_root": block.bhash_root.hex(),
-                    "trie_root": block.trie_root.hex(),
-                    "ops": [[kind, target] for kind, target in block.ops],
-                    "entries": [{
-                        "entry_id": e.entry_id,
-                        "amount": e.amount,
-                        "addresses": list(e.addresses),
-                        "timestamp": e.timestamp,
-                        "imagecid": e.image_cid.hex() if e.image_cid else None,
-                        "videocid": e.video_cid.hex() if e.video_cid else None,
-                    } for e in block.entries],
-                }) + "\n")

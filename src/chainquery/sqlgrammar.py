@@ -203,7 +203,7 @@ def _parse_addresses(raw: str, pos: int) -> tuple[str, ...]:
     if not addrs:
         raise SqlSyntaxError("addresses literal is empty", pos)
     for a in addrs:
-        if not ADDRESS_RE.match(a):
+        if not ADDRESS_RE.fullmatch(a):
             raise SqlSyntaxError(f"malformed address {a!r}", pos)
     return addrs
 

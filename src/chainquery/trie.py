@@ -12,7 +12,7 @@ from bisect import bisect_left
 from typing import Optional
 
 from chainquery import _kernels
-from chainquery.core import DOM_TRIE, VODecodeError, digest
+from chainquery.core import DOM_TRIE, VODecodeError, _take, digest
 from chainquery.gas import GasMeter
 
 ALPHABET = "0123456789abcdef-:"
@@ -82,62 +82,35 @@ class PrefixVO:
     def to_bytes(self) -> bytes:
         parts = [self.claimed_root, bytes([self.mode, len(self.path)])]
         for char_index, ids, taken, sibs in self.path:
-            parts.append(bytes([char_index]))
-            parts.append(_kernels.pack_u64_list(ids))
-            parts.append(bytes([taken, len(sibs)]))
-            for idx, d in sibs:
-                parts.append(bytes([idx]))
-                parts.append(d)
+            parts += [bytes([char_index]), _kernels.pack_u64_list(ids),
+                      bytes([taken]), _encode_items(sibs)]
         if self.mode == self.MODE_MATCH:
             parts.append(_encode_subtree(self.terminal))
         else:
             char_index, ids, items = self.terminal
-            parts.append(bytes([char_index]))
-            parts.append(_kernels.pack_u64_list(ids))
-            parts.append(bytes([len(items)]))
-            for idx, d in items:
-                parts.append(bytes([idx]))
-                parts.append(d)
+            parts += [bytes([char_index]), _kernels.pack_u64_list(ids),
+                      _encode_items(items)]
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PrefixVO":
         try:
-            root = bytes(data[:32])
-            if len(root) != 32:
-                raise VODecodeError("truncated root")
+            root = _take(data, 0, 32)
             mode, path_len = data[32], data[33]
             off = 34
             path = []
             for _ in range(path_len):
                 char_index = data[off]
                 ids, off = _decode_ids(data, off + 1)
-                taken, nsib = data[off], data[off + 1]
-                off += 2
-                sibs = []
-                for _ in range(nsib):
-                    idx = data[off]
-                    d = bytes(data[off + 1:off + 33])
-                    if len(d) != 32:
-                        raise VODecodeError("truncated sibling")
-                    sibs.append((idx, d))
-                    off += 33
+                taken = data[off]
+                sibs, off = _decode_items(data, off + 1)
                 path.append((char_index, ids, taken, sibs))
             if mode == cls.MODE_MATCH:
                 terminal, off = _decode_subtree(data, off, 0)
             elif mode == cls.MODE_NONMATCH:
                 char_index = data[off]
                 ids, off = _decode_ids(data, off + 1)
-                nchild = data[off]
-                off += 1
-                items = []
-                for _ in range(nchild):
-                    idx = data[off]
-                    d = bytes(data[off + 1:off + 33])
-                    if len(d) != 32:
-                        raise VODecodeError("truncated child digest")
-                    items.append((idx, d))
-                    off += 33
+                items, off = _decode_items(data, off)
                 terminal = (char_index, ids, items)
             else:
                 raise VODecodeError("bad mode")
@@ -146,6 +119,19 @@ class PrefixVO:
             return cls(root, mode, path, terminal)
         except (IndexError, struct.error) as exc:
             raise VODecodeError(str(exc)) from None
+
+
+def _encode_items(items) -> bytes:
+    """A one-byte count, then one (index byte, digest) per item."""
+    return bytes([len(items)]) + b"".join([_BYTE[i] + d for i, d in items])
+
+
+def _decode_items(data: bytes, off: int):
+    """Inverse of _encode_items at off: (items, offset after them)."""
+    n = data[off]
+    raw = _take(data, off + 1, 33 * n)
+    return ([(raw[i], raw[i + 1:i + 33]) for i in range(0, len(raw), 33)],
+            off + 1 + len(raw))
 
 
 def _decode_ids(data: bytes, off: int):
@@ -171,15 +157,9 @@ def _decode_subtree(data: bytes, off: int, depth: int):
     # nesting from exhausting the stack
     if depth > MAX_KEY_LEN + 1:
         raise VODecodeError("subtree nested too deep")
-    try:
-        char_index = data[off]
-    except IndexError:
-        raise VODecodeError("truncated subtree") from None
+    char_index = data[off]
     ids, off = _decode_ids(data, off + 1)
-    try:
-        nchild = data[off]
-    except IndexError:
-        raise VODecodeError("truncated subtree") from None
+    nchild = data[off]
     off += 1
     children = []
     for _ in range(nchild):

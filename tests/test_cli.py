@@ -65,6 +65,19 @@ def test_query_bad_sql_exit_2(dataset, capsys):
     assert "bad query" in err
 
 
+@pytest.mark.parametrize("sql", [
+    "INSERT INTO entries (amount, addresses, timestamp) VALUES "
+    f"(1, '0x{'ab' * 20}', 300000000000)",
+    "INSERT INTO entries (amount, addresses, timestamp) VALUES "
+    f"(1, '0x{'ab' * 20}', {1 << 64})",
+    "DELETE FROM entries WHERE entry_id = 999",
+], ids=["year-11476", "2^64", "delete-unknown"])
+def test_query_rejected_statement_exit_2(dataset, capsys, sql):
+    code, _, err = run(capsys, "query", "--dataset", dataset, sql)
+    assert code == 2
+    assert "bad query" in err and "Traceback" not in err
+
+
 def test_query_without_ingest_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "query", "--dataset", str(tmp_path),
                        "SELECT * FROM entries WHERE entry_id = 1")
@@ -184,6 +197,12 @@ def test_query_and_verify_load_the_ledger_alike(dataset, capsys, argv):
     assert code == 1
     assert "verification failed" in err and "Traceback" not in err
     open(ledger, "wb").write(blob)
+    for saved in ('{"threshold_t": ', '{"threshold": 10}',
+                  '{"threshold_t": "10"}', '{"threshold_t": 0}'):
+        open(meta, "w").write(saved)
+        code, _, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
+        assert code == 2
+        assert "ingest" in err and "Traceback" not in err
     os.remove(meta)
     code, _, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
     assert code == 2

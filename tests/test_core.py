@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from chainquery.core import (DataEntry, EncodingError, TimeKey,
-                             canonical_encode, content_id, digest)
+from chainquery.core import (DataEntry, EncodingError, content_id,
+                             decode_data_entry_body, digest,
+                             encode_data_entry_body)
+
+ADDR = "0x" + "ab" * 20
 
 
 def rand_entry(rng, eid):
@@ -22,41 +25,44 @@ def rand_entry(rng, eid):
     )
 
 
-def test_timekey_zero_layout():
-    assert canonical_encode(TimeKey(0)) == b"\x01" + b"\x00" * 8
-
-
-def test_timekey_order_preserved():
-    rng = random.Random(0)
-    vals = [rng.randrange(1 << 63) for _ in range(1000)]
-    for a, b in zip(vals, vals[1:]):
-        assert (a <= b) == (TimeKey(a).to_bytes8() <= TimeKey(b).to_bytes8())
-
-
 def test_timekey_range_checked():
+    # a timestamp is its own time key; both ends of the 63-bit range hold
+    DataEntry(0, 1, (ADDR,), 0)
+    DataEntry(0, 1, (ADDR,), (1 << 63) - 1)
     with pytest.raises(EncodingError):
-        TimeKey(-1)
+        DataEntry(0, 1, (ADDR,), -1)
     with pytest.raises(EncodingError):
-        TimeKey(1 << 63)
+        DataEntry(0, 1, (ADDR,), 1 << 63)
 
 
 def test_equal_entries_encode_identically():
-    a = DataEntry(1, 5, ("0x" + "ab" * 20,), 99)
-    b = DataEntry(1, 5, ("0x" + "ab" * 20,), 99)
-    assert canonical_encode(a) == canonical_encode(b)
+    a = DataEntry(1, 5, (ADDR,), 99)
+    b = DataEntry(1, 5, (ADDR,), 99)
+    assert encode_data_entry_body(a) == encode_data_entry_body(b)
 
 
 def test_encoding_distinct_over_corpus():
     rng = random.Random(42)
     entries = [rand_entry(rng, eid) for eid in range(10_000)]
-    blobs = {canonical_encode(e) for e in entries}
+    blobs = {encode_data_entry_body(e) for e in entries}
     assert len(blobs) == len(entries)
 
 
-def test_list_encoding_counts():
-    assert canonical_encode([]) == b"\x05" + b"\x00" * 4
-    one = canonical_encode([TimeKey(3)])
-    assert one.startswith(b"\x05\x00\x00\x00\x01\x01")
+_hex40 = st.text("0123456789abcdef", min_size=40, max_size=40)
+_cid = st.none() | st.binary(min_size=32, max_size=32)
+
+
+@given(st.builds(DataEntry,
+                 entry_id=st.integers(0, (1 << 64) - 1),
+                 amount=st.integers(0, 1 << 200),
+                 addresses=st.lists(_hex40.map("0x".__add__), min_size=1,
+                                    max_size=4).map(tuple),
+                 timestamp=st.integers(0, (1 << 63) - 1),
+                 image_cid=_cid, video_cid=_cid),
+       st.binary(max_size=3))
+def test_entry_body_roundtrip(entry, tail):
+    body = encode_data_entry_body(entry)
+    assert decode_data_entry_body(body + tail, 0) == (entry, len(body))
 
 
 def test_entry_validation():
@@ -70,6 +76,8 @@ def test_entry_validation():
         DataEntry(0, -1, ("0x" + "ab" * 20,), 0)
     with pytest.raises(EncodingError):
         DataEntry(0, 1, ("0x" + "ab" * 20,), 1 << 63)
+    with pytest.raises(EncodingError):
+        DataEntry(0, 1, (ADDR + "\n",), 0)  # "$" would match before "\n"
 
 
 def test_digest_definition():
@@ -86,10 +94,3 @@ def test_digest_domain_separation():
 
 def test_content_id_plain_sha256():
     assert content_id(b"") == hashlib.sha256(b"").digest()
-
-
-@given(st.integers(min_value=0, max_value=(1 << 63) - 1),
-       st.integers(min_value=0, max_value=(1 << 63) - 1))
-def test_encoding_injective_on_timekeys(a, b):
-    if a != b:
-        assert canonical_encode(TimeKey(a)) != canonical_encode(TimeKey(b))

@@ -6,10 +6,12 @@ import random
 import pytest
 
 from chainquery.cache import BloomFilter, QueryCache
-from chainquery.engine import (Engine, UnknownEntry, VerificationFailure,
-                               plan_query, replay, timestamp_string)
+from chainquery.core import EncodingError
+from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
+                               VerificationFailure, plan_query, replay,
+                               timestamp_string)
 from chainquery.ledger import OP_DELETE, OP_INSERT, OP_UPDATE
-from chainquery.sqlgrammar import parse
+from chainquery.sqlgrammar import InsertQuery, parse
 
 ADDRS = ["0x" + f"{i:040x}" for i in range(16)]
 
@@ -117,6 +119,32 @@ def test_double_delete_raises():
     eng.execute("DELETE FROM entries WHERE entry_id = 1")
     with pytest.raises(UnknownEntry):
         eng.execute("DELETE FROM entries WHERE entry_id = 1")
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda eng: eng.execute(insert_sql(1, ADDRS[0], 300_000_000_000)),
+     MalformedBlock),  # year 11476 has no date string
+    (lambda eng: eng.execute(insert_sql(1, ADDRS[0], 1 << 62)),
+     MalformedBlock),
+    (lambda eng: eng.insert_batch([InsertQuery(1, (ADDRS[1],), 50),
+                                   InsertQuery(1, (ADDRS[0] + "\n",), 60)]),
+     EncodingError),
+    (lambda eng: eng.execute("DELETE FROM entries WHERE entry_id = 99"),
+     UnknownEntry),
+], ids=["year-11476", "2^62", "address-newline", "delete-unknown"])
+def test_rejected_write_changes_nothing(write, error):
+    eng, _ = seeded_engine(12)
+    before = (eng.ledger.latest_roots(), eng.ledger.height,
+              dict(eng.entries))
+    with pytest.raises(error):
+        write(eng)
+    assert (eng.ledger.latest_roots(), eng.ledger.height,
+            dict(eng.entries)) == before
+    eng.execute(insert_sql(99, ADDRS[2], 1_700_000_000))
+    res = eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN "
+                      "1700000000 AND 1700000000")
+    assert res.verified
+    assert [r["entry_id"] for r in res.rows if r["amount"] == 99] == [12]
 
 
 def test_update_supersedes():

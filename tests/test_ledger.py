@@ -5,8 +5,8 @@ import pytest
 from chainquery.bhash import BHashTree
 from chainquery.core import EMPTY_DIGEST, DataEntry
 from chainquery.gas import GasMeter
-from chainquery.ledger import (Block, Ledger, NonDenseEntryIds, OP_DELETE,
-                               UnknownHeight)
+from chainquery.ledger import (Block, Ledger, LedgerDecodeError,
+                               NonDenseEntryIds, OP_DELETE, UnknownHeight)
 from chainquery.trie import Trie
 
 ROOTS = (b"\x11" * 32, b"\x22" * 32)
@@ -39,6 +39,11 @@ def test_non_dense_rejected():
     ledger = Ledger()
     with pytest.raises(NonDenseEntryIds):
         ledger.append_block([make_entry(5)], ROOTS)
+    # a rejected block moves no counter: [e0, e5] fails, then [e0] fits
+    with pytest.raises(NonDenseEntryIds):
+        ledger.append_block([make_entry(0), make_entry(5)], ROOTS)
+    assert ledger.blocks == []
+    assert ledger.append_block([make_entry(0)], ROOTS).entries[0].entry_id == 0
 
 
 def test_unknown_height():
@@ -83,6 +88,9 @@ def test_save_load_roundtrip(tmp_path):
            [b.block_digest for b in ledger.blocks]
     assert loaded.blocks[5].ops[-1] == (OP_DELETE, 1)
     assert loaded.verify_chain()
+    again = str(tmp_path / "again.bin")
+    loaded.save(again)
+    assert open(again, "rb").read() == open(path, "rb").read()
 
 
 def test_tamper_evidence():
@@ -123,15 +131,84 @@ def test_anchor_consistency_with_rebuilt_indexes(tmp_path):
                (tree2.root_digest(), trie2.root_digest())
 
 
-def test_jsonl_export(tmp_path):
-    import json
+def _records(blob):
+    records, off = [], 0
+    while off < len(blob):
+        ln = int.from_bytes(blob[off:off + 4], "big")
+        records.append(blob[off + 4:off + 4 + ln])
+        off += 4 + ln
+    return records
+
+
+def _slot(record, body):
+    """record with its first entry slot (at byte 44) holding body."""
+    ln = int.from_bytes(record[44:48], "big")
+    return record[:44] + len(body).to_bytes(4, "big") + body + record[48 + ln:]
+
+
+def _first_body(record):
+    return record[48:48 + int.from_bytes(record[44:48], "big")]
+
+
+def _padded_slot(rec):
+    return _slot(rec, _first_body(rec) + b"\x00")
+
+
+def _zero_padded_amount(rec):
+    body = _first_body(rec)
+    alen = int.from_bytes(body[8:12], "big")
+    return _slot(rec, body[:8] + (alen + 1).to_bytes(4, "big") + b"\x00"
+                 + body[12:])
+
+
+def _cid_flag_2(rec):
+    body = _first_body(rec)  # ends: 0x01, image cid, 0x00 (no video)
+    flag = len(body) - 34
+    return _slot(rec, body[:flag] + b"\x02" + body[flag + 1:])
+
+
+def _wrong_height(rec):
+    return rec[:32] + (int.from_bytes(rec[32:40], "big") + 1).to_bytes(
+        8, "big") + rec[40:]
+
+
+def _wrong_prev(rec):
+    return bytes([rec[0] ^ 1]) + rec[1:]
+
+
+def _non_dense_id(rec):
+    body = _first_body(rec)
+    eid = int.from_bytes(body[:8], "big")
+    return _slot(rec, (eid + 1).to_bytes(8, "big") + body[8:])
+
+
+def _short_trie_root(rec):
+    return rec[:-1]
+
+
+@pytest.mark.parametrize("craft", [
+    _padded_slot, _zero_padded_amount, _cid_flag_2, _wrong_height,
+    _wrong_prev, _non_dense_id, _short_trie_root,
+], ids=lambda f: f.__name__.strip("_"))
+def test_load_accepts_only_what_save_writes(tmp_path, craft):
+    """Each crafted last record decodes to a block whose own record
+    differs (or to no block at all); the digest chain alone cannot tell,
+    since no later record links to the last one."""
     ledger = Ledger()
-    ledger.append_block([make_entry(0, ts=123)], ROOTS)
-    path = str(tmp_path / "chain.jsonl")
-    ledger.export_jsonl(path)
-    lines = [json.loads(l) for l in open(path)]
-    assert lines[0]["height"] == 0
-    assert lines[0]["entries"][0]["timestamp"] == 123
+    for eid in range(2):
+        e = make_entry(eid)
+        ledger.append_block([DataEntry(eid, e.amount, e.addresses,
+                                       e.timestamp, image_cid=b"\x07" * 32)],
+                            ROOTS)
+    path = str(tmp_path / "chain.bin")
+    ledger.save(path)
+    records = _records(open(path, "rb").read())
+    records[-1] = craft(records[-1])
+    with open(path, "wb") as fh:
+        for rec in records:
+            fh.write(len(rec).to_bytes(4, "big") + rec)
+    with pytest.raises(LedgerDecodeError):
+        Ledger.load(path)
 
 
 def test_gas_meter_noop_and_report():
