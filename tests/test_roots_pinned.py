@@ -104,68 +104,68 @@ PINNED = {
         "bhash_root":
             "2eeac07cb587c1303f0a8d7d967d34a4819acfa8e4288782534170d5013a4891",
         "trie_root":
-            "44a3cc519d3c2b9420c4eda21a1129dae2199cae7eb381edf430bffbcd3f4978",
+            "a96388f43e9fa7fde3cee662918c73c482f0af676ddabd5bd3de57c0808d5d1f",
         "block_digest":
-            "4efb129a0be55afef7e23cfd904178422f563a70216b504694f3678f55afaeeb",
+            "8b1702dd122208060698b9f44286e1136dbd2d20fbb3d1ad2d6305a77086ec1c",
         "vo_sha256": (
             "00c15c4beef160ef0735025845e8117c5a4abae5ad58c42a0b68ad08897dd397",
             "960d8c371881ddd6bef3fbd25c9dcd7d5e79993ea6fa124735198578ff1aa088",
             "ef7d7d91c6be7423cb82a7afff427e50f44a2ff8982b00f809891384af6e63fb",
-            "71517138cc029048db5ede25d3d79cc07d55b838b5c0ea52018731e313e7289d",
-            "68ccc30f90057b1f6f304952fa2f7a23810177d1002c73dfa7317b218939f79e",
-            "23db9233d92644d31308be75ca2bd9ed8261f3079e39a6020ab9fdd365e28208",
-            "c4c7558de6726d824eace94ae22b19b491a0d4bbff5f9a462de9bba1c2d8f5e3",
+            "36ba5392b991f642a2f507f2d27b3374da69cc84e55876c7c6bbb7ca4c6a1863",
+            "c92ec7840b585705cd20fdc2f850e1025a7e867dc17c315d32f74c5b224d744b",
+            "2e01b39a3142c60045e36e6468bc82116b62c21680d019d5f7d7fc6af160ec07",
+            "0eea1dfe94bcefd4358d2181d44ffcf6b60a4d4c2faecc8f935095b3e05d76db",
         ),
     },
     (7, 40): {
         "bhash_root":
             "d887a199ff051751da3205f78dba4c3bc156e3caea01a21d66c78607503929aa",
         "trie_root":
-            "44a3cc519d3c2b9420c4eda21a1129dae2199cae7eb381edf430bffbcd3f4978",
+            "a96388f43e9fa7fde3cee662918c73c482f0af676ddabd5bd3de57c0808d5d1f",
         "block_digest":
-            "1f093c3a15131f6ea5441866d4b6831f864c480868dd6353f3d6989a2352bfb0",
+            "8059c0d72d00091b0f5beac8ce7d3d8fe78c4ba005073cfcd265be06e1105fc3",
         "vo_sha256": (
             "1850f04ca55a193221713acb756083680a0f0815def6ca85daffe50e5e1033a3",
             "ace38b0849849a84b99e1ebcc36950bee68f114ee3f6910bd339476332fa4170",
             "545c3badf8d73274f3a9834878c69c65a145722ec65a43d530f0b52ad692e445",
-            "71517138cc029048db5ede25d3d79cc07d55b838b5c0ea52018731e313e7289d",
-            "68ccc30f90057b1f6f304952fa2f7a23810177d1002c73dfa7317b218939f79e",
-            "23db9233d92644d31308be75ca2bd9ed8261f3079e39a6020ab9fdd365e28208",
-            "c4c7558de6726d824eace94ae22b19b491a0d4bbff5f9a462de9bba1c2d8f5e3",
+            "36ba5392b991f642a2f507f2d27b3374da69cc84e55876c7c6bbb7ca4c6a1863",
+            "c92ec7840b585705cd20fdc2f850e1025a7e867dc17c315d32f74c5b224d744b",
+            "2e01b39a3142c60045e36e6468bc82116b62c21680d019d5f7d7fc6af160ec07",
+            "0eea1dfe94bcefd4358d2181d44ffcf6b60a4d4c2faecc8f935095b3e05d76db",
         ),
     },
     (1234, 10): {
         "bhash_root":
             "8e8f842f6ffa0e4434379b3fab5281e4d7089cd41dd498651295a4c2671bd812",
         "trie_root":
-            "706644b4298b6d31730a5dc9e78d031db7184e6f684cf5207ee37b8df21fd820",
+            "a0fb8600399aa25ddc4f27336134b3f4f9d32c5ccafc40e1d14648e9264bf810",
         "block_digest":
-            "ee3c05ee552a82b3c7af5f07ef83eb39856e4710b77117f479377651338e68c4",
+            "ae374251a74e72c3008001219a69a6a2f784460e0530fe5bfb866f666c36d6a4",
         "vo_sha256": (
             "84b1276c527cb746e12d3bad2144571b0247a2ab7f1025b8590d606eba94d22f",
             "5c75b1360c1b57d2cc6d65a517e8876108afcf36959efaab2975fa1568f0d544",
             "a6a23533358fa3bd06b11a9d020cd2e0b7f480b9a1963035565e846e356e5254",
-            "a26c94b922d1b41766ff3148a02dc0859102889e524fdddf143af0598c04f598",
-            "709bcbac7c4ad437548c8fbd8a914f1fdeb0d4687f013560ef97cb9e4ee4c1d8",
-            "88cc4ac47d39dc66c34fbe91c31e16052b867fa4102e0777f2cc356cae29457c",
-            "bd7173ad0f9d6ca044d7022709dea78b5a909d61f1280ce820b728c77cec0b9a",
+            "49d4cb545449cf9632e4bafc20197fb8a3fa727482f05cb7a7b98c4da8330564",
+            "0e09bc4be0db30beefb13b4561494422328775007d0d03a67c886770cf3dded9",
+            "838c8d4022a1bcd14ebb388d27739b9d9808203f651a4583a40e1f1b63e6bd8b",
+            "36be20dce80cf7b3c635063a7b67fd555c6c164b9e979b62d7a1c56dc1cef336",
         ),
     },
     (1234, 40): {
         "bhash_root":
             "e68fd20b45f13029bc8f7e41ebff8a902d109675827c96d894f2eadb528c194a",
         "trie_root":
-            "706644b4298b6d31730a5dc9e78d031db7184e6f684cf5207ee37b8df21fd820",
+            "a0fb8600399aa25ddc4f27336134b3f4f9d32c5ccafc40e1d14648e9264bf810",
         "block_digest":
-            "d826109340f1f192a1eab144f908dbaf24bc21c4b3ed47b36aad3229be2ef0e0",
+            "1b05cc8daf1455c96a4d393f977c6b69b949f6cda564d8e41841e6566d883141",
         "vo_sha256": (
             "13f4b448cfcf37d3248113d20734eb0956546df2f75dc0dbdd88f3983243335c",
             "bb159192e3b1afacde513a7c3268f6052e772c286c0ace345dfbed95f1b5f7b3",
             "1bbab37e814fa6ad8e7ae7b551e99ad860d9f0cc21fb4102b2c9d162a90f79e4",
-            "a26c94b922d1b41766ff3148a02dc0859102889e524fdddf143af0598c04f598",
-            "709bcbac7c4ad437548c8fbd8a914f1fdeb0d4687f013560ef97cb9e4ee4c1d8",
-            "88cc4ac47d39dc66c34fbe91c31e16052b867fa4102e0777f2cc356cae29457c",
-            "bd7173ad0f9d6ca044d7022709dea78b5a909d61f1280ce820b728c77cec0b9a",
+            "49d4cb545449cf9632e4bafc20197fb8a3fa727482f05cb7a7b98c4da8330564",
+            "0e09bc4be0db30beefb13b4561494422328775007d0d03a67c886770cf3dded9",
+            "838c8d4022a1bcd14ebb388d27739b9d9808203f651a4583a40e1f1b63e6bd8b",
+            "36be20dce80cf7b3c635063a7b67fd555c6c164b9e979b62d7a1c56dc1cef336",
         ),
     },
 }
