@@ -161,11 +161,12 @@ class Engine:
             keys.extend((NS_ADDRESS + a[2:], e.entry_id) for a in e.addresses)
         return keys
 
-    def _commit(self, entries, ops) -> None:
+    def _commit(self, entries, ops, payloads) -> None:
         """Apply one block: check its operation records against its
-        entries and the live state, then index the entries, append the
-        block with the new roots and invalidate the cache.  Live writes and
-        replay both come here, so a replayed block meets the same rules.
+        entries and the live state, then index the entries, store their
+        payloads ((cid, bytes) pairs), append the block with the new roots
+        and invalidate the cache.  Live writes and replay both come here,
+        so a replayed block meets the same rules.
 
         In op order, each INSERT names the next entry of the block, each
         UPDATE takes the next entry as its replacement, and DELETE and
@@ -193,8 +194,11 @@ class Engine:
         if n_named != len(entries):
             raise MalformedBlock(f"{len(entries)} entries but {n_named} "
                                  "INSERT and UPDATE ops")
-        # the trie checks every key before it changes, so it goes first
+        # the trie checks every key before it changes, so it goes first,
+        # and payloads are stored once nothing can reject the block
         self.trie.insert_many(keys)
+        for cid, payload in payloads:
+            self.store.put(payload, cid)
         for kind, target in ops:
             if kind == OP_DELETE:
                 self.tombstones.add(target)
@@ -209,18 +213,18 @@ class Engine:
             ops=ops)
         self.cache.invalidate()
 
-    def _make_entry(self, entry_id: int, ins: InsertQuery) -> DataEntry:
-        cids = [self.store.put(p) if p is not None else None
-                for p in (ins.image_payload, ins.video_payload)]
-        return DataEntry(entry_id, ins.amount, tuple(ins.addresses),
-                         ins.timestamp, *cids)
-
     def insert_batch(self, inserts: list[InsertQuery]) -> list[int]:
         """Apply several inserts as a single ledger block. Returns the
         assigned entry ids."""
-        entries = [self._make_entry(eid, ins)
-                   for eid, ins in enumerate(inserts, self._next_id)]
-        self._commit(entries, [(OP_INSERT, e.entry_id) for e in entries])
+        entries, payloads = [], []
+        for eid, ins in enumerate(inserts, self._next_id):
+            raw = (ins.image_payload, ins.video_payload)
+            cids = [None if p is None else self.store.address(p) for p in raw]
+            payloads += [(c, p) for c, p in zip(cids, raw) if p is not None]
+            entries.append(DataEntry(eid, ins.amount, tuple(ins.addresses),
+                                     ins.timestamp, *cids))
+        self._commit(entries, [(OP_INSERT, e.entry_id) for e in entries],
+                     payloads)
         return [e.entry_id for e in entries]
 
     def _exec_insert(self, ast: InsertQuery) -> QueryResult:
@@ -234,7 +238,7 @@ class Engine:
         return entry
 
     def _exec_delete(self, ast: DeleteQuery) -> QueryResult:
-        self._commit([], [(OP_DELETE, ast.entry_id)])
+        self._commit([], [(OP_DELETE, ast.entry_id)], ())
         return QueryResult([], plan_query(ast), affected=1)
 
     def _exec_update(self, ast: UpdateQuery) -> QueryResult:
@@ -246,7 +250,7 @@ class Engine:
         new = DataEntry(self._next_id, fields["amount"],
                         tuple(fields["addresses"]), fields["timestamp"],
                         old.image_cid, old.video_cid)
-        self._commit([new], [(OP_UPDATE, ast.entry_id)])
+        self._commit([new], [(OP_UPDATE, ast.entry_id)], ())
         return QueryResult([], plan_query(ast), affected=1)
 
     # -- reads ---------------------------------------------------------
@@ -327,7 +331,7 @@ def replay(ledger: Ledger, store: Optional[ContentStore] = None,
     engine = Engine(store=store, threshold_t=threshold_t)
     for block in ledger.blocks:
         try:
-            engine._commit(block.entries, block.ops)
+            engine._commit(block.entries, block.ops, ())
         except UnknownEntry as exc:
             raise VerificationFailure(
                 f"block at height {block.height} changes entry "

@@ -39,10 +39,17 @@ class ContentStore:
         hexcid = cid.hex()
         return os.path.join(self.root, "objects", hexcid[:2], hexcid)
 
-    def put(self, payload: bytes) -> bytes:
+    @staticmethod
+    def address(payload: bytes) -> bytes:
+        """The payload's content id; PayloadTooLarge past MAX_PAYLOAD."""
         if len(payload) > MAX_PAYLOAD:
             raise PayloadTooLarge(f"{len(payload)} bytes exceeds {MAX_PAYLOAD}")
-        cid = content_id(payload)
+        return content_id(payload)
+
+    def put(self, payload: bytes, cid: bytes) -> None:
+        """Store payload under cid, which must be address(payload): a
+        writer hashes once, and can check a whole batch before storing any
+        of it.  get() re-hashes, so a wrong cid surfaces there."""
         if self.root:
             path = self._path(cid)
             if not os.path.exists(path):
@@ -53,7 +60,6 @@ class ContentStore:
                 os.replace(tmp, path)
         else:
             self._mem.setdefault(cid, payload)
-        return cid
 
     def get(self, cid: bytes) -> bytes:
         if len(cid) != DIGEST_SIZE:

@@ -1,9 +1,12 @@
 """Verifiable fixed-alphabet trie for prefix (fuzzy) queries.
 
 Keys are strings over an 18-character alphabet (hex digits, '-' and ':')
-covering addresses and timestamp strings.  Each node's digest composes its
-own character, terminal entry ids, and all (index, child digest) pairs, so
-a path of sibling digests plus the matched subtree reproduces the root.
+covering addresses and timestamp strings.  The trie is path-compressed
+(PATRICIA): each node holds an edge label of one or more characters, and
+no node but the root is non-terminal with exactly one child, so the shape
+depends only on the key set.  Each node's digest composes its label, its
+terminal entry ids, and all (first label character, child digest) pairs,
+so a path of sibling digests plus the matched subtree reproduces the root.
 """
 from __future__ import annotations
 
@@ -17,8 +20,9 @@ from chainquery.gas import GasMeter
 
 ALPHABET = "0123456789abcdef-:"
 ALPHABET_INDEX = {c: i for i, c in enumerate(ALPHABET)}
-ROOT_CHAR = 0xFF
 MAX_KEY_LEN = 64
+# stands for a prefix character outside the alphabet: no label holds it
+_NOT_IN_ALPHABET = 0xFF
 
 
 class InvalidCharacter(ValueError):
@@ -33,33 +37,41 @@ class KeyTooLong(ValueError):
 _BYTE = {i: bytes([i]) for i in range(256)}
 
 
-def node_digest(char_index: int, entry_ids, child_items) -> bytes:
-    """child_items: sequence of (index, digest) pairs in ascending index
-    order.  The terminal flag is set by a non-empty entry id list."""
+def node_digest(label: bytes, entry_ids, child_items) -> bytes:
+    """label: the node's alphabet indices.  child_items: sequence of
+    (index, digest) pairs in ascending index order, each index the first
+    character of that child's label.  The terminal flag is set by a
+    non-empty entry id list."""
     n = len(entry_ids)
-    head = struct.pack(f">BBI{n}QB", char_index, 1 if n else 0, n,
-                       *entry_ids, len(child_items))
+    head = struct.pack(f">B{len(label)}sBI{n}QB", len(label), label,
+                       1 if n else 0, n, *entry_ids, len(child_items))
     return digest(DOM_TRIE,
                   head + b"".join([_BYTE[i] + d for i, d in child_items]))
 
 
 class TrieNode:
-    __slots__ = ("char_index", "children", "entry_ids", "node_digest")
+    __slots__ = ("label", "children", "entry_ids", "node_digest")
 
-    def __init__(self, char_index: int):
-        self.char_index = char_index
+    def __init__(self, label: bytes):
+        self.label = label
+        # keyed by the first character of each child's label
         self.children: dict[int, TrieNode] = {}
-        # a shared empty tuple until the node turns terminal: most nodes
-        # never do, and a list each would cost memory and GC time
+        # a shared empty tuple until the node turns terminal: most inner
+        # nodes never do, and a list each would cost memory and GC time
         self.entry_ids: list[int] | tuple = ()
         self.node_digest = b""
 
     def recompute_digest(self, meter: Optional[GasMeter]) -> None:
-        items = [(i, self.children[i].node_digest)
-                 for i in sorted(self.children)]
-        self.node_digest = node_digest(self.char_index, self.entry_ids, items)
+        self.node_digest = node_digest(self.label, self.entry_ids,
+                                       _items(self))
         if meter:
             meter.compute()
+
+
+def _items(node: TrieNode, skip: int = _NOT_IN_ALPHABET):
+    """(index, digest) of node's children in index order, less skip."""
+    return [(i, node.children[i].node_digest)
+            for i in sorted(node.children) if i != skip]
 
 
 class PrefixVO:
@@ -72,23 +84,23 @@ class PrefixVO:
     def __init__(self, claimed_root: bytes, mode: int, path, terminal):
         self.claimed_root = claimed_root
         self.mode = mode
-        # path: [(char_index, entry_ids, taken_index, [(idx, digest)])]
+        # path, root first: [(label, entry_ids, taken_index, [(idx, digest)])]
         self.path = path
         # match: terminal = encoded subtree tuple
-        #   (char_index, entry_ids, [children subtrees])
-        # nonmatch: terminal = (char_index, entry_ids, [(idx, digest)])
+        #   (label, entry_ids, [children subtrees])
+        # nonmatch: terminal = (label, entry_ids, [(idx, digest)])
         self.terminal = terminal
 
     def to_bytes(self) -> bytes:
         parts = [self.claimed_root, bytes([self.mode, len(self.path)])]
-        for char_index, ids, taken, sibs in self.path:
-            parts += [bytes([char_index]), _kernels.pack_u64_list(ids),
-                      bytes([taken]), _encode_items(sibs)]
+        for label, ids, taken, sibs in self.path:
+            parts += [_BYTE[len(label)], label, _kernels.pack_u64_list(ids),
+                      _BYTE[taken], _encode_items(sibs)]
         if self.mode == self.MODE_MATCH:
             parts.append(_encode_subtree(self.terminal))
         else:
-            char_index, ids, items = self.terminal
-            parts += [bytes([char_index]), _kernels.pack_u64_list(ids),
+            label, ids, items = self.terminal
+            parts += [_BYTE[len(label)], label, _kernels.pack_u64_list(ids),
                       _encode_items(items)]
         return b"".join(parts)
 
@@ -100,18 +112,18 @@ class PrefixVO:
             off = 34
             path = []
             for _ in range(path_len):
-                char_index = data[off]
-                ids, off = _decode_ids(data, off + 1)
+                label, off = _decode_label(data, off)
+                ids, off = _decode_ids(data, off)
                 taken = data[off]
                 sibs, off = _decode_items(data, off + 1)
-                path.append((char_index, ids, taken, sibs))
+                path.append((label, ids, taken, sibs))
             if mode == cls.MODE_MATCH:
                 terminal, off = _decode_subtree(data, off, 0)
             elif mode == cls.MODE_NONMATCH:
-                char_index = data[off]
-                ids, off = _decode_ids(data, off + 1)
+                label, off = _decode_label(data, off)
+                ids, off = _decode_ids(data, off)
                 items, off = _decode_items(data, off)
-                terminal = (char_index, ids, items)
+                terminal = (label, ids, items)
             else:
                 raise VODecodeError("bad mode")
             if off != len(data):
@@ -134,6 +146,12 @@ def _decode_items(data: bytes, off: int):
             off + 1 + len(raw))
 
 
+def _decode_label(data: bytes, off: int):
+    """A one-byte length, then that many alphabet indices."""
+    n = data[off]
+    return _take(data, off + 1, n), off + 1 + n
+
+
 def _decode_ids(data: bytes, off: int):
     cnt, = struct.unpack_from(">I", data, off)
     off += 4
@@ -144,8 +162,8 @@ def _decode_ids(data: bytes, off: int):
 
 
 def _encode_subtree(sub) -> bytes:
-    char_index, ids, children = sub
-    parts = [bytes([char_index]), _kernels.pack_u64_list(ids),
+    label, ids, children = sub
+    parts = [_BYTE[len(label)], label, _kernels.pack_u64_list(ids),
              bytes([len(children)])]
     for child in children:
         parts.append(_encode_subtree(child))
@@ -153,19 +171,35 @@ def _encode_subtree(sub) -> bytes:
 
 
 def _decode_subtree(data: bytes, off: int, depth: int):
-    # _subtree_digest rejects deeper subtrees; stopping here keeps crafted
-    # nesting from exhausting the stack
+    # a valid subtree nests at most MAX_KEY_LEN + 1 nodes, as every label
+    # below the root is non-empty; stopping here keeps crafted nesting from
+    # exhausting the stack
     if depth > MAX_KEY_LEN + 1:
         raise VODecodeError("subtree nested too deep")
-    char_index = data[off]
-    ids, off = _decode_ids(data, off + 1)
+    label, off = _decode_label(data, off)
+    ids, off = _decode_ids(data, off)
     nchild = data[off]
     off += 1
     children = []
     for _ in range(nchild):
         child, off = _decode_subtree(data, off, depth + 1)
         children.append(child)
-    return (char_index, ids, children), off
+    return (label, ids, children), off
+
+
+def _indices(prefix: str) -> bytes:
+    """prefix as alphabet indices, _NOT_IN_ALPHABET for other characters."""
+    return bytes([ALPHABET_INDEX.get(c, _NOT_IN_ALPHABET) for c in prefix])
+
+
+def _match_len(label: bytes, want: bytes, pos: int) -> int:
+    """How many leading characters of label equal those of want[pos:]."""
+    if want.startswith(label, pos):
+        return len(label)
+    n, end = 0, min(len(label), len(want) - pos)
+    while n < end and label[n] == want[pos + n]:
+        n += 1
+    return n
 
 
 class Trie:
@@ -173,7 +207,7 @@ class Trie:
 
     def __init__(self, meter: Optional[GasMeter] = None):
         self.meter = meter
-        self.root = TrieNode(ROOT_CHAR)
+        self.root = TrieNode(b"")
         self.root.recompute_digest(None)
         self.key_count = 0
         self.last_descent_visits = 0
@@ -182,13 +216,13 @@ class Trie:
         return self.root.node_digest
 
     @staticmethod
-    def _check_key(key: str) -> list[int]:
+    def _check_key(key: str) -> bytes:
         if not key:
             raise InvalidCharacter("key must be non-empty")
         if len(key) > MAX_KEY_LEN:
             raise KeyTooLong(f"key length {len(key)} exceeds {MAX_KEY_LEN}")
         try:
-            return [ALPHABET_INDEX[c] for c in key]
+            return bytes([ALPHABET_INDEX[c] for c in key])
         except KeyError:
             bad = next(c for c in key if c not in ALPHABET_INDEX)
             raise InvalidCharacter(f"character {bad!r} not in alphabet") from None
@@ -199,74 +233,94 @@ class Trie:
     def insert_many(self, pairs) -> None:
         """Insert (key, entry_id) pairs, then recompute the digest of every
         touched node once, children before parents.  All keys are checked
-        first, so a bad pair leaves the trie unchanged."""
+        first, so a bad pair leaves the trie unchanged.
+
+        Meter: per key, one read per existing node descended into and one
+        write per node on the key's path (each gets a new digest, and new
+        nodes are on it) or relabelled by a split; one compute per node
+        rehashed."""
         checked = []
         for key, entry_id in pairs:
             if entry_id < 0:
                 raise ValueError("entry_id must be non-negative")
             checked.append((self._check_key(key), entry_id))
         meter = self.meter
-        dirty: dict[TrieNode, int] = {}  # touched node -> depth
-        for indices, entry_id in checked:
-            node = self.root
-            dirty[node] = 0
-            created = 0
-            for depth, idx in enumerate(indices, 1):
-                child = node.children.get(idx)
+        # touched node -> its end depth, the characters from the root to
+        # the end of its label.  A split pushes the nodes below it one level
+        # down but leaves every end depth as it was, and a child's end depth
+        # exceeds its parent's, so this order hashes children first.
+        dirty: dict[TrieNode, int] = {self.root: 0}
+        for key, entry_id in checked:
+            node, pos, visited, written = self.root, 0, 0, 1
+            while pos < len(key):
+                child = node.children.get(key[pos])
                 if child is None:
-                    child = node.children[idx] = TrieNode(idx)
-                    created += 1
+                    child = node.children[key[pos]] = TrieNode(key[pos:])
+                    pos = len(key)
+                else:
+                    visited += 1
+                    label = child.label
+                    common = _match_len(label, key, pos)
+                    if common < len(label):
+                        # the key leaves the edge inside its label: split
+                        # it, and hang the old node under the shared part
+                        dirty[child] = pos + len(label)
+                        written += 1
+                        child.label = label[common:]
+                        mid = node.children[key[pos]] = TrieNode(
+                            label[:common])
+                        mid.children[label[common]] = child
+                        child = mid
+                    pos += common
                 node = child
-                dirty[node] = depth
+                dirty[node] = pos
+                written += 1
             ids = node.entry_ids
             if not ids:
                 self.key_count += 1
                 node.entry_ids = [entry_id]
             else:
-                pos = bisect_left(ids, entry_id)
-                if pos == len(ids) or ids[pos] != entry_id:
-                    ids.insert(pos, entry_id)
+                at = bisect_left(ids, entry_id)
+                if at == len(ids) or ids[at] != entry_id:
+                    ids.insert(at, entry_id)
             if meter:
-                meter.read(len(indices))
-                # one write per new node and one per path node
-                meter.write(created + len(indices) + 1)
+                meter.read(visited)
+                meter.write(written)
         for node in sorted(dirty, key=dirty.__getitem__, reverse=True):
             node.recompute_digest(meter)
 
     def prefix_query(self, prefix: str):
         """All entry ids whose key starts with prefix, sorted ascending,
-        plus a PrefixVO (a non-membership proof when nothing matches)."""
-        node = self.root
-        path_entries = []
-        visits = 0
-        for depth, ch in enumerate(prefix):
-            idx = ALPHABET_INDEX.get(ch)
-            child = node.children.get(idx) if idx is not None else None
+        plus a PrefixVO (a non-membership proof when nothing matches).
+        The descent compares one prefix character per step and counts the
+        matched ones in last_descent_visits."""
+        want = _indices(prefix)
+        node, pos, path = self.root, 0, []
+        meter = self.meter
+        while pos < len(want):
+            idx = want[pos]
+            child = node.children.get(idx)
             if child is None:
-                self.last_descent_visits = visits
-                return [], self._nonmatch_vo(path_entries, node)
-            sibs = [(i, node.children[i].node_digest)
-                    for i in sorted(node.children) if i != idx]
-            path_entries.append((node.char_index, list(node.entry_ids), idx,
-                                 sibs))
+                break  # no branch for the next character
+            path.append((node.label, list(node.entry_ids), idx,
+                         _items(node, idx)))
             node = child
-            visits += 1
-            if self.meter:
-                self.meter.read()
-        self.last_descent_visits = visits
+            if meter:
+                meter.read()
+            matched = _match_len(node.label, want, pos)
+            pos += matched
+            if matched < len(node.label) and pos < len(want):
+                break  # a mismatch inside the label
+        self.last_descent_visits = pos
+        if pos < len(want):
+            terminal = (node.label, list(node.entry_ids), _items(node))
+            return [], PrefixVO(self.root_digest(), PrefixVO.MODE_NONMATCH,
+                                path, terminal)
+        # the prefix ends inside or at the end of node's label
         ids: set[int] = set()
         subtree = self._collect(node, ids)
-        results = sorted(ids)
-        vo = PrefixVO(self.root_digest(), PrefixVO.MODE_MATCH, path_entries,
-                      subtree)
-        return results, vo
-
-    def _nonmatch_vo(self, path_entries, node: TrieNode) -> PrefixVO:
-        items = [(i, node.children[i].node_digest)
-                 for i in sorted(node.children)]
-        terminal = (node.char_index, list(node.entry_ids), items)
-        return PrefixVO(self.root_digest(), PrefixVO.MODE_NONMATCH,
-                        path_entries, terminal)
+        return sorted(ids), PrefixVO(self.root_digest(), PrefixVO.MODE_MATCH,
+                                     path, subtree)
 
     def _collect(self, node: TrieNode, ids: set[int]):
         """Encode the subtree under node, gathering terminal entry ids.
@@ -276,7 +330,7 @@ class Trie:
             self.meter.read()
         children = [self._collect(node.children[i], ids)
                     for i in sorted(node.children)]
-        return (node.char_index, list(node.entry_ids), children)
+        return (node.label, list(node.entry_ids), children)
 
 
 # --- verification --------------------------------------------------------
@@ -288,87 +342,100 @@ def verify_prefix(vo: PrefixVO, trusted_root: bytes, prefix: str,
     try:
         return _verify_prefix(vo, trusted_root, prefix, results)
     except (VODecodeError, ValueError, TypeError, IndexError, KeyError,
-            struct.error):
+            AttributeError, struct.error):
         return False
+
+
+def _label_ok(label: bytes, start: int, root: bool) -> bool:
+    """The root's label is empty; any other is one or more alphabet
+    characters that end within MAX_KEY_LEN of the root."""
+    if root:
+        return label == b""
+    return (0 < len(label) <= MAX_KEY_LEN - start
+            and max(label) < len(ALPHABET))
 
 
 def _verify_prefix(vo, trusted_root, prefix, results) -> bool:
     if vo.claimed_root != trusted_root:
         return False
-    depth = len(vo.path)
-    if depth > len(prefix):
-        return False
-    # The taken branch at each step must spell out the prefix.
-    for (char_index, ids, taken, sibs), ch in zip(vo.path, prefix):
-        if ALPHABET_INDEX.get(ch) != taken:
+    want = _indices(prefix)
+    # The prefix spells out every path label, and the branch taken after
+    # each is the prefix's next character.
+    pos = 0
+    for k, (label, ids, taken, sibs) in enumerate(vo.path):
+        if not _label_ok(label, pos, k == 0) or \
+                not want.startswith(label, pos):
             return False
+        pos += len(label)
+        if pos >= len(want) or want[pos] != taken:
+            return False
+    rest = want[pos:]
     if vo.mode == PrefixVO.MODE_MATCH:
-        if depth != len(prefix):
+        label = vo.terminal[0]
+        # the prefix ends inside or at the end of the subtree root's label
+        if not _label_ok(label, pos, not vo.path) or \
+                not label.startswith(rest):
             return False
         collected: set[int] = set()
-        cur = _subtree_digest(vo.terminal, collected, 0)
+        cur = _subtree_digest(vo.terminal, collected, pos + len(label))
         if cur is None or sorted(collected) != list(results):
             return False
-        cur_char = vo.terminal[0]
     elif vo.mode == PrefixVO.MODE_NONMATCH:
         if results != []:
             return False
-        if depth >= len(prefix):
-            return False  # divergence must happen before the prefix ends
-        char_index, node_ids, items = vo.terminal
-        missing = ALPHABET_INDEX.get(prefix[depth])
+        label, node_ids, items = vo.terminal
+        # the label must leave the prefix: by a mismatch inside it, or by
+        # ending before the prefix does with no branch for the next
+        # character
+        if not _label_ok(label, pos, not vo.path) or label.startswith(rest):
+            return False
         idxs = [i for i, _ in items]
         if idxs != sorted(set(idxs)) or any(i >= len(ALPHABET) for i in idxs):
             return False
-        if missing is not None and missing in idxs:
+        if rest.startswith(label) and rest[len(label)] in idxs:
             return False
         if _unsorted(node_ids):
             return False
-        cur = node_digest(char_index, node_ids, items)
-        cur_char = char_index
+        cur = node_digest(label, node_ids, items)
     else:
         return False
     # Fold the descent path back up to the root.
-    for char_index, ids, taken, sibs in reversed(vo.path):
-        if _unsorted(ids):
+    for label_above, ids, taken, sibs in reversed(vo.path):
+        if _unsorted(ids) or any(i >= len(ALPHABET) for i, _ in sibs):
             return False
-        if any(i >= len(ALPHABET) for i, _ in sibs) or taken >= len(ALPHABET):
-            return False
-        if cur_char != taken:
-            # the child we descended into must carry the taken character
+        if label[0] != taken:
+            # the child we descended into must start with the taken character
             return False
         items = sorted(sibs + [(taken, cur)])
         idxs = [i for i, _ in items]
         if len(set(idxs)) != len(idxs):
             return False
-        cur = node_digest(char_index, ids, items)
-        cur_char = char_index
-    if vo.path and vo.path[0][0] != ROOT_CHAR:
-        return False
-    if not vo.path and cur_char not in (ROOT_CHAR,):
-        return False
+        label = label_above
+        cur = node_digest(label, ids, items)
     return cur == trusted_root
 
 
-def _subtree_digest(sub, ids: set[int], depth: int):
-    char_index, node_ids, children = sub
-    if depth > MAX_KEY_LEN + 1:
-        return None
+def _subtree_digest(sub, ids: set[int], end: int):
+    """Digest of a revealed subtree whose root label ends `end` characters
+    below the trie root, gathering its terminal ids; None if a node breaks
+    the shape rules.  Every child label is non-empty and the total stays
+    within MAX_KEY_LEN, so recursion depth is bounded."""
+    label, node_ids, children = sub
     if _unsorted(node_ids):
         return None
     ids.update(node_ids)
     items = []
     last = -1
     for child in children:
-        c_char = child[0]
-        if c_char <= last or c_char >= len(ALPHABET):
+        c_label = child[0]
+        if not _label_ok(c_label, end, False) or c_label[0] <= last:
             return None
-        last = c_char
-        d = _subtree_digest(child, ids, depth + 1)
+        last = c_label[0]
+        d = _subtree_digest(child, ids, end + len(c_label))
         if d is None:
             return None
-        items.append((c_char, d))
-    return node_digest(char_index, node_ids, items)
+        items.append((last, d))
+    return node_digest(label, node_ids, items)
 
 
 def _unsorted(ids) -> bool:

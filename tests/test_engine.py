@@ -12,6 +12,7 @@ from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
                                timestamp_string)
 from chainquery.ledger import OP_DELETE, OP_INSERT, OP_UPDATE
 from chainquery.sqlgrammar import InsertQuery, parse
+from chainquery.store import MAX_PAYLOAD, PayloadTooLarge
 
 ADDRS = ["0x" + f"{i:040x}" for i in range(16)]
 
@@ -131,15 +132,24 @@ def test_double_delete_raises():
      EncodingError),
     (lambda eng: eng.execute("DELETE FROM entries WHERE entry_id = 99"),
      UnknownEntry),
-], ids=["year-11476", "2^62", "address-newline", "delete-unknown"])
+    (lambda eng: eng.execute(insert_sql(1, ADDRS[0], 300_000_000_000,
+                                        image=b"\xab\xcd")),
+     MalformedBlock),
+    (lambda eng: eng.insert_batch([
+        InsertQuery(1, (ADDRS[1],), 50, image_payload=b"small"),
+        InsertQuery(1, (ADDRS[0],), 60,
+                    video_payload=b"\x00" * (MAX_PAYLOAD + 1))]),
+     PayloadTooLarge),
+], ids=["year-11476", "2^62", "address-newline", "delete-unknown",
+        "year-11476-image", "payload-too-large"])
 def test_rejected_write_changes_nothing(write, error):
     eng, _ = seeded_engine(12)
     before = (eng.ledger.latest_roots(), eng.ledger.height,
-              dict(eng.entries))
+              dict(eng.entries), len(eng.store))
     with pytest.raises(error):
         write(eng)
     assert (eng.ledger.latest_roots(), eng.ledger.height,
-            dict(eng.entries)) == before
+            dict(eng.entries), len(eng.store)) == before
     eng.execute(insert_sql(99, ADDRS[2], 1_700_000_000))
     res = eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN "
                       "1700000000 AND 1700000000")

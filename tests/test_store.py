@@ -8,6 +8,12 @@ from chainquery.store import (ContentStore, IntegrityFailure, NotFound,
                               PayloadTooLarge)
 
 
+def put(store, payload):
+    cid = store.address(payload)
+    store.put(payload, cid)
+    return cid
+
+
 @pytest.fixture(params=["memory", "disk"])
 def store(request, tmp_path):
     if request.param == "memory":
@@ -16,13 +22,13 @@ def store(request, tmp_path):
 
 
 def test_empty_payload_cid(store):
-    assert store.put(b"") == hashlib.sha256(b"").digest()
+    assert put(store, b"") == hashlib.sha256(b"").digest()
 
 
 def test_put_idempotent(store):
-    cid1 = store.put(b"hello")
+    cid1 = put(store, b"hello")
     n = len(store)
-    cid2 = store.put(b"hello")
+    cid2 = put(store, b"hello")
     assert cid1 == cid2
     assert len(store) == n
 
@@ -30,7 +36,7 @@ def test_put_idempotent(store):
 def test_roundtrip_random_payloads(store):
     rng = random.Random(5)
     payloads = [rng.randbytes(rng.randrange(1, 2048)) for _ in range(1000)]
-    cids = [store.put(p) for p in payloads]
+    cids = [put(store, p) for p in payloads]
     for cid, payload in zip(cids, payloads):
         assert store.get(cid) == payload
 
@@ -42,12 +48,12 @@ def test_get_unknown(store):
 
 def test_payload_too_large(store):
     with pytest.raises(PayloadTooLarge):
-        store.put(b"\x00" * (64 * 1024 * 1024 + 1))
+        store.address(b"\x00" * (64 * 1024 * 1024 + 1))
 
 
 def test_corruption_detected(tmp_path):
     store = ContentStore(str(tmp_path / "cas"))
-    cid = store.put(b"important bytes")
+    cid = put(store, b"important bytes")
     path = store._path(cid)
     raw = bytearray(open(path, "rb").read())
     raw[3] ^= 0xFF
@@ -59,7 +65,7 @@ def test_corruption_detected(tmp_path):
 
 def test_disk_layout(tmp_path):
     store = ContentStore(str(tmp_path / "cas"))
-    cid = store.put(b"xyz")
+    cid = put(store, b"xyz")
     expected = os.path.join(str(tmp_path / "cas"), "objects",
                             cid.hex()[:2], cid.hex())
     assert os.path.exists(expected)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainquery.trie import (ALPHABET, MAX_KEY_LEN, InvalidCharacter,
                              KeyTooLong, PrefixVO, Trie, VODecodeError,
-                             verify_prefix, verify_prefix_bytes)
+                             node_digest, verify_prefix, verify_prefix_bytes)
 from chainquery.gas import GasMeter
 
 
@@ -111,13 +111,63 @@ def test_digest_consistency_bottom_up():
     trie = build(pairs)
 
     def recompute(node):
-        from chainquery.trie import node_digest
         items = [(i, recompute(node.children[i])) for i in sorted(node.children)]
-        d = node_digest(node.char_index, node.entry_ids, items)
+        d = node_digest(node.label, node.entry_ids, items)
         assert d == node.node_digest
         return d
 
     recompute(trie.root)
+
+
+def _nodes(trie):
+    todo = [(trie.root, b"")]
+    while todo:
+        node, spelled = todo.pop()
+        yield node, spelled
+        todo.extend((c, spelled + c.label) for c in node.children.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet="01ab:-", min_size=1, max_size=8),
+                          st.integers(0, 40)), max_size=30),
+       st.randoms(use_true_random=False), st.integers(1, 8))
+def test_shape_depends_only_on_the_key_set(pairs, rng, chunk):
+    trie = build(pairs)
+    shuffled = list(pairs)
+    rng.shuffle(shuffled)
+    other = Trie()
+    for i in range(0, len(shuffled), chunk):
+        other.insert_many(shuffled[i:i + chunk])
+    assert other.root_digest() == trie.root_digest()
+    keys = {key for key, _ in pairs}
+    count = 0
+    for node, spelled in _nodes(trie):
+        if node is trie.root:
+            assert node.label == b""
+            continue
+        assert node.label and (node.entry_ids or len(node.children) != 1)
+        assert all(i == c.label[0] for i, c in node.children.items())
+        count += bool(node.entry_ids)
+        assert bool(node.entry_ids) == \
+            ("".join(ALPHABET[i] for i in spelled) in keys)
+    assert count == len(keys) == trie.key_count
+
+
+def test_split_inside_one_batch():
+    """A later key of a batch splits an edge above nodes that earlier keys
+    touched: a node's depth in nodes then grows, its depth in characters
+    does not, and only the latter orders the rehash correctly."""
+    base = [("abcd1", 0), ("abcd2", 1), ("abcd1ef", 2), ("abcd1e0", 3)]
+    for batch in ([("abcd3", 4), ("ab:", 5)],
+                  [("abcd1e", 4), ("abcd1:", 5), ("ab", 6), ("a", 7)],
+                  [("abcd1ef9", 4), ("abcd", 5), ("abc0", 6), ("a-", 7)]):
+        one, many = build(base + batch), build(base)
+        many.insert_many(batch)
+        assert many.root_digest() == one.root_digest()
+        for prefix in ("a", "ab", "abc", "abcd1e", "ab:", "abcd1ef"):
+            results, vo = many.prefix_query(prefix)
+            assert results == oracle(base + batch, prefix)
+            assert verify_prefix(vo, many.root_digest(), prefix, results)
 
 
 def test_shared_key_multiple_ids():
@@ -140,11 +190,7 @@ def test_result_mutations_rejected():
     assert not verify_prefix(vo, b"\x00" * 32, prefix, results)
 
 
-@pytest.mark.parametrize("prefix_len", [0, 1, 3])
-def test_vo_byte_fuzz_rejected(prefix_len):
-    pairs = [(k, i) for i, k in enumerate(random_keys(40, 29, 4, 8))]
-    trie = build(pairs)
-    prefix = pairs[3][0][:prefix_len]
+def _assert_every_flip_rejected(trie, prefix):
     results, vo = trie.prefix_query(prefix)
     root = trie.root_digest()
     blob = vo.to_bytes()
@@ -155,22 +201,63 @@ def test_vo_byte_fuzz_rejected(prefix_len):
             mutated[pos] ^= flip
             assert not verify_prefix_bytes(bytes(mutated), root, prefix,
                                            results), f"escape at byte {pos}"
+    return results, vo
+
+
+@pytest.mark.parametrize("prefix_len", [0, 1, 3])
+def test_vo_byte_fuzz_rejected(prefix_len):
+    pairs = [(k, i) for i, k in enumerate(random_keys(40, 29, 4, 8))]
+    _assert_every_flip_rejected(build(pairs), pairs[3][0][:prefix_len])
 
 
 def test_nonmatch_vo_byte_fuzz_rejected():
     trie = build([("abc", 1), ("abd", 2), ("ff:0", 3)])
-    prefix = "abx1"
-    results, vo = trie.prefix_query(prefix)
+    results, _ = _assert_every_flip_rejected(trie, "abx1")
     assert results == []
+
+
+def test_nonmatch_inside_label_vo_byte_fuzz_rejected():
+    trie = build([("abc", 1), ("abd", 2), ("abe123", 3), ("ff:01", 4),
+                  ("ff:02", 5)])
+    for prefix in ("ff:1", "f0", "abe13", "abe1_"):
+        results, vo = _assert_every_flip_rejected(trie, prefix)
+        assert results == [] and vo.mode == PrefixVO.MODE_NONMATCH
+        # the prefix leaves the terminal node's label inside it
+        rest = prefix[sum(len(label) for label, *_ in vo.path):]
+        label = "".join(ALPHABET[i] for i in vo.terminal[0])
+        assert not rest.startswith(label) and not label.startswith(rest)
+
+
+def test_crafted_label_vos_rejected():
+    trie = build([("abc1", 0), ("abc2", 1), ("abd", 2)])
     root = trie.root_digest()
-    blob = vo.to_bytes()
-    assert verify_prefix_bytes(blob, root, prefix, results)
-    for pos in range(len(blob)):
-        for flip in (1, 0x80):
-            mutated = bytearray(blob)
-            mutated[pos] ^= flip
-            assert not verify_prefix_bytes(bytes(mutated), root, prefix,
-                                           results), f"escape at byte {pos}"
+    _, vo_ab = trie.prefix_query("ab")
+    node_ab = trie.root.children[ALPHABET.index("a")]
+    assert node_ab.label == bytes(ALPHABET.index(c) for c in "ab")
+    # a match whose subtree root label does not extend the prefix: it
+    # would claim every key under "ab" for a longer prefix
+    for prefix in ("abe", "abc"):
+        crafted = PrefixVO(root, PrefixVO.MODE_MATCH, vo_ab.path,
+                           vo_ab.terminal)
+        assert not verify_prefix(crafted, root, prefix, [0, 1, 2])
+        assert not verify_prefix_bytes(crafted.to_bytes(), root, prefix,
+                                       [0, 1, 2])
+    # a non-match whose label agrees with the prefix: "a" ends inside
+    # the label "ab", so keys do extend it
+    terminal = (node_ab.label, list(node_ab.entry_ids),
+                [(i, c.node_digest) for i, c in
+                 sorted(node_ab.children.items())])
+    crafted = PrefixVO(root, PrefixVO.MODE_NONMATCH, vo_ab.path, terminal)
+    for prefix in ("a", "ab"):
+        assert not verify_prefix(crafted, root, prefix, [])
+        assert not verify_prefix_bytes(crafted.to_bytes(), root, prefix, [])
+    # the same node proves a prefix that does leave it
+    assert verify_prefix(crafted, root, "abe", [])
+    assert verify_prefix(crafted, root, "ax", [])
+    # a label that is not bytes is False, not an exception
+    listed = PrefixVO(root, PrefixVO.MODE_MATCH, vo_ab.path,
+                      (list(vo_ab.terminal[0]),) + vo_ab.terminal[1:])
+    assert not verify_prefix(listed, root, "ab", [0, 1, 2])
 
 
 def test_vo_roundtrip_bytes():
@@ -235,7 +322,9 @@ def test_insert_many_rejects_bad_pair_before_changing_anything():
 
 
 def _nested_prefix_vo(root: bytes, nodes: int) -> bytes:
-    """Match mode, empty path, a chain of `nodes` single-child subtrees."""
+    """Match mode, empty path, then a chain of `nodes` subtree nodes: each
+    an empty label (length byte 0), no entry ids (count 0) and one child,
+    the last no child."""
     node = b"\x00" + struct.pack(">I", 0)
     return (root + bytes([PrefixVO.MODE_MATCH, 0])
             + (node + b"\x01") * (nodes - 1) + node + b"\x00")
