@@ -301,11 +301,11 @@ def _metered_run(threshold):
      "c0db63fc3e9541ac8eb97b53b301825e8c6c68252d438850611a8c300b345e4d",
      "2dcc5309ffc70ff60b59a85be734967b5bf18918650812f5c421064c2138c355"),
     (10, 601, 891,
-     "4a95c61c5ae51a5663eb059a87d9104e9454e32ad7b51baf52c6f10f21908267",
-     "a564cdbaeae55e9c304ba88a47bda79f80b3fc7906fbd134c04762ad37d1a19b"),
+     "ca15970ccc3a7545154fda45ac64e62ff08b15ec420a24e5509ad03ad5c6eda9",
+     "fb2cc35e04e1357a623b3eadf11b0b31bb9df8e0bb1c9d43c8a33ad3fc3c8668"),
     (40, 1195, 1491,
-     "8e644ceb43ad5f8d64cc03fa03e683d699db6ba13f99859d522e705a208a3fd8",
-     "bad86220069a3cfa357978e170614e23022a31cc3d0e0d3ec337dc8919e9c8d1"),
+     "d92a4f07fae87b83c6ea183b04a1deb93d61c97695a4232a010f97e8946875bc",
+     "3a587725ec50809d2464ff0ddf2c22985a719dda6271e5b486417dddd4f2dd53"),
 ])
 def test_storage_ticks_and_root_pinned(threshold, writes, reads, root, vos):
     # storage ticks, the root and the VO bytes are part of the contract;

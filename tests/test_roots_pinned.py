@@ -102,15 +102,15 @@ QUERIES = (
 PINNED = {
     (7, 10): {
         "bhash_root":
-            "2eeac07cb587c1303f0a8d7d967d34a4819acfa8e4288782534170d5013a4891",
+            "3274bdfc5a8db3a98e18b83bd6126e7ffe88737175d7499bb9e83461ec32fb26",
         "trie_root":
             "a96388f43e9fa7fde3cee662918c73c482f0af676ddabd5bd3de57c0808d5d1f",
         "block_digest":
-            "8b1702dd122208060698b9f44286e1136dbd2d20fbb3d1ad2d6305a77086ec1c",
+            "944476a173ed23c70adb9d10c5ebfded5b922506a352495dba3f6a7d3540c198",
         "vo_sha256": (
-            "00c15c4beef160ef0735025845e8117c5a4abae5ad58c42a0b68ad08897dd397",
-            "960d8c371881ddd6bef3fbd25c9dcd7d5e79993ea6fa124735198578ff1aa088",
-            "ef7d7d91c6be7423cb82a7afff427e50f44a2ff8982b00f809891384af6e63fb",
+            "fd800b9c887bfb77d7513fd50175de01e67b16637e22f87b671aefe9fe383bdd",
+            "b1e4800604a676bec40fdc461aecd3c8a8778175dd83c420fc943e2f8320407b",
+            "8d885a81cd6d95aa90448d4f966c1d2c0d896a82b3670eb00ec7df60df2d229d",
             "36ba5392b991f642a2f507f2d27b3374da69cc84e55876c7c6bbb7ca4c6a1863",
             "c92ec7840b585705cd20fdc2f850e1025a7e867dc17c315d32f74c5b224d744b",
             "2e01b39a3142c60045e36e6468bc82116b62c21680d019d5f7d7fc6af160ec07",
@@ -119,15 +119,15 @@ PINNED = {
     },
     (7, 40): {
         "bhash_root":
-            "d887a199ff051751da3205f78dba4c3bc156e3caea01a21d66c78607503929aa",
+            "8e13e9393127e39652ce012e08911d46a7493575ce01a8a1473a568ebb2d7263",
         "trie_root":
             "a96388f43e9fa7fde3cee662918c73c482f0af676ddabd5bd3de57c0808d5d1f",
         "block_digest":
-            "8059c0d72d00091b0f5beac8ce7d3d8fe78c4ba005073cfcd265be06e1105fc3",
+            "dc7c49e4f4a207a4ac012cf4a4f60df54ca09af7a6cbce0709dc1d07d17fcd86",
         "vo_sha256": (
-            "1850f04ca55a193221713acb756083680a0f0815def6ca85daffe50e5e1033a3",
-            "ace38b0849849a84b99e1ebcc36950bee68f114ee3f6910bd339476332fa4170",
-            "545c3badf8d73274f3a9834878c69c65a145722ec65a43d530f0b52ad692e445",
+            "15e3895919109dc08f86c97cb8b38dc5e92e4166d1aca03f351bb9280fe9d664",
+            "fa73f25a6b9a12445da7452e49662dbd32d85a41a431f7dd58550781326b4c5d",
+            "1ee993cc82596f723dcdcfddc0afc4edc373cd4f0558b8b76bab04d78c947c72",
             "36ba5392b991f642a2f507f2d27b3374da69cc84e55876c7c6bbb7ca4c6a1863",
             "c92ec7840b585705cd20fdc2f850e1025a7e867dc17c315d32f74c5b224d744b",
             "2e01b39a3142c60045e36e6468bc82116b62c21680d019d5f7d7fc6af160ec07",
@@ -136,15 +136,15 @@ PINNED = {
     },
     (1234, 10): {
         "bhash_root":
-            "8e8f842f6ffa0e4434379b3fab5281e4d7089cd41dd498651295a4c2671bd812",
+            "c33694f4341332c0623c905f76932dc7bdcc88825090c01dcce77d123b5fdccb",
         "trie_root":
             "a0fb8600399aa25ddc4f27336134b3f4f9d32c5ccafc40e1d14648e9264bf810",
         "block_digest":
-            "ae374251a74e72c3008001219a69a6a2f784460e0530fe5bfb866f666c36d6a4",
+            "075cbb51b73dd76dcbec800f7bf3f818b1a45e462975587fcb5d73b024154b1a",
         "vo_sha256": (
-            "84b1276c527cb746e12d3bad2144571b0247a2ab7f1025b8590d606eba94d22f",
-            "5c75b1360c1b57d2cc6d65a517e8876108afcf36959efaab2975fa1568f0d544",
-            "a6a23533358fa3bd06b11a9d020cd2e0b7f480b9a1963035565e846e356e5254",
+            "8923ffeae7d84d5fd899e7072d9cc8348e6b1ccf65fabb445e2f26117c641897",
+            "765f7dd217a197eac562ae5277d5d2c6cfbbe1f6bf0c954af66bd19f776b3539",
+            "adc3a575d91a287c3dec5ee368402afb5acfba4a2133ea8a675aefa07868b29e",
             "49d4cb545449cf9632e4bafc20197fb8a3fa727482f05cb7a7b98c4da8330564",
             "0e09bc4be0db30beefb13b4561494422328775007d0d03a67c886770cf3dded9",
             "838c8d4022a1bcd14ebb388d27739b9d9808203f651a4583a40e1f1b63e6bd8b",
@@ -153,15 +153,15 @@ PINNED = {
     },
     (1234, 40): {
         "bhash_root":
-            "e68fd20b45f13029bc8f7e41ebff8a902d109675827c96d894f2eadb528c194a",
+            "de8c592ba3d983b36b442322f82c96e7da2f99c98c7099b785a5c3039cfb0b66",
         "trie_root":
             "a0fb8600399aa25ddc4f27336134b3f4f9d32c5ccafc40e1d14648e9264bf810",
         "block_digest":
-            "1b05cc8daf1455c96a4d393f977c6b69b949f6cda564d8e41841e6566d883141",
+            "26f8707630d080d80f9cd71d1d95954e8630cace33d67e5c509656c6a551984f",
         "vo_sha256": (
-            "13f4b448cfcf37d3248113d20734eb0956546df2f75dc0dbdd88f3983243335c",
-            "bb159192e3b1afacde513a7c3268f6052e772c286c0ace345dfbed95f1b5f7b3",
-            "1bbab37e814fa6ad8e7ae7b551e99ad860d9f0cc21fb4102b2c9d162a90f79e4",
+            "99408d69f83506dd1da62e5ac87e5e6f67fff16ff9a65ee434267ee491af4f3b",
+            "fee3b961723a1c20eb7d8291dd687e0abd5c1cb1be39677bc9b07bd8cf8b8fe1",
+            "e47e16d9a7a7c1aa72b1c8c85d80909894a02a93eb21cd2141b384d5aaeb4608",
             "49d4cb545449cf9632e4bafc20197fb8a3fa727482f05cb7a7b98c4da8330564",
             "0e09bc4be0db30beefb13b4561494422328775007d0d03a67c886770cf3dded9",
             "838c8d4022a1bcd14ebb388d27739b9d9808203f651a4583a40e1f1b63e6bd8b",
