@@ -1,10 +1,9 @@
-"""Hot-loop kernels: byte packing, range scans, merkle level folding.
+"""Hot-loop kernels: byte packing and range scans.
 
 Both indexes commit id lists in the u64 layout packed here.  The stdlib is
 imported as modules, not names, so this namespace holds only the kernels.
 """
 import bisect
-import hashlib
 import itertools
 import struct
 
@@ -27,14 +26,3 @@ def range_bounds(sorted_keys, lo, hi):
     return (bisect.bisect_left(sorted_keys, lo),
             bisect.bisect_right(sorted_keys, hi))
 
-
-def merkle_level(nodes, domain):
-    """Fold one merkle level: hash adjacent pairs, promote an odd tail."""
-    prefix = bytes([domain]) + b"\x01"
-    out = []
-    n = len(nodes)
-    for i in range(0, n - 1, 2):
-        out.append(hashlib.sha256(prefix + nodes[i] + nodes[i + 1]).digest())
-    if n % 2:
-        out.append(nodes[-1])
-    return out

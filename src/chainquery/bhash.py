@@ -3,8 +3,9 @@ hash-bucket nodes once the entry population reaches a threshold.
 
 Every node carries a digest; internal digests commit each child's key range
 so a verifier can reject proofs that hide an overlapping subtree.  Converted
-leaves commit their buckets through a sorted merkle layer, which keeps
-range-proof size logarithmic in the number of resident keys.
+leaves commit their buckets through a crit-bit merkle tree over the 64 key
+bits.  Its shape depends only on the key set, so an insert rehashes one
+root-to-leaf path, and a range proof carries one digest per level.
 """
 from __future__ import annotations
 
@@ -47,16 +48,9 @@ def bucket_leaf_digest(key: int, ids_digest: bytes) -> bytes:
     return digest(DOM_BUCKET, b"\x00" + key.to_bytes(8, "big") + ids_digest)
 
 
-def fingerprint_digest(entry_ids) -> bytes:
-    """Compressed fingerprint of a converted node's former entry-id set."""
-    return digest(DOM_BUCKET, b"\x02" + _kernels.pack_u64_list(sorted(entry_ids)))
-
-
-def hash_node_digest(fp: bytes, n_buckets: int, merkle_root: bytes,
-                     lo: int, hi: int) -> bytes:
-    return digest(DOM_INTERNAL,
-                  b"\x02" + fp + n_buckets.to_bytes(4, "big") + merkle_root
-                  + lo.to_bytes(8, "big") + hi.to_bytes(8, "big"))
+def hash_node_digest(crit_root: bytes, lo: int, hi: int) -> bytes:
+    return digest(DOM_INTERNAL, b"\x02" + crit_root + lo.to_bytes(8, "big")
+                  + hi.to_bytes(8, "big"))
 
 
 def internal_digest(child_triples, lo: int, hi: int) -> bytes:
@@ -71,112 +65,121 @@ def internal_digest(child_triples, lo: int, hi: int) -> bytes:
     return digest(DOM_INTERNAL, b"".join(parts))
 
 
-def _merkle_levels(leaves):
-    """Every merkle level, bottom up; levels[0] is `leaves` itself."""
-    levels = [leaves]
-    while len(levels[-1]) > 1:
-        levels.append(_kernels.merkle_level(levels[-1], DOM_BUCKET))
-    return levels
+# --- the crit-bit merkle tree inside a hash node --------------------------
+#
+# Key bits are numbered from the top: bit b of key k is k >> (63 - b) & 1.
+# A leaf is one bucket.  A branch splits its keys at the first bit where
+# they differ, zeros to the left; its digest is
+# digest(DOM_BUCKET, 0x04 ‖ bit ‖ left digest ‖ right digest).
+
+def _crit_bit(a: int, b: int) -> int:
+    """First bit, from the top, at which two distinct keys differ."""
+    return 64 - (a ^ b).bit_length()
 
 
-def _update_merkle_levels(levels, changed, start) -> None:
-    """Bring the levels above levels[0] up to date after levels[0] changed
-    at the sorted positions `changed` and, unless start is None, at every
-    position from `start` on (leaves only ever get added).  Each affected
-    slice is refolded from an even index, so an odd tail is promoted
-    exactly as in a full rebuild."""
-    lvl = 0
-    while len(levels[lvl]) > 1:
-        src = levels[lvl]
-        if lvl + 1 == len(levels):
-            levels.append([])
-            start = 0
-        dst = levels[lvl + 1]
-        if start is not None:
-            start -= start % 2
-            dst[start // 2:] = _kernels.merkle_level(src[start:], DOM_BUCKET)
-        parents = []
-        for pos in changed:
-            pos -= pos % 2
-            if start is not None and pos >= start:
-                break
-            if parents and parents[-1] == pos // 2:
-                continue
-            dst[pos // 2] = _kernels.merkle_level(src[pos:pos + 2],
-                                                  DOM_BUCKET)[0]
-            parents.append(pos // 2)
-        changed = parents
-        if start is not None:
-            start //= 2
-        lvl += 1
+class _CritLeaf:
+    __slots__ = ("key", "ids", "ids_digest", "digest")
+    bit = 64  # past every branch bit, so a descent stops here
+
+    def __init__(self, key: int, ids: list):
+        self.key = key
+        self.ids = ids             # the bucket's id list itself
+        self.ids_digest = None
+        self.digest = None         # None: stale until the next flush
 
 
-def _merkle_window_siblings(levels, start: int, count: int):
-    """Sibling digests needed to recompute the root from a contiguous
-    leaf window; ordered exactly as the verifier consumes them."""
-    sibs = []
-    a, b = start, start + count
-    for lvl in levels[:-1]:
-        m = len(lvl)
-        if a % 2 == 1:
-            sibs.append(lvl[a - 1])
-            a -= 1
-        if b % 2 == 1:
-            if b < m:
-                sibs.append(lvl[b])
-                b += 1
-            # else: odd tail promotes unchanged
-        a, b = a // 2, (b + 1) // 2
-    return sibs
+class _CritBranch:
+    __slots__ = ("bit", "left", "right", "digest")
+
+    def __init__(self, bit: int, left, right):
+        self.bit = bit
+        self.left = left
+        self.right = right
+        self.digest = None
 
 
-def _merkle_root_from_window(n: int, start: int, window, sibs):
-    """Recompute the merkle root of n leaves from a contiguous window of
-    leaf digests plus the sibling stream produced by the prover."""
-    if n == 0:
-        return EMPTY_DIGEST if not window and not sibs else None
-    if not window:
-        return None
-    prefix = bytes([DOM_BUCKET]) + b"\x01"
-    cur = list(window)
-    si = 0  # next unread sibling
-    a, b = start, start + len(window)
-    m = n
-    if b > m:
-        return None
-    while m > 1:
-        # the row spans [a, b) once widened to even a and, short of the
-        # level's end, even b; only a row ending the level has an odd tail
-        if a % 2 == 1:
-            if si == len(sibs):
-                return None
-            cur = [sibs[si]] + cur
-            si += 1
-            a -= 1
-        if b % 2 == 1 and b < m:
-            if si == len(sibs):
-                return None
-            cur.append(sibs[si])
-            si += 1
-            b += 1
-        nxt = [hashlib.sha256(prefix + cur[i] + cur[i + 1]).digest()
-               for i in range(0, len(cur) - 1, 2)]
-        if len(cur) % 2:
-            nxt.append(cur[-1])
-        cur = nxt
-        a, b, m = a // 2, (b + 1) // 2, (m + 1) // 2
-    if si != len(sibs) or len(cur) != 1:
-        return None
-    return cur[0]
+def _crit_rehash(node) -> bytes:
+    """node's digest, recomputing the stale digests under it first."""
+    if node.digest is None:
+        if node.bit == 64:
+            node.ids_digest = bucket_ids_digest(node.ids)
+            node.digest = bucket_leaf_digest(node.key, node.ids_digest)
+        else:
+            node.digest = digest(DOM_BUCKET, b"\x04" + bytes((node.bit,))
+                                 + _crit_rehash(node.left)
+                                 + _crit_rehash(node.right))
+    return node.digest
+
+
+def _crit_window_paths(root, first: int, last: int):
+    """The subtrees outside the key window [first, last], as (branch bit,
+    digest): the left siblings on the path to first, outermost first, and
+    the right siblings on the path to last, innermost first.  Also returns
+    the leaves of first and last."""
+    left, right = [], []
+    node = root
+    while node.bit < 64:  # the path both keys share
+        go = first >> (63 - node.bit) & 1
+        if go != last >> (63 - node.bit) & 1:
+            break
+        if go:
+            left.append((node.bit, node.left.digest))
+            node = node.right
+        else:
+            right.append((node.bit, node.right.digest))
+            node = node.left
+    a = b = node
+    if node.bit < 64:
+        a, b = node.left, node.right
+    while a.bit < 64:
+        if first >> (63 - a.bit) & 1:
+            left.append((a.bit, a.left.digest))
+            a = a.right
+        else:
+            a = a.left
+    while b.bit < 64:
+        if last >> (63 - b.bit) & 1:
+            b = b.right
+        else:
+            right.append((b.bit, b.right.digest))
+            b = b.left
+    right.reverse()
+    return left, right, a, b
+
+
+def _crit_fold(items, gaps):
+    """Root of the crit-bit tree whose leaves, in key order, have the
+    digests `items`; gaps[i] is the bit of the branch that separates
+    items[i] from items[i + 1].  None if two neighbouring gaps are equal,
+    which no crit-bit tree has.  Hashes inline: this is the verifier's
+    hot loop."""
+    prefix = bytes((DOM_BUCKET, 0x04))
+    digests = [items[0]]
+    bits = []
+
+    def merge():
+        right = digests.pop()
+        digests[-1] = hashlib.sha256(prefix + bytes((bits.pop(),))
+                                     + digests[-1] + right).digest()
+
+    for gap, item in zip(gaps, items[1:]):
+        while bits and bits[-1] > gap:
+            merge()
+        if bits and bits[-1] == gap:
+            return None
+        bits.append(gap)
+        digests.append(item)
+    while bits:
+        merge()
+    return digests[0]
 
 
 # --- nodes ---------------------------------------------------------------
 
 class BHashNode:
     __slots__ = ("is_leaf", "is_hash_node", "pairs", "children",
-                 "lo", "hi", "buckets", "bucket_keys", "bucket_leaves",
-                 "merkle_cache", "merkle_changed", "merkle_from", "dirty",
-                 "fingerprint", "node_digest")
+                 "lo", "hi", "buckets", "bucket_keys", "crit", "dirty",
+                 "node_digest")
 
     def __init__(self, is_leaf: bool):
         self.is_leaf = is_leaf
@@ -187,34 +190,14 @@ class BHashNode:
         self.hi = 0
         self.buckets = None        # {key: sorted [entry_id]}
         self.bucket_keys = None    # sorted [key]
-        self.bucket_leaves = None  # leaf digests aligned with bucket_keys
-        self.merkle_cache = None   # merkle levels; [0] is bucket_leaves
-        # bucket_leaves positions the cached levels have not absorbed yet:
-        # replaced leaves, and every position from the first new leaf on
-        self.merkle_changed: set[int] = set()
-        self.merkle_from: Optional[int] = None
+        self.crit = None           # crit-bit tree over the buckets
         self.dirty = False         # digest stale until the next flush
-        self.fingerprint = None
         self.node_digest = EMPTY_DIGEST
-
-    def merkle_levels_cached(self):
-        if self.merkle_cache is None:
-            self.merkle_cache = _merkle_levels(self.bucket_leaves)
-        elif self.merkle_changed or self.merkle_from is not None:
-            _update_merkle_levels(self.merkle_cache,
-                                  sorted(self.merkle_changed),
-                                  self.merkle_from)
-        self.merkle_changed.clear()
-        self.merkle_from = None
-        return self.merkle_cache
 
     def recompute_digest(self, meter: Optional[GasMeter]) -> None:
         if self.is_hash_node:
-            levels = self.merkle_levels_cached()
-            root = levels[-1][0] if self.bucket_leaves else EMPTY_DIGEST
-            self.node_digest = hash_node_digest(
-                self.fingerprint, len(self.bucket_leaves), root,
-                self.lo, self.hi)
+            root = _crit_rehash(self.crit) if self.crit else EMPTY_DIGEST
+            self.node_digest = hash_node_digest(root, self.lo, self.hi)
         elif self.is_leaf:
             self.node_digest = leaf_digest(self.pairs, self.lo, self.hi)
         else:
@@ -249,8 +232,8 @@ class RangeVO:
     #   (P_PRUNED, lo, hi, digest)
     #   (P_LEAF, lo, hi, pairs)
     #   (P_INTERNAL, lo, hi, [children])
-    #   (P_HASHLEAF, lo, hi, fingerprint, n_buckets, window_start,
-    #    [(kind, key, ids_or_digest)], [sibling digests])
+    #   (P_HASHLEAF, lo, hi, [(kind, key, ids_or_digest)],
+    #    [(bit, digest)] left siblings, [(bit, digest)] right siblings)
 
     def to_bytes(self) -> bytes:
         return self.claimed_root + _encode_proof(self.proof)
@@ -281,15 +264,15 @@ def _encode_proof(node) -> bytes:
         return struct.pack(">BQQI", kind, node[1], node[2], len(node[3])) + body
     # P_HASHLEAF.  Digest-only window entries only ever sit at the window
     # edges, so two flag bits replace per-entry kind bytes, and id counts
-    # use a one-byte varint: revealed buckets cost 8+1+8*ids bytes.
-    _, lo, hi, fp, n, wstart, window, sibs = node
+    # use a one-byte varint: revealed buckets cost 8+1+8*ids bytes.  Each
+    # side is count u8 ‖ count bits ‖ count digests.
+    _, lo, hi, window, left, right = node
     first_dig = bool(window) and window[0][0] == W_DIGEST_ONLY
     last_dig = len(window) > 1 and window[-1][0] == W_DIGEST_ONLY
     revealed = window[1 if first_dig else 0:
                       len(window) - 1 if last_dig else len(window)]
     flags = int(first_dig) | (int(last_dig) << 1)
-    parts = [struct.pack(">BQQ", kind, lo, hi), fp,
-             struct.pack(">IIBI", n, wstart, flags, len(revealed))]
+    parts = [struct.pack(">BQQBI", kind, lo, hi, flags, len(revealed))]
     if first_dig:
         parts.append(struct.pack(">Q", window[0][1]) + window[0][2])
     for _, key, ids in revealed:
@@ -301,8 +284,9 @@ def _encode_proof(node) -> bytes:
         parts.append(_kernels.pack_u64_list(ids)[4:])
     if last_dig:
         parts.append(struct.pack(">Q", window[-1][1]) + window[-1][2])
-    parts.append(struct.pack(">I", len(sibs)))
-    parts.extend(sibs)
+    for side in (left, right):
+        parts.append(bytes([len(side)]) + bytes(bit for bit, _ in side))
+        parts.extend(d for _, d in side)
     return b"".join(parts)
 
 
@@ -329,13 +313,10 @@ def _decode_proof(data: bytes, off: int, depth: int):
                 children.append(child)
             return (P_INTERNAL, lo, hi, children), off
         if kind == P_HASHLEAF:
-            lo, hi = struct.unpack_from(">QQ", data, off + 1)
-            fp = _take(data, off + 17, 32)
-            n, wstart, flags, nrev = struct.unpack_from(">IIBI", data,
-                                                        off + 49)
+            lo, hi, flags, nrev = struct.unpack_from(">QQBI", data, off + 1)
             if flags & ~0x03:
                 raise VODecodeError("bad window flags")
-            off += 62
+            off += 22
             window = []
 
             def digest_entry(off):
@@ -360,11 +341,15 @@ def _decode_proof(data: bytes, off: int, depth: int):
             if flags & 2:
                 entry, off = digest_entry(off)
                 window.append(entry)
-            ns, = struct.unpack_from(">I", data, off)
-            raw = _take(data, off + 4, 32 * ns)
-            sibs = [raw[i:i + 32] for i in range(0, len(raw), 32)]
-            return (P_HASHLEAF, lo, hi, fp, n, wstart, window, sibs), \
-                off + 4 + len(raw)
+            sides = []
+            for _ in range(2):
+                cnt = data[off]
+                bits = _take(data, off + 1, cnt)
+                raw = _take(data, off + 1 + cnt, 32 * cnt)
+                sides.append([(bits[i], raw[32 * i:32 * i + 32])
+                              for i in range(cnt)])
+                off += 1 + 33 * cnt
+            return (P_HASHLEAF, lo, hi, window, *sides), off
         raise VODecodeError(f"bad proof kind {kind}")
     except (IndexError, struct.error) as exc:
         raise VODecodeError(str(exc)) from None
@@ -508,20 +493,10 @@ class BHashTree:
     def _convert_node(self, node: BHashNode) -> None:
         """Turn every leaf under node into a hash-bucket node in place."""
         if node.is_leaf:
-            buckets: dict[int, list[int]] = {}
-            all_ids = []
-            for key, eid in node.pairs:
-                buckets.setdefault(key, []).append(eid)
-                all_ids.append(eid)
-            for ids in buckets.values():
-                ids.sort()
             node.is_hash_node = True
-            node.buckets = buckets
-            node.bucket_keys = sorted(buckets)
-            node.bucket_leaves = [
-                bucket_leaf_digest(k, bucket_ids_digest(buckets[k]))
-                for k in node.bucket_keys]
-            node.fingerprint = fingerprint_digest(all_ids)
+            node.buckets, node.bucket_keys = {}, []
+            for key, eid in node.pairs:
+                self._bucket_insert(node, key, eid)
             node.pairs = []
         else:
             for child in node.children:
@@ -530,20 +505,41 @@ class BHashTree:
 
     @staticmethod
     def _bucket_insert(node: BHashNode, key: int, entry_id: int) -> None:
-        """Add entry_id to key's bucket and record the merkle position the
-        next flush must refold."""
-        pos = bisect_left(node.bucket_keys, key)
-        ids = node.buckets.setdefault(key, [])
-        insort(ids, entry_id)
-        leaf = bucket_leaf_digest(key, bucket_ids_digest(ids))
-        if len(ids) == 1:
-            node.bucket_keys.insert(pos, key)
-            node.bucket_leaves.insert(pos, leaf)
-            if node.merkle_from is None or pos < node.merkle_from:
-                node.merkle_from = pos
+        """Add entry_id to key's bucket and mark the crit-tree path to the
+        bucket stale.  A new key's leaf hangs under a new branch at the
+        first bit where the key leaves the tree; the longest prefix it
+        shares with any key is the one it shares with a sorted neighbour."""
+        ids = node.buckets.get(key)
+        if ids is not None:
+            insort(ids, entry_id)
+            bit = 64
         else:
-            node.bucket_leaves[pos] = leaf
-            node.merkle_changed.add(pos)
+            ids = node.buckets[key] = [entry_id]
+            keys = node.bucket_keys
+            pos = bisect_left(keys, key)
+            near = keys[max(pos - 1, 0):pos + 1]
+            keys.insert(pos, key)
+            if not near:
+                node.crit = _CritLeaf(key, ids)
+                return
+            bit = max(_crit_bit(key, k) for k in near)
+        parent, cur = None, node.crit
+        while cur.bit < bit:
+            cur.digest = None
+            parent = cur
+            cur = cur.right if key >> (63 - cur.bit) & 1 else cur.left
+        if bit == 64:  # cur is the key's own leaf
+            cur.digest = None
+            return
+        leaf = _CritLeaf(key, ids)
+        branch = (_CritBranch(bit, cur, leaf) if key >> (63 - bit) & 1
+                  else _CritBranch(bit, leaf, cur))
+        if parent is None:
+            node.crit = branch
+        elif parent.left is cur:
+            parent.left = branch
+        else:
+            parent.right = branch
 
     # -- queries --
 
@@ -581,27 +577,27 @@ class BHashTree:
         return (P_INTERNAL, node.lo, node.hi, children)
 
     def _prove_hash_leaf(self, node: BHashNode, lo: int, hi: int, results):
+        """Reveal the in-range buckets plus one digest-only neighbour on
+        each side, and the crit-tree subtrees left and right of them."""
         keys = node.bucket_keys
-        n = len(keys)
         i, j = _kernels.range_bounds(keys, lo, hi)
-        wstart = max(i - 1, 0)
-        wend = min(j + 1, n)
+        wstart, wend = max(i - 1, 0), min(j + 1, len(keys))
+        if wstart == wend:
+            return (P_HASHLEAF, node.lo, node.hi, [], [], [])
+        left, right, first, last = _crit_window_paths(
+            node.crit, keys[wstart], keys[wend - 1])
         window = []
-        for idx in range(wstart, wend):
-            key = keys[idx]
-            if lo <= key <= hi:
-                ids = node.buckets[key]
-                window.append((W_REVEALED, key, list(ids)))
-                results.extend((key, eid) for eid in ids)
-                if self.meter:
-                    self.meter.read(len(ids))
-            else:
-                window.append((W_DIGEST_ONLY, key,
-                               bucket_ids_digest(node.buckets[key])))
-        sibs = (_merkle_window_siblings(node.merkle_levels_cached(), wstart,
-                                        wend - wstart) if n else [])
-        return (P_HASHLEAF, node.lo, node.hi, node.fingerprint, n, wstart,
-                window, sibs)
+        if wstart < i:
+            window.append((W_DIGEST_ONLY, first.key, first.ids_digest))
+        for key in keys[i:j]:
+            ids = node.buckets[key]
+            window.append((W_REVEALED, key, list(ids)))
+            results.extend((key, eid) for eid in ids)
+            if self.meter:
+                self.meter.read(len(ids))
+        if wend > j:
+            window.append((W_DIGEST_ONLY, last.key, last.ids_digest))
+        return (P_HASHLEAF, node.lo, node.hi, window, left, right)
 
 
 # --- verification --------------------------------------------------------
@@ -675,26 +671,37 @@ def _verify_node(node, lo: int, hi: int, collected):
 
 
 def _verify_hash_leaf(node, lo, hi, collected):
-    _, nlo, nhi, fp, n, wstart, window, sibs = node
-    if len(fp) != 32:
-        return None
-    if n == 0:
-        if window or sibs:
-            return None
-        return hash_node_digest(fp, 0, EMPTY_DIGEST, nlo, nhi)
+    _, nlo, nhi, window, left, right = node
     if not window:
-        return None
+        return (None if left or right
+                else hash_node_digest(EMPTY_DIGEST, nlo, nhi))
     keys = [e[1] for e in window]
     for a, b in zip(keys, keys[1:]):
         if b <= a:
             return None
-    # Completeness: the window must extend past the range edge on any side
-    # where buckets remain, so an in-range key cannot be hidden outside it.
-    if wstart > 0 and keys[0] >= lo:
-        return None
-    if wstart + len(window) < n and keys[-1] <= hi:
-        return None
-    leaf_digests = []
+    # Completeness: every key of a left subtree shares the first window
+    # key's bits above the subtree's branch bit and has a 0 there, where
+    # the first key has a 1; its interval must end below lo.  The right
+    # side mirrors this around the last key and hi.
+    first, last = keys[0], keys[-1]
+    prev = -1
+    for bit, d in left:
+        if not prev < bit < 64 or len(d) != 32:
+            return None
+        shift = 63 - bit
+        if not first >> shift & 1 \
+                or (first >> shift ^ 1) << shift | ((1 << shift) - 1) >= lo:
+            return None
+        prev = bit
+    prev = 64
+    for bit, d in right:
+        if not bit < prev or len(d) != 32:
+            return None
+        shift = 63 - bit
+        if last >> shift & 1 or (last >> shift | 1) << shift <= hi:
+            return None
+        prev = bit
+    leaves = []
     for wkind, key, payload in window:
         if wkind == W_REVEALED:
             if not (lo <= key <= hi):
@@ -703,14 +710,20 @@ def _verify_hash_leaf(node, lo, hi, collected):
             if sorted(ids) != ids:
                 return None
             collected.extend((key, eid) for eid in ids)
-            leaf_digests.append(bucket_leaf_digest(key, bucket_ids_digest(ids)))
+            leaves.append(bucket_leaf_digest(key, bucket_ids_digest(ids)))
         else:
             if lo <= key <= hi:
                 return None  # in-range bucket withheld
             if len(payload) != 32:
                 return None
-            leaf_digests.append(bucket_leaf_digest(key, payload))
-    root = _merkle_root_from_window(n, wstart, leaf_digests, sibs)
+            leaves.append(bucket_leaf_digest(key, payload))
+    # the gap between two neighbouring items is the bit of the branch
+    # that separates them
+    gaps = ([bit for bit, _ in left]
+            + [_crit_bit(a, b) for a, b in zip(keys, keys[1:])]
+            + [bit for bit, _ in right])
+    root = _crit_fold([d for _, d in left] + leaves + [d for _, d in right],
+                      gaps)
     if root is None:
         return None
-    return hash_node_digest(fp, n, root, nlo, nhi)
+    return hash_node_digest(root, nlo, nhi)

@@ -74,9 +74,11 @@ class QueryResult:
 
 def plan_query(ast: QueryAst) -> Plan:
     if isinstance(ast, (InsertQuery, DeleteQuery, UpdateQuery)):
-        steps = ["store-payloads"] if isinstance(ast, InsertQuery) else []
-        steps += ["ledger-append", "index-insert", "anchor-roots",
-                  "cache-invalidate"]
+        # in the order Engine._commit runs them
+        steps = ["index-insert"]
+        if isinstance(ast, InsertQuery):
+            steps.append("store-payloads")
+        steps += ["anchor-roots", "ledger-append", "cache-invalidate"]
         cost = COST_LEDGER_APPEND + 2 * COST_INDEX_LOOKUP
         if isinstance(ast, InsertQuery):
             cost += COST_OFFCHAIN_FETCH
@@ -164,9 +166,10 @@ class Engine:
     def _commit(self, entries, ops, payloads) -> None:
         """Apply one block: check its operation records against its
         entries and the live state, then index the entries, store their
-        payloads ((cid, bytes) pairs), append the block with the new roots
-        and invalidate the cache.  Live writes and replay both come here,
-        so a replayed block meets the same rules.
+        payloads ((cid, bytes) pairs), take the new roots, append the block
+        with them and invalidate the cache, the steps `plan_query` lists.
+        Live writes and replay both come here, so a replayed block meets
+        the same rules.
 
         In op order, each INSERT names the next entry of the block, each
         UPDATE takes the next entry as its replacement, and DELETE and
@@ -194,23 +197,22 @@ class Engine:
         if n_named != len(entries):
             raise MalformedBlock(f"{len(entries)} entries but {n_named} "
                                  "INSERT and UPDATE ops")
-        # the trie checks every key before it changes, so it goes first,
-        # and payloads are stored once nothing can reject the block
+        # the trie checks every key before it changes, so it goes first;
+        # the time index cannot reject a checked entry, and payloads are
+        # stored once nothing can reject the block
         self.trie.insert_many(keys)
-        for cid, payload in payloads:
-            self.store.put(payload, cid)
+        for entry in entries:
+            self.entries[entry.entry_id] = entry
+            self.time_index.insert(entry.entry_id, entry.timestamp)
         for kind, target in ops:
             if kind == OP_DELETE:
                 self.tombstones.add(target)
             elif kind == OP_UPDATE:
                 self.superseded.add(target)
-        for entry in entries:
-            self.entries[entry.entry_id] = entry
-            self.time_index.insert(entry.entry_id, entry.timestamp)
-        self.ledger.append_block(
-            entries,
-            (self.time_index.root_digest(), self.trie.root_digest()),
-            ops=ops)
+        for cid, payload in payloads:
+            self.store.put(payload, cid)
+        roots = (self.time_index.root_digest(), self.trie.root_digest())
+        self.ledger.append_block(entries, roots, ops=ops)
         self.cache.invalidate()
 
     def insert_batch(self, inserts: list[InsertQuery]) -> list[int]:

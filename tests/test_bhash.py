@@ -3,11 +3,13 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainquery.bhash import (MAX_PROOF_DEPTH, P_INTERNAL, P_PRUNED,
                               BHashTree, DuplicateEntry, RangeVO,
-                              VODecodeError, _merkle_levels, verify_range,
+                              VODecodeError, _crit_fold, verify_range,
                               verify_range_bytes)
+from chainquery.core import MAX_TIMESTAMP
 from chainquery.gas import GasMeter
 
 
@@ -226,6 +228,17 @@ def _nodes(node):
             yield from _nodes(child)
 
 
+def _crit_nodes(node):
+    yield node
+    if node.bit < 64:
+        yield from _crit_nodes(node.left)
+        yield from _crit_nodes(node.right)
+
+
+def _crit_keys(node):
+    return [n.key for n in _crit_nodes(node) if n.bit == 64]
+
+
 @pytest.mark.parametrize("threshold,seed",
                          [(10, 1), (10, 2), (40, 3), (None, 1)])
 def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
@@ -241,16 +254,142 @@ def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
             eid += 1
         tree.root_digest()
         for node in _nodes(tree.root):
-            if node.is_hash_node:
-                assert node.merkle_cache == _merkle_levels(
-                    list(node.bucket_leaves))
+            if not node.is_hash_node:
+                continue
+            # the crit tree holds the buckets in key order, and each
+            # branch splits at the first bit where its keys differ
+            assert _crit_keys(node.crit) == node.bucket_keys
+            for crit in _crit_nodes(node.crit):
+                if crit.bit < 64:
+                    keys = _crit_keys(crit)
+                    assert crit.bit == 64 - (keys[0] ^ keys[-1]).bit_length()
+            # rehashing every crit node from scratch gives the same digest
+            incremental = node.node_digest
+            for crit in _crit_nodes(node.crit):
+                crit.digest = None
+            node.recompute_digest(None)
+            assert node.node_digest == incremental
     # rehashing every node from scratch gives the same root
     root = tree.root_digest()
     for node in _nodes(tree.root):
-        node.merkle_cache = None
+        if node.is_hash_node:
+            for crit in _crit_nodes(node.crit):
+                crit.digest = None
         node.dirty = True
     tree._stale = True
     assert tree.root_digest() == root
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 300),
+                          st.integers(0, MAX_TIMESTAMP)),
+                min_size=11, max_size=120),
+       st.randoms(use_true_random=False))
+def test_hash_node_root_depends_only_on_the_key_set(stamps, rnd):
+    # the 11th insert converts the root into one hash node holding every
+    # entry, whatever the order and wherever the flushes fall
+    entries = list(enumerate(stamps))
+
+    def root_after(order, flush_odds):
+        tree = BHashTree()
+        for eid, ts in order:
+            tree.insert(eid, ts)
+            if rnd.random() < flush_odds:
+                tree.root_digest()
+        assert tree.root.is_hash_node
+        return tree.root_digest()
+
+    want = root_after(entries, 0.0)
+    shuffled = list(entries)
+    rnd.shuffle(shuffled)
+    assert root_after(shuffled, 0.3) == want
+    assert root_after(shuffled[::-1], 1.0) == want
+
+
+def _gap_vo(tree):
+    """An empty range between two adjacent buckets near the top of the key
+    range, whose path to them has several left siblings, and its VO."""
+    keys = tree.root.bucket_keys[::-1]
+    a, b = next((a, b) for b, a in zip(keys, keys[1:]) if b - a > 1)
+    results, vo = tree.range_query(a + 1, b - 1)
+    assert results == [] and len(vo.proof[4]) >= 2
+    assert verify_range(vo, tree.root_digest(), a + 1, b - 1, [])
+    return a, b, vo
+
+
+def test_pruned_subtree_meeting_the_range_rejected():
+    tree = build(random_entries(200, 15))
+    a, b, vo = _gap_vo(tree)
+    # the same VO, checked for a range inside one of its left subtrees:
+    # both window keys lie outside that range, but the subtree does not
+    hidden = tree.root.bucket_keys[0]
+    assert not verify_range(vo, tree.root_digest(), hidden, hidden, [])
+
+
+def test_crafted_crit_sides_rejected():
+    tree = build(random_entries(200, 15))
+    a, b, vo = _gap_vo(tree)
+    root = tree.root_digest()
+    kind, nlo, nhi, window, left, right = vo.proof
+    (bit0, d0), (bit1, d1) = left[:2]
+    unset = next(bit for bit in range(left[-1][0] + 1, 64)
+                 if not a >> (63 - bit) & 1)
+    # an outermost right bit that the last window key has set
+    outer = min([64] + [bit for bit, _ in right])
+    set_in_last = next(bit for bit in range(outer - 1, -1, -1)
+                       if b >> (63 - bit) & 1)
+    crafted = [
+        # left bits must strictly increase
+        ([(bit1, d1), (bit0, d0)] + left[2:], right),
+        ([(bit0, d0), (bit0, d1)] + left[2:], right),
+        # a left bit must be set in the first window key
+        (left[:-1] + [(unset, left[-1][1])], right),
+        # a right bit must be clear in the last window key
+        (left, right + [(set_in_last, bytes(32))]),
+    ]
+    for l, r in crafted:
+        forged = RangeVO(vo.claimed_root, (kind, nlo, nhi, window, l, r))
+        assert not verify_range(forged, root, a + 1, b - 1, [])
+        assert not verify_range_bytes(forged.to_bytes(), root, a + 1, b - 1,
+                                      [])
+
+
+def test_fold_rejects_equal_neighbouring_gaps():
+    items = [bytes([i]) * 32 for i in range(3)]
+    assert _crit_fold(items, [40, 50]) is not None
+    assert _crit_fold(items, [50, 40]) is not None
+    assert _crit_fold(items, [40, 40]) is None
+
+
+def _sha256_calls_per_insert(n, monkeypatch):
+    """SHA-256 calls per shuffled insert + flush into a hash node that
+    holds n buckets."""
+    rng = random.Random(n)
+    stamps = rng.sample(range(1 << 40), n + 200)
+    tree = BHashTree()
+    for eid in range(n):
+        tree.insert(eid, stamps[eid])
+    tree.root_digest()
+    calls = 0
+    real = hashlib.sha256
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hashlib, "sha256", counting)
+        for eid in range(n, n + 200):
+            tree.insert(eid, stamps[eid])
+            tree.root_digest()
+    return calls / 200
+
+
+def test_shuffled_insert_hashes_grow_logarithmically(monkeypatch):
+    small = _sha256_calls_per_insert(1_000, monkeypatch)
+    large = _sha256_calls_per_insert(16_000, monkeypatch)
+    assert large <= 1.5 * small
 
 
 def _nested_range_vo(root: bytes, depth: int) -> bytes:

@@ -219,6 +219,37 @@ def test_plan_costs_ordered():
     assert rng.steps[0] == "cache-probe"
 
 
+@pytest.mark.parametrize("sql", [
+    insert_sql(5, ADDRS[1], 1_700_000_100, image=b"\x00\xff"),
+    "UPDATE entries SET amount = 9, timestamp = 1700000200 "
+    "WHERE entry_id = 3",
+    "DELETE FROM entries WHERE entry_id = 4",
+])
+def test_write_runs_its_plan_steps_in_order(sql, monkeypatch):
+    # each method a write calls is recorded under the plan step it serves
+    eng, _ = seeded_engine(12)
+    called = []
+
+    def record(owner, name, step):
+        method = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if not called or called[-1] != step:
+                called.append(step)
+            return method(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    record(eng.trie, "insert_many", "index-insert")
+    record(eng.time_index, "insert", "index-insert")
+    record(eng.store, "put", "store-payloads")
+    record(eng.time_index, "root_digest", "anchor-roots")
+    record(eng.trie, "root_digest", "anchor-roots")
+    record(eng.ledger, "append_block", "ledger-append")
+    record(eng.cache, "invalidate", "cache-invalidate")
+    result = eng.execute(sql)
+    assert tuple(called) == result.plan.steps
+
+
 def test_emit_vo_bytes():
     eng, _ = seeded_engine(30)
     res = eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN 0 "

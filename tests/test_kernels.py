@@ -1,10 +1,7 @@
-"""The stdlib kernels: the u64 wire layout, range windows, merkle folding."""
-import hashlib
-
+"""The stdlib kernels: the u64 wire layout and range windows."""
 from hypothesis import given, strategies as st
 
 from chainquery import _kernels
-from chainquery.core import DOM_BUCKET
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -36,12 +33,3 @@ def test_range_bounds_matches_linear_scan(keys, lo, hi):
     assert all(k < lo for k in keys[:i])
     assert all(k > hi for k in keys[j:])
 
-
-def test_merkle_level_promotes_odd_tail():
-    nodes = [bytes([i]) * 32 for i in range(5)]
-    prefix = bytes([DOM_BUCKET, 0x01])
-    pair = [hashlib.sha256(prefix + nodes[i] + nodes[i + 1]).digest()
-            for i in (0, 2)]
-    assert _kernels.merkle_level(nodes, DOM_BUCKET) == pair + [nodes[4]]
-    assert _kernels.merkle_level(nodes[:4], DOM_BUCKET) == pair
-    assert _kernels.merkle_level(nodes[:1], DOM_BUCKET) == nodes[:1]
