@@ -67,15 +67,11 @@ def internal_digest(child_triples, lo: int, hi: int) -> bytes:
 
 # --- the crit-bit merkle tree inside a hash node --------------------------
 #
-# Key bits are numbered from the top: bit b of key k is k >> (63 - b) & 1.
+# Key bits are numbered from the top: bit b of key k is k >> (63 - b) & 1,
+# and distinct keys a and b first differ at bit 64 - (a ^ b).bit_length().
 # A leaf is one bucket.  A branch splits its keys at the first bit where
 # they differ, zeros to the left; its digest is
 # digest(DOM_BUCKET, 0x04 ‖ bit ‖ left digest ‖ right digest).
-
-def _crit_bit(a: int, b: int) -> int:
-    """First bit, from the top, at which two distinct keys differ."""
-    return 64 - (a ^ b).bit_length()
-
 
 class _CritLeaf:
     __slots__ = ("key", "ids", "ids_digest", "digest")
@@ -112,28 +108,28 @@ def _crit_rehash(node) -> bytes:
 
 
 def _crit_window_paths(root, first: int, last: int):
-    """The subtrees outside the key window [first, last], as (branch bit,
-    digest): the left siblings on the path to first, outermost first, and
-    the right siblings on the path to last, innermost first.  Also returns
-    the leaves of first and last."""
-    left, right = [], []
+    """The subtrees outside the key window [first, last]: the left
+    siblings on the path to first, outermost first, and the right siblings
+    on the path to last, innermost first, each side as (branch bits,
+    sibling digests).  Also returns the leaves of first and last."""
+    lefts, rights = [], []  # branches with a child outside the window
     node = root
     while node.bit < 64:  # the path both keys share
         go = first >> (63 - node.bit) & 1
         if go != last >> (63 - node.bit) & 1:
             break
         if go:
-            left.append((node.bit, node.left.digest))
+            lefts.append(node)
             node = node.right
         else:
-            right.append((node.bit, node.right.digest))
+            rights.append(node)
             node = node.left
     a = b = node
     if node.bit < 64:
         a, b = node.left, node.right
     while a.bit < 64:
         if first >> (63 - a.bit) & 1:
-            left.append((a.bit, a.left.digest))
+            lefts.append(a)
             a = a.right
         else:
             a = a.left
@@ -141,10 +137,16 @@ def _crit_window_paths(root, first: int, last: int):
         if last >> (63 - b.bit) & 1:
             b = b.right
         else:
-            right.append((b.bit, b.right.digest))
+            rights.append(b)
             b = b.left
-    right.reverse()
-    return left, right, a, b
+    rights.reverse()
+    return ((bytes([n.bit for n in lefts]), [n.left.digest for n in lefts]),
+            (bytes([n.bit for n in rights]), [n.right.digest for n in rights]),
+            a, b)
+
+
+# digest(DOM_BUCKET, ...) preimage prefix of a branch at each bit
+_BRANCH_PREFIX = [bytes((DOM_BUCKET, 0x04, bit)) for bit in range(64)]
 
 
 def _crit_fold(items, gaps):
@@ -153,24 +155,17 @@ def _crit_fold(items, gaps):
     items[i] from items[i + 1].  None if two neighbouring gaps are equal,
     which no crit-bit tree has.  Hashes inline: this is the verifier's
     hot loop."""
-    prefix = bytes((DOM_BUCKET, 0x04))
-    digests = [items[0]]
-    bits = []
-
-    def merge():
-        right = digests.pop()
-        digests[-1] = hashlib.sha256(prefix + bytes((bits.pop(),))
-                                     + digests[-1] + right).digest()
-
-    for gap, item in zip(gaps, items[1:]):
+    digests, bits = [items[0]], []
+    # a last gap of -1 merges the whole stack into digests[0]
+    for gap, item in zip(gaps + [-1], items[1:] + [None]):
         while bits and bits[-1] > gap:
-            merge()
+            right = digests.pop()
+            digests[-1] = hashlib.sha256(_BRANCH_PREFIX[bits.pop()]
+                                         + digests[-1] + right).digest()
         if bits and bits[-1] == gap:
             return None
         bits.append(gap)
         digests.append(item)
-    while bits:
-        merge()
     return digests[0]
 
 
@@ -196,8 +191,8 @@ class BHashNode:
 
     def recompute_digest(self, meter: Optional[GasMeter]) -> None:
         if self.is_hash_node:
-            root = _crit_rehash(self.crit) if self.crit else EMPTY_DIGEST
-            self.node_digest = hash_node_digest(root, self.lo, self.hi)
+            self.node_digest = hash_node_digest(_crit_rehash(self.crit),
+                                                self.lo, self.hi)
         elif self.is_leaf:
             self.node_digest = leaf_digest(self.pairs, self.lo, self.hi)
         else:
@@ -233,7 +228,7 @@ class RangeVO:
     #   (P_LEAF, lo, hi, pairs)
     #   (P_INTERNAL, lo, hi, [children])
     #   (P_HASHLEAF, lo, hi, [(kind, key, ids_or_digest)],
-    #    [(bit, digest)] left siblings, [(bit, digest)] right siblings)
+    #    (bits, [digest]) of the left siblings, the same of the right)
 
     def to_bytes(self) -> bytes:
         return self.claimed_root + _encode_proof(self.proof)
@@ -284,9 +279,9 @@ def _encode_proof(node) -> bytes:
         parts.append(_kernels.pack_u64_list(ids)[4:])
     if last_dig:
         parts.append(struct.pack(">Q", window[-1][1]) + window[-1][2])
-    for side in (left, right):
-        parts.append(bytes([len(side)]) + bytes(bit for bit, _ in side))
-        parts.extend(d for _, d in side)
+    for bits, digests in (left, right):
+        parts.append(bytes([len(bits)]) + bits)
+        parts += digests
     return b"".join(parts)
 
 
@@ -346,8 +341,8 @@ def _decode_proof(data: bytes, off: int, depth: int):
                 cnt = data[off]
                 bits = _take(data, off + 1, cnt)
                 raw = _take(data, off + 1 + cnt, 32 * cnt)
-                sides.append([(bits[i], raw[32 * i:32 * i + 32])
-                              for i in range(cnt)])
+                sides.append((bits, [raw[i:i + 32]
+                                     for i in range(0, len(raw), 32)]))
                 off += 1 + 33 * cnt
             return (P_HASHLEAF, lo, hi, window, *sides), off
         raise VODecodeError(f"bad proof kind {kind}")
@@ -522,7 +517,7 @@ class BHashTree:
             if not near:
                 node.crit = _CritLeaf(key, ids)
                 return
-            bit = max(_crit_bit(key, k) for k in near)
+            bit = max(64 - (key ^ k).bit_length() for k in near)
         parent, cur = None, node.crit
         while cur.bit < bit:
             cur.digest = None
@@ -582,8 +577,6 @@ class BHashTree:
         keys = node.bucket_keys
         i, j = _kernels.range_bounds(keys, lo, hi)
         wstart, wend = max(i - 1, 0), min(j + 1, len(keys))
-        if wstart == wend:
-            return (P_HASHLEAF, node.lo, node.hi, [], [], [])
         left, right, first, last = _crit_window_paths(
             node.crit, keys[wstart], keys[wend - 1])
         window = []
@@ -671,59 +664,49 @@ def _verify_node(node, lo: int, hi: int, collected):
 
 
 def _verify_hash_leaf(node, lo, hi, collected):
-    _, nlo, nhi, window, left, right = node
-    if not window:
-        return (None if left or right
-                else hash_node_digest(EMPTY_DIGEST, nlo, nhi))
+    _, nlo, nhi, window, (lbits, ldigs), (rbits, rdigs) = node
+    if not window or len(lbits) != len(ldigs) or len(rbits) != len(rdigs):
+        return None
     keys = [e[1] for e in window]
+    # gaps[i] is the bit of the branch between the i-th and next item
+    gaps = list(lbits)
     for a, b in zip(keys, keys[1:]):
         if b <= a:
             return None
+        gaps.append(64 - (a ^ b).bit_length())
+    gaps += rbits
+    for wkind, key, payload in window:
+        if wkind == W_REVEALED:
+            if not lo <= key <= hi or sorted(payload) != payload:
+                return None
+        elif lo <= key <= hi or len(payload) != 32:
+            return None  # an in-range bucket withheld
     # Completeness: every key of a left subtree shares the first window
     # key's bits above the subtree's branch bit and has a 0 there, where
     # the first key has a 1; its interval must end below lo.  The right
     # side mirrors this around the last key and hi.
     first, last = keys[0], keys[-1]
     prev = -1
-    for bit, d in left:
-        if not prev < bit < 64 or len(d) != 32:
-            return None
-        shift = 63 - bit
-        if not first >> shift & 1 \
-                or (first >> shift ^ 1) << shift | ((1 << shift) - 1) >= lo:
+    for bit, d in zip(lbits, ldigs):
+        if (not prev < bit < 64 or len(d) != 32
+                or not first >> (63 - bit) & 1
+                or (first >> (63 - bit) ^ 1) << (63 - bit)
+                | ((1 << (63 - bit)) - 1) >= lo):
             return None
         prev = bit
     prev = 64
-    for bit, d in right:
-        if not bit < prev or len(d) != 32:
-            return None
-        shift = 63 - bit
-        if last >> shift & 1 or (last >> shift | 1) << shift <= hi:
+    for bit, d in zip(rbits, rdigs):
+        if (not 0 <= bit < prev or len(d) != 32 or last >> (63 - bit) & 1
+                or (last >> (63 - bit) | 1) << (63 - bit) <= hi):
             return None
         prev = bit
     leaves = []
     for wkind, key, payload in window:
         if wkind == W_REVEALED:
-            if not (lo <= key <= hi):
-                return None
-            ids = list(payload)
-            if sorted(ids) != ids:
-                return None
-            collected.extend((key, eid) for eid in ids)
-            leaves.append(bucket_leaf_digest(key, bucket_ids_digest(ids)))
-        else:
-            if lo <= key <= hi:
-                return None  # in-range bucket withheld
-            if len(payload) != 32:
-                return None
-            leaves.append(bucket_leaf_digest(key, payload))
-    # the gap between two neighbouring items is the bit of the branch
-    # that separates them
-    gaps = ([bit for bit, _ in left]
-            + [_crit_bit(a, b) for a, b in zip(keys, keys[1:])]
-            + [bit for bit, _ in right])
-    root = _crit_fold([d for _, d in left] + leaves + [d for _, d in right],
-                      gaps)
+            collected.extend((key, eid) for eid in payload)
+            payload = bucket_ids_digest(payload)
+        leaves.append(bucket_leaf_digest(key, payload))
+    root = _crit_fold(ldigs + leaves + rdigs, gaps)
     if root is None:
         return None
     return hash_node_digest(root, nlo, nhi)

@@ -2,10 +2,11 @@
 
 The engine owns a ledger, a time index (BHashTree), a prefix index (Trie),
 a content-addressed payload store, and a bloom-filter query cache.  Writes
-append a block (entry + operation record), re-insert into both indexes,
-anchor the new roots, and bump the cache epoch.  Reads probe the cache,
-query the index, verify the returned proof against the latest anchored
-root, and filter out deleted or superseded entries before returning rows.
+insert into both indexes, store payloads, anchor the new roots in a block
+(entries + operation records), and bump the cache epoch.  Reads probe the
+cache, query the index, verify the returned proof against the latest
+anchored root, and filter out deleted or superseded entries before
+returning rows.
 """
 from __future__ import annotations
 

@@ -312,7 +312,7 @@ def _gap_vo(tree):
     keys = tree.root.bucket_keys[::-1]
     a, b = next((a, b) for b, a in zip(keys, keys[1:]) if b - a > 1)
     results, vo = tree.range_query(a + 1, b - 1)
-    assert results == [] and len(vo.proof[4]) >= 2
+    assert results == [] and len(vo.proof[4][0]) >= 2
     assert verify_range(vo, tree.root_digest(), a + 1, b - 1, [])
     return a, b, vo
 
@@ -331,21 +331,23 @@ def test_crafted_crit_sides_rejected():
     a, b, vo = _gap_vo(tree)
     root = tree.root_digest()
     kind, nlo, nhi, window, left, right = vo.proof
-    (bit0, d0), (bit1, d1) = left[:2]
-    unset = next(bit for bit in range(left[-1][0] + 1, 64)
+    (lbits, ldigs), (rbits, rdigs) = left, right
+    swapped = bytes([lbits[1], lbits[0]]) + lbits[2:]
+    doubled = bytes([lbits[0], lbits[0]]) + lbits[2:]
+    unset = next(bit for bit in range(lbits[-1] + 1, 64)
                  if not a >> (63 - bit) & 1)
     # an outermost right bit that the last window key has set
-    outer = min([64] + [bit for bit, _ in right])
-    set_in_last = next(bit for bit in range(outer - 1, -1, -1)
+    set_in_last = next(bit for bit in range(min(rbits, default=64) - 1, -1,
+                                            -1)
                        if b >> (63 - bit) & 1)
     crafted = [
         # left bits must strictly increase
-        ([(bit1, d1), (bit0, d0)] + left[2:], right),
-        ([(bit0, d0), (bit0, d1)] + left[2:], right),
+        ((swapped, ldigs), right),
+        ((doubled, ldigs), right),
         # a left bit must be set in the first window key
-        (left[:-1] + [(unset, left[-1][1])], right),
+        ((lbits[:-1] + bytes([unset]), ldigs), right),
         # a right bit must be clear in the last window key
-        (left, right + [(set_in_last, bytes(32))]),
+        (left, (rbits + bytes([set_in_last]), rdigs + [bytes(32)])),
     ]
     for l, r in crafted:
         forged = RangeVO(vo.claimed_root, (kind, nlo, nhi, window, l, r))
