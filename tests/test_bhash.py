@@ -239,6 +239,11 @@ def _crit_keys(node):
     return [n.key for n in _crit_nodes(node) if n.bit == 64]
 
 
+def _mark_crit_stale(node):
+    for crit in _crit_nodes(node.crit):
+        crit.digest = None
+
+
 @pytest.mark.parametrize("threshold,seed",
                          [(10, 1), (10, 2), (40, 3), (None, 1)])
 def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
@@ -265,16 +270,14 @@ def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
                     assert crit.bit == 64 - (keys[0] ^ keys[-1]).bit_length()
             # rehashing every crit node from scratch gives the same digest
             incremental = node.node_digest
-            for crit in _crit_nodes(node.crit):
-                crit.digest = None
+            _mark_crit_stale(node)
             node.recompute_digest(None)
             assert node.node_digest == incremental
     # rehashing every node from scratch gives the same root
     root = tree.root_digest()
     for node in _nodes(tree.root):
         if node.is_hash_node:
-            for crit in _crit_nodes(node.crit):
-                crit.digest = None
+            _mark_crit_stale(node)
         node.dirty = True
     tree._stale = True
     assert tree.root_digest() == root
@@ -306,23 +309,28 @@ def test_hash_node_root_depends_only_on_the_key_set(stamps, rnd):
     assert root_after(shuffled[::-1], 1.0) == want
 
 
-def _gap_vo(tree):
-    """An empty range between two adjacent buckets near the top of the key
-    range, whose path to them has several left siblings, and its VO."""
-    keys = tree.root.bucket_keys[::-1]
-    a, b = next((a, b) for b, a in zip(keys, keys[1:]) if b - a > 1)
+def _gap_vo(tree, top=True):
+    """An empty range between two adjacent buckets near the top (or the
+    bottom) of the key range, and its VO, whose left (right) side then
+    holds several subtrees."""
+    keys = tree.root.bucket_keys
+    gaps = list(zip(keys, keys[1:]))
+    a, b = next((a, b) for a, b in (gaps[::-1] if top else gaps)
+                if b - a > 1)
     results, vo = tree.range_query(a + 1, b - 1)
-    assert results == [] and len(vo.proof[4][0]) >= 2
+    assert results == [] and len(vo.proof[4 if top else 5][0]) >= 2
     assert verify_range(vo, tree.root_digest(), a + 1, b - 1, [])
     return a, b, vo
 
 
-def test_pruned_subtree_meeting_the_range_rejected():
+@pytest.mark.parametrize("top", [True, False])
+def test_pruned_subtree_meeting_the_range_rejected(top):
     tree = build(random_entries(200, 15))
-    a, b, vo = _gap_vo(tree)
-    # the same VO, checked for a range inside one of its left subtrees:
+    a, b, vo = _gap_vo(tree, top)
+    # the same VO, checked for a range inside one of its side subtrees:
     # both window keys lie outside that range, but the subtree does not
-    hidden = tree.root.bucket_keys[0]
+    keys = tree.root.bucket_keys
+    hidden = keys[0] if top else keys[-1]
     assert not verify_range(vo, tree.root_digest(), hidden, hidden, [])
 
 
@@ -336,9 +344,8 @@ def test_crafted_crit_sides_rejected():
     doubled = bytes([lbits[0], lbits[0]]) + lbits[2:]
     unset = next(bit for bit in range(lbits[-1] + 1, 64)
                  if not a >> (63 - bit) & 1)
-    # an outermost right bit that the last window key has set
-    set_in_last = next(bit for bit in range(min(rbits, default=64) - 1, -1,
-                                            -1)
+    # a new outermost right bit must lie below the present ones
+    set_in_last = next(bit for bit in reversed(range(min(rbits, default=64)))
                        if b >> (63 - bit) & 1)
     crafted = [
         # left bits must strictly increase
