@@ -17,7 +17,7 @@ from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
                                VerificationFailure, replay)
 from chainquery.ledger import Ledger, LedgerDecodeError
 from chainquery.sqlgrammar import SqlSyntaxError, UnsupportedFeature
-from chainquery.store import ContentStore, IntegrityFailure
+from chainquery.store import ContentStore, IntegrityFailure, NotFound
 
 
 def _threshold(args) -> int | None:
@@ -229,7 +229,8 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailure, IntegrityFailure, LedgerDecodeError) as exc:
+    except (VerificationFailure, IntegrityFailure, NotFound,
+            LedgerDecodeError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

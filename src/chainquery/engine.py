@@ -133,20 +133,6 @@ class Engine:
     def _trusted_roots(self):
         return self.ledger.latest_roots()
 
-    def _entry_row(self, entry: DataEntry) -> dict:
-        # get() re-hashes the payload; a corrupted store raises here.
-        for cid in (entry.image_cid, entry.video_cid):
-            if cid is not None:
-                self.store.get(cid)
-        return {
-            "entry_id": entry.entry_id,
-            "amount": entry.amount,
-            "addresses": list(entry.addresses),
-            "timestamp": entry.timestamp,
-            "imagecid": entry.image_cid.hex() if entry.image_cid else None,
-            "videocid": entry.video_cid.hex() if entry.video_cid else None,
-        }
-
     # -- writes --------------------------------------------------------
 
     def _trie_keys(self, entries) -> list[tuple[str, int]]:
@@ -258,13 +244,25 @@ class Engine:
 
     # -- reads ---------------------------------------------------------
 
+    def _rows(self, entries) -> list[dict]:
+        """The entries' rows, once every payload they reference is fetched
+        and re-hashed as one batch: a corrupted or missing payload raises
+        here."""
+        self.store.check_many([cid for e in entries
+                               for cid in (e.image_cid, e.video_cid)
+                               if cid is not None])
+        return [{
+            "entry_id": e.entry_id,
+            "amount": e.amount,
+            "addresses": list(e.addresses),
+            "timestamp": e.timestamp,
+            "imagecid": e.image_cid.hex() if e.image_cid else None,
+            "videocid": e.video_cid.hex() if e.video_cid else None,
+        } for e in entries]
+
     def _rows_for_ids(self, ids) -> list[dict]:
-        rows = []
-        for eid in sorted(set(ids)):
-            if not self.is_live(eid):
-                continue
-            rows.append(self._entry_row(self.entries[eid]))
-        return rows
+        return self._rows([self.entries[eid] for eid in sorted(set(ids))
+                           if self.is_live(eid)])
 
     def _exec_time_range(self, start: int, end: int):
         ids, vo = self.time_index.range_query(start, end)
@@ -288,9 +286,8 @@ class Engine:
 
     def _exec_simple_id(self, entry_id: int) -> list[dict]:
         entry = self.entries.get(entry_id)
-        if entry is not None and self.is_live(entry_id):
-            return [self._entry_row(entry)]
-        return []
+        live = entry is not None and self.is_live(entry_id)
+        return self._rows([entry] if live else [])
 
     # -- entry points --------------------------------------------------
 

@@ -454,7 +454,7 @@ def _metered_run(threshold):
     (40, 1195, 1491,
      "d92a4f07fae87b83c6ea183b04a1deb93d61c97695a4232a010f97e8946875bc",
      "3a587725ec50809d2464ff0ddf2c22985a719dda6271e5b486417dddd4f2dd53"),
-])
+], ids=["None", "10", "40"])
 def test_storage_ticks_and_root_pinned(threshold, writes, reads, root, vos):
     # storage ticks, the root and the VO bytes are part of the contract;
     # compute ticks are not, since they count digest recomputations

@@ -141,6 +141,19 @@ def test_verify_detects_payload_corruption(dataset, capsys):
     assert "verification failed" in err
 
 
+def test_query_with_missing_payload_exit_1(dataset, capsys):
+    store = os.path.join(dataset, "store", "objects")
+    sub = sorted(os.listdir(store))[0]
+    os.remove(os.path.join(store, sub, sorted(os.listdir(
+        os.path.join(store, sub)))[0]))
+    code, _, err = run(capsys, "query", "--dataset", dataset,
+                       "SELECT * FROM entries WHERE timestamp BETWEEN 0 "
+                       "AND 9999999999")
+    assert code == 1
+    assert err.startswith("verification failed: no payload stored under")
+    assert "Traceback" not in err
+
+
 def test_bplus_only_variant_roundtrip(tmp_path, capsys):
     d = str(tmp_path / "data")
     assert run(capsys, "generate", "--dataset", d, "--blocks", "16")[0] == 0

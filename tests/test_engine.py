@@ -12,7 +12,8 @@ from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
                                timestamp_string)
 from chainquery.ledger import OP_DELETE, OP_INSERT, OP_UPDATE
 from chainquery.sqlgrammar import InsertQuery, parse
-from chainquery.store import MAX_PAYLOAD, PayloadTooLarge
+from chainquery.store import (MAX_PAYLOAD, SPLIT_FROM_BYTES, IntegrityFailure,
+                              PayloadTooLarge)
 
 ADDRS = ["0x" + f"{i:040x}" for i in range(16)]
 
@@ -207,6 +208,28 @@ def test_tampered_anchor_detected():
     with pytest.raises(VerificationFailure):
         eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN 0 "
                     "AND 2000000000")
+
+
+def test_between_over_many_payloads_with_one_flipped_raises():
+    eng = Engine()
+    images = [bytes([i]) * 8192 for i in range(24)]
+    # more stored bytes than SPLIT_FROM_BYTES: the helper takes a share
+    assert 24 * 8192 >= SPLIT_FROM_BYTES
+    for i, image in enumerate(images):
+        eng.execute(insert_sql(i, ADDRS[i % 16], 100 + i, image=image))
+    assert len(eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN "
+                           "0 AND 1000").rows) == 24
+    cid = eng.store.address(images[17])
+    eng.store._mem[cid] = b"\x00" + images[17][1:]
+    with pytest.raises(IntegrityFailure):
+        eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN 0 "
+                    "AND 1001")
+    # the proof is checked before any payload: a forged anchor wins
+    block = eng.ledger.blocks[-1]
+    object.__setattr__(block, "bhash_root", b"\x00" * 32)
+    with pytest.raises(VerificationFailure):
+        eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN 0 "
+                    "AND 1002")
 
 
 def test_plan_costs_ordered():
