@@ -17,7 +17,7 @@ from typing import Optional
 from chainquery import _kernels
 from chainquery.core import (DOM_BUCKET, DOM_INTERNAL, DOM_LEAF, EMPTY_DIGEST,
                              MAX_TIMESTAMP, VODecodeError, _check_timestamp,
-                             _take, digest)
+                             _take, _take_u64s, digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
@@ -40,12 +40,33 @@ def leaf_digest(pairs, lo: int, hi: int) -> bytes:
                   + _kernels.pack_u64_pairs(pairs))
 
 
+# The bucket preimages, spelled once.  Each layout below is the whole
+# SHA-256 input, DOM_BUCKET's tag byte first: the verifier hashes it with
+# hashlib itself, and the provers hand the rest of it to digest(), which
+# puts the tag back (and which the benchmark's tracer counts).
+#   ids     0x03 ‖ count u32 ‖ count × id u64
+#   leaf    0x00 ‖ key u64 ‖ ids digest
+#   branch  0x04 ‖ bit u8 ‖ left digest ‖ right digest
+_IDS_HEAD = bytes((DOM_BUCKET, 0x03))
+_ONE_ID = struct.Struct(">2sIQ")           # _IDS_HEAD, 1, id
+_LEAF_HEAD = bytes((DOM_BUCKET, 0x00))
+_BUCKET_LEAF = struct.Struct(">2sQ32s")    # _LEAF_HEAD, key, ids digest
+_BRANCH_PREFIX = [bytes((DOM_BUCKET, 0x04, bit)) for bit in range(64)]
+
+
+def _ids_preimage(entry_ids) -> bytes:
+    if len(entry_ids) == 1:
+        return _ONE_ID.pack(_IDS_HEAD, 1, entry_ids[0])
+    return _IDS_HEAD + _kernels.pack_u64_list(entry_ids)
+
+
 def bucket_ids_digest(entry_ids) -> bytes:
-    return digest(DOM_BUCKET, b"\x03" + _kernels.pack_u64_list(entry_ids))
+    return digest(DOM_BUCKET, _ids_preimage(entry_ids)[1:])
 
 
 def bucket_leaf_digest(key: int, ids_digest: bytes) -> bytes:
-    return digest(DOM_BUCKET, b"\x00" + key.to_bytes(8, "big") + ids_digest)
+    return digest(DOM_BUCKET,
+                  _BUCKET_LEAF.pack(_LEAF_HEAD, key, ids_digest)[1:])
 
 
 def hash_node_digest(crit_root: bytes, lo: int, hi: int) -> bytes:
@@ -101,7 +122,7 @@ def _crit_rehash(node) -> bytes:
             node.ids_digest = bucket_ids_digest(node.ids)
             node.digest = bucket_leaf_digest(node.key, node.ids_digest)
         else:
-            node.digest = digest(DOM_BUCKET, b"\x04" + bytes((node.bit,))
+            node.digest = digest(DOM_BUCKET, _BRANCH_PREFIX[node.bit][1:]
                                  + _crit_rehash(node.left)
                                  + _crit_rehash(node.right))
     return node.digest
@@ -145,23 +166,20 @@ def _crit_window_paths(root, first: int, last: int):
             a, b)
 
 
-# digest(DOM_BUCKET, ...) preimage prefix of a branch at each bit
-_BRANCH_PREFIX = [bytes((DOM_BUCKET, 0x04, bit)) for bit in range(64)]
-
-
 def _crit_fold(items, gaps):
     """Root of the crit-bit tree whose leaves, in key order, have the
     digests `items`; gaps[i] is the bit of the branch that separates
     items[i] from items[i + 1].  None if two neighbouring gaps are equal,
     which no crit-bit tree has.  Hashes inline: this is the verifier's
     hot loop."""
+    sha256, prefix = hashlib.sha256, _BRANCH_PREFIX
     digests, bits = [items[0]], []
     # a last gap of -1 merges the whole stack into digests[0]
     for gap, item in zip(gaps + [-1], items[1:] + [None]):
         while bits and bits[-1] > gap:
             right = digests.pop()
-            digests[-1] = hashlib.sha256(_BRANCH_PREFIX[bits.pop()]
-                                         + digests[-1] + right).digest()
+            digests[-1] = sha256(prefix[bits.pop()] + digests[-1]
+                                 + right).digest()
         if bits and bits[-1] == gap:
             return None
         bits.append(gap)
@@ -285,22 +303,29 @@ def _encode_proof(node) -> bytes:
     return b"".join(parts)
 
 
+_U64 = struct.Struct(">Q")
+_U32 = struct.Struct(">I")
+_RANGE = struct.Struct(">QQ")              # a proof node's lo, hi
+_RANGE_COUNT = struct.Struct(">QQI")       # lo, hi, pair or child count
+_HASHLEAF_HEAD = struct.Struct(">QQBI")    # lo, hi, flags, nrev
+_KEY_COUNT = struct.Struct(">QB")          # a revealed bucket's key, count
+
+
 def _decode_proof(data: bytes, off: int, depth: int):
     if depth > MAX_PROOF_DEPTH:
         raise VODecodeError("proof nested too deep")
     try:
         kind = data[off]
         if kind == P_PRUNED:
-            lo, hi = struct.unpack_from(">QQ", data, off + 1)
+            lo, hi = _RANGE.unpack_from(data, off + 1)
             return (P_PRUNED, lo, hi, _take(data, off + 17, 32)), off + 49
         if kind == P_LEAF:
-            lo, hi, n = struct.unpack_from(">QQI", data, off + 1)
-            raw = _take(data, off + 21, 16 * n)
-            flat = struct.unpack(f">{2 * n}Q", raw)
+            lo, hi, n = _RANGE_COUNT.unpack_from(data, off + 1)
+            flat = _take_u64s(data, off + 21, 2 * n)
             return (P_LEAF, lo, hi, list(zip(flat[::2], flat[1::2]))), \
-                off + 21 + len(raw)
+                off + 21 + 16 * n
         if kind == P_INTERNAL:
-            lo, hi, n = struct.unpack_from(">QQI", data, off + 1)
+            lo, hi, n = _RANGE_COUNT.unpack_from(data, off + 1)
             off += 21
             children = []
             for _ in range(n):
@@ -308,46 +333,51 @@ def _decode_proof(data: bytes, off: int, depth: int):
                 children.append(child)
             return (P_INTERNAL, lo, hi, children), off
         if kind == P_HASHLEAF:
-            lo, hi, flags, nrev = struct.unpack_from(">QQBI", data, off + 1)
-            if flags & ~0x03:
-                raise VODecodeError("bad window flags")
-            off += 22
-            window = []
-
-            def digest_entry(off):
-                key, = struct.unpack_from(">Q", data, off)
-                return (W_DIGEST_ONLY, key, _take(data, off + 8, 32)), off + 40
-
-            if flags & 1:
-                entry, off = digest_entry(off)
-                window.append(entry)
-            for _ in range(nrev):
-                key, = struct.unpack_from(">Q", data, off)
-                off += 8
-                cnt = data[off]
-                off += 1
-                if cnt == 0xFF:
-                    cnt, = struct.unpack_from(">I", data, off)
-                    off += 4
-                raw = _take(data, off, 8 * cnt)
-                ids = list(struct.unpack(f">{cnt}Q", raw))
-                off += len(raw)
-                window.append((W_REVEALED, key, ids))
-            if flags & 2:
-                entry, off = digest_entry(off)
-                window.append(entry)
-            sides = []
-            for _ in range(2):
-                cnt = data[off]
-                bits = _take(data, off + 1, cnt)
-                raw = _take(data, off + 1 + cnt, 32 * cnt)
-                sides.append((bits, [raw[i:i + 32]
-                                     for i in range(0, len(raw), 32)]))
-                off += 1 + 33 * cnt
-            return (P_HASHLEAF, lo, hi, window, *sides), off
+            return _decode_hash_leaf(data, off + 1)
         raise VODecodeError(f"bad proof kind {kind}")
     except (IndexError, struct.error) as exc:
         raise VODecodeError(str(exc)) from None
+
+
+def _decode_hash_leaf(data: bytes, off: int):
+    """The hash-leaf proof whose body starts at off; IndexError or
+    struct.error on truncated bytes, which _decode_proof converts."""
+    lo, hi, flags, nrev = _HASHLEAF_HEAD.unpack_from(data, off)
+    if flags & ~0x03:
+        raise VODecodeError("bad window flags")
+    off += 21
+    window = []
+    if flags & 1:
+        entry, off = _decode_digest_only(data, off)
+        window.append(entry)
+    for _ in range(nrev):
+        key, cnt = _KEY_COUNT.unpack_from(data, off)
+        off += 9
+        if cnt == 1:
+            window.append((W_REVEALED, key, list(_U64.unpack_from(data, off))))
+            off += 8
+            continue
+        if cnt == 0xFF:
+            cnt, = _U32.unpack_from(data, off)
+            off += 4
+        window.append((W_REVEALED, key, _take_u64s(data, off, cnt)))
+        off += 8 * cnt
+    if flags & 2:
+        entry, off = _decode_digest_only(data, off)
+        window.append(entry)
+    sides = []
+    for _ in range(2):
+        cnt = data[off]
+        bits = _take(data, off + 1, cnt)
+        raw = _take(data, off + 1 + cnt, 32 * cnt)
+        sides.append((bits, [raw[i:i + 32] for i in range(0, len(raw), 32)]))
+        off += 1 + 33 * cnt
+    return (P_HASHLEAF, lo, hi, window, *sides), off
+
+
+def _decode_digest_only(data: bytes, off: int):
+    key, = _U64.unpack_from(data, off)
+    return (W_DIGEST_ONLY, key, _take(data, off + 8, 32)), off + 40
 
 
 # --- the tree ------------------------------------------------------------
@@ -594,6 +624,12 @@ class BHashTree:
 
 
 # --- verification --------------------------------------------------------
+#
+# A verifier checks a proof in two walks.  The first hashes nothing: it
+# checks the proof's shape, key order and completeness and gathers the
+# in-range ids, which must equal the claimed results.  Only a proof that
+# passes all of it is hashed, by the second walk, so a forged or damaged
+# proof costs no SHA-256 call unless it is consistent with the claim.
 
 def verify_range(vo: RangeVO, trusted_root: bytes, start_time: int,
                  end_time: int, results) -> bool:
@@ -609,11 +645,12 @@ def verify_range(vo: RangeVO, trusted_root: bytes, start_time: int,
         lo = _check_timestamp(max(start_time, 0))
         hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
         collected: list[tuple[int, int]] = []
-        recomputed = _verify_node(vo.proof, lo, hi, collected)
-        if recomputed is None or recomputed != trusted_root:
+        if not _check_node(vo.proof, lo, hi, collected):
             return False
         collected.sort()
-        return [eid for _, eid in collected] == list(results)
+        if [eid for _, eid in collected] != list(results):
+            return False
+        return _proof_digest(vo.proof) == trusted_root
     except (VODecodeError, ValueError, TypeError, IndexError, OverflowError,
             struct.error):
         return False
@@ -629,83 +666,109 @@ def verify_range_bytes(vo_bytes: bytes, trusted_root: bytes, start_time: int,
     return verify_range(vo, trusted_root, start_time, end_time, results)
 
 
-def _verify_node(node, lo: int, hi: int, collected):
-    """Recompute a proof node's digest; None signals a malformed or
-    incomplete proof."""
+def _check_node(node, lo: int, hi: int, collected) -> bool:
+    """The first walk: False if the proof node is malformed or could hide
+    a key in [lo, hi]; gathers its in-range (key, id) pairs."""
     kind = node[0]
+    if kind == P_HASHLEAF:
+        return _check_hash_leaf(node, lo, hi, collected)
     if kind == P_PRUNED:
         _, nlo, nhi, d = node
-        if nlo <= hi and nhi >= lo:
-            return None  # pruned subtree overlaps the query range
-        return d if len(d) == 32 else None
+        # a pruned subtree may not overlap the query range
+        return not (nlo <= hi and nhi >= lo) and len(d) == 32
     if kind == P_LEAF:
         _, nlo, nhi, pairs = node
         for a, b in zip(pairs, pairs[1:]):
             if b < a:
-                return None
+                return False
         for k, eid in pairs:
             if lo <= k <= hi:
                 collected.append((k, eid))
-        return leaf_digest(pairs, nlo, nhi)
+        return True
     if kind == P_INTERNAL:
         _, nlo, nhi, children = node
         if not children:
-            return None
-        triples = []
+            return False
         for child in children:
-            d = _verify_node(child, lo, hi, collected)
-            if d is None:
-                return None
-            triples.append((child[1], child[2], d))
-        return internal_digest(triples, nlo, nhi)
-    if kind == P_HASHLEAF:
-        return _verify_hash_leaf(node, lo, hi, collected)
-    return None
+            if not _check_node(child, lo, hi, collected):
+                return False
+        return True
+    return False
 
 
-def _verify_hash_leaf(node, lo, hi, collected):
+def _check_hash_leaf(node, lo, hi, collected) -> bool:
     _, nlo, nhi, window, (lbits, ldigs), (rbits, rdigs) = node
     if not window or len(lbits) != len(ldigs) or len(rbits) != len(rdigs):
-        return None
-    keys = [e[1] for e in window]
-    # gaps[i] is the bit of the branch between the i-th and next item
-    gaps = list(lbits)
-    for a, b in zip(keys, keys[1:]):
-        if b <= a:
-            return None
-        gaps.append(64 - (a ^ b).bit_length())
-    gaps += rbits
+        return False
+    # Window keys strictly increase.  Revealed buckets lie in the range
+    # and digest-only ones, whose ids stay hidden, outside it.
+    prev = -1
     for wkind, key, payload in window:
+        if key <= prev:
+            return False
+        prev = key
         if wkind == W_REVEALED:
             if not lo <= key <= hi or sorted(payload) != payload:
-                return None
+                return False
+            if len(payload) == 1:
+                collected.append((key, payload[0]))
+            else:
+                collected.extend([(key, eid) for eid in payload])
         elif lo <= key <= hi or len(payload) != 32:
-            return None  # an in-range bucket withheld
+            return False
     # Completeness: every key of a left subtree shares the first window
     # key's bits above the subtree's branch bit and has a 0 there, where
     # the first key has a 1; its interval must end below lo.  The right
     # side mirrors this around the last key and hi.
-    first, last = keys[0], keys[-1]
+    first, last = window[0][1], prev
     prev = -1
     for bit, d in zip(lbits, ldigs):
         if (not prev < bit < 64 or len(d) != 32
                 or not first >> (63 - bit) & 1
                 or (first >> (63 - bit) ^ 1) << (63 - bit)
                 | ((1 << (63 - bit)) - 1) >= lo):
-            return None
+            return False
         prev = bit
     prev = 64
     for bit, d in zip(rbits, rdigs):
         if (not 0 <= bit < prev or len(d) != 32 or last >> (63 - bit) & 1
                 or (last >> (63 - bit) | 1) << (63 - bit) <= hi):
-            return None
+            return False
         prev = bit
+    return True
+
+
+def _proof_digest(node):
+    """The second walk: the digest of a proof node that passed
+    _check_node."""
+    kind = node[0]
+    if kind == P_HASHLEAF:
+        return _hash_leaf_digest(node)
+    if kind == P_PRUNED:
+        return node[3]
+    if kind == P_LEAF:
+        return leaf_digest(node[3], node[1], node[2])
+    return internal_digest([(c[1], c[2], _proof_digest(c)) for c in node[3]],
+                           node[1], node[2])
+
+
+def _hash_leaf_digest(node):
+    """The hash leaf's digest, hashing its buckets inline; None if the
+    crit-bit fold meets two equal neighbouring gaps."""
+    _, nlo, nhi, window, (lbits, ldigs), (rbits, rdigs) = node
+    sha256, pack_leaf = hashlib.sha256, _BUCKET_LEAF.pack
     leaves = []
+    # gaps[i] is the bit of the branch between the i-th and next item
+    gaps = list(lbits)
+    prev = None
     for wkind, key, payload in window:
+        if prev is not None:
+            gaps.append(64 - (prev ^ key).bit_length())
+        prev = key
         if wkind == W_REVEALED:
-            collected.extend((key, eid) for eid in payload)
-            payload = bucket_ids_digest(payload)
-        leaves.append(bucket_leaf_digest(key, payload))
+            payload = sha256(_ids_preimage(payload)).digest()
+        leaves.append(sha256(pack_leaf(_LEAF_HEAD, key, payload)).digest())
+    gaps += rbits
     root = _crit_fold(ldigs + leaves + rdigs, gaps)
     if root is None:
         return None

@@ -133,9 +133,15 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Replay the chain, then fetch and re-hash every payload a live entry
+    references: a missing or corrupted one is a verification failure."""
     engine = _load_engine(args)
+    cids = [cid for eid, e in engine.entries.items() if engine.is_live(eid)
+            for cid in (e.image_cid, e.video_cid) if cid is not None]
+    engine.store.check_many(cids)
     print(f"ok: {len(engine.ledger.blocks)} blocks, "
-          f"{len(engine.entries)} entries, roots match at every height")
+          f"{len(engine.entries)} entries, roots match at every height, "
+          f"{len(cids)} payloads match their content ids")
     return 0
 
 
@@ -204,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-vo", action="store_true")
     p.add_argument("sql", help="statement to execute")
 
-    command("verify", cmd_verify, "check chain integrity and re-derive all "
-                                  "anchored roots")
+    command("verify", cmd_verify, "check chain integrity, re-derive all "
+                                  "anchored roots and re-hash live payloads")
 
     p = command("bench", cmd_bench, "ingest at several scales and report "
                                     "VO size, gas, and the root",

@@ -63,6 +63,20 @@ def _take(data: bytes, off: int, n: int) -> bytes:
     return bytes(data[off:off + n])
 
 
+# the layout of n big-endian u64s, compiled once for every n a one-byte
+# count can give
+_U64_RUNS = tuple(struct.Struct(f">{n}Q") for n in range(256))
+
+
+def _take_u64s(data: bytes, off: int, n: int) -> list[int]:
+    """The n big-endian u64s at data[off:], as a list; IndexError, as
+    _take raises, when fewer than 8 * n bytes remain."""
+    if off + 8 * n > len(data):
+        raise IndexError("truncated")
+    run = _U64_RUNS[n] if n < 256 else struct.Struct(f">{n}Q")
+    return list(run.unpack_from(data, off))
+
+
 @dataclass(frozen=True)
 class DataEntry:
     """On-chain quintuple: amount, addresses, timestamp, optional media cids."""

@@ -141,11 +141,30 @@ def test_verify_detects_payload_corruption(dataset, capsys):
     assert "verification failed" in err
 
 
-def test_query_with_missing_payload_exit_1(dataset, capsys):
+def _first_object(dataset):
+    """Path of the first payload file in the dataset's store."""
     store = os.path.join(dataset, "store", "objects")
-    sub = sorted(os.listdir(store))[0]
-    os.remove(os.path.join(store, sub, sorted(os.listdir(
-        os.path.join(store, sub)))[0]))
+    sub = os.path.join(store, sorted(os.listdir(store))[0])
+    return os.path.join(sub, sorted(os.listdir(sub))[0])
+
+
+@pytest.mark.parametrize("damage", ["deleted", "flipped"])
+def test_verify_rehashes_payloads(dataset, capsys, damage):
+    victim = _first_object(dataset)
+    if damage == "deleted":
+        os.remove(victim)
+    else:
+        blob = bytearray(open(victim, "rb").read())
+        blob[-1] ^= 0x01
+        open(victim, "wb").write(bytes(blob))
+    code, out, err = run(capsys, "verify", "--dataset", dataset)
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed: ")
+    assert os.path.basename(victim) in err and "Traceback" not in err
+
+
+def test_query_with_missing_payload_exit_1(dataset, capsys):
+    os.remove(_first_object(dataset))
     code, _, err = run(capsys, "query", "--dataset", dataset,
                        "SELECT * FROM entries WHERE timestamp BETWEEN 0 "
                        "AND 9999999999")
