@@ -17,7 +17,7 @@ from typing import Optional
 from chainquery import _kernels
 from chainquery.core import (DOM_BUCKET, DOM_INTERNAL, DOM_LEAF, EMPTY_DIGEST,
                              MAX_TIMESTAMP, VODecodeError, _check_timestamp,
-                             _take, _take_u64s, digest)
+                             _pack_u64s, _take, _take_u64s, digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
@@ -264,51 +264,52 @@ class RangeVO:
 
 # --- wire format for proof trees ----------------------------------------
 
-def _encode_proof(node) -> bytes:
-    kind = node[0]
-    if kind == P_PRUNED:
-        return struct.pack(">BQQ", kind, node[1], node[2]) + node[3]
-    if kind == P_LEAF:
-        pairs = node[3]
-        return (struct.pack(">BQQI", kind, node[1], node[2], len(pairs))
-                + _kernels.pack_u64_pairs(pairs)[4:])
-    if kind == P_INTERNAL:
-        body = b"".join(_encode_proof(c) for c in node[3])
-        return struct.pack(">BQQI", kind, node[1], node[2], len(node[3])) + body
-    # P_HASHLEAF.  Digest-only window entries only ever sit at the window
-    # edges, so two flag bits replace per-entry kind bytes, and id counts
-    # use a one-byte varint: revealed buckets cost 8+1+8*ids bytes.  Each
-    # side is count u8 ‖ count bits ‖ count digests.
-    _, lo, hi, window, left, right = node
-    first_dig = bool(window) and window[0][0] == W_DIGEST_ONLY
-    last_dig = len(window) > 1 and window[-1][0] == W_DIGEST_ONLY
-    revealed = window[1 if first_dig else 0:
-                      len(window) - 1 if last_dig else len(window)]
-    flags = int(first_dig) | (int(last_dig) << 1)
-    parts = [struct.pack(">BQQBI", kind, lo, hi, flags, len(revealed))]
-    if first_dig:
-        parts.append(struct.pack(">Q", window[0][1]) + window[0][2])
-    for _, key, ids in revealed:
-        parts.append(struct.pack(">Q", key))
-        if len(ids) < 0xFF:
-            parts.append(bytes([len(ids)]))
-        else:
-            parts.append(b"\xff" + struct.pack(">I", len(ids)))
-        parts.append(_kernels.pack_u64_list(ids)[4:])
-    if last_dig:
-        parts.append(struct.pack(">Q", window[-1][1]) + window[-1][2])
-    for bits, digests in (left, right):
-        parts.append(bytes([len(bits)]) + bits)
-        parts += digests
-    return b"".join(parts)
-
-
+# One layout per record, shared by the encoder and the decoder; each
+# proof node starts with its kind byte.
+_KIND = {k: bytes((k,)) for k in (P_PRUNED, P_LEAF, P_INTERNAL, P_HASHLEAF)}
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _RANGE = struct.Struct(">QQ")              # a proof node's lo, hi
 _RANGE_COUNT = struct.Struct(">QQI")       # lo, hi, pair or child count
 _HASHLEAF_HEAD = struct.Struct(">QQBI")    # lo, hi, flags, nrev
 _KEY_COUNT = struct.Struct(">QB")          # a revealed bucket's key, count
+
+
+def _encode_proof(node) -> bytes:
+    kind, lo, hi = node[0], node[1], node[2]
+    if kind == P_PRUNED:
+        return b"".join((_KIND[kind], _RANGE.pack(lo, hi), node[3]))
+    if kind == P_LEAF:
+        pairs = node[3]
+        return b"".join((_KIND[kind], _RANGE_COUNT.pack(lo, hi, len(pairs)),
+                         _pack_u64s([v for pair in pairs for v in pair])))
+    if kind == P_INTERNAL:
+        return b"".join([_KIND[kind], _RANGE_COUNT.pack(lo, hi, len(node[3])),
+                         *map(_encode_proof, node[3])])
+    # P_HASHLEAF.  Digest-only window entries only ever sit at the window
+    # edges, so two flag bits replace per-entry kind bytes, and id counts
+    # use a one-byte varint: revealed buckets cost 8+1+8*ids bytes.  Each
+    # side is count u8 ‖ count bits ‖ count digests.
+    window, left, right = node[3:]
+    first_dig = bool(window) and window[0][0] == W_DIGEST_ONLY
+    last_dig = len(window) > 1 and window[-1][0] == W_DIGEST_ONLY
+    revealed = window[1 if first_dig else 0:
+                      len(window) - 1 if last_dig else len(window)]
+    flags = int(first_dig) | (int(last_dig) << 1)
+    parts = [_KIND[kind], _HASHLEAF_HEAD.pack(lo, hi, flags, len(revealed))]
+    if first_dig:
+        parts += [_U64.pack(window[0][1]), window[0][2]]
+    for _, key, ids in revealed:
+        if len(ids) < 0xFF:
+            parts.append(_KEY_COUNT.pack(key, len(ids)))
+        else:
+            parts += [_KEY_COUNT.pack(key, 0xFF), _U32.pack(len(ids))]
+        parts.append(_pack_u64s(ids))
+    if last_dig:
+        parts += [_U64.pack(window[-1][1]), window[-1][2]]
+    for bits, digests in (left, right):
+        parts += [bytes((len(bits),)), bits, *digests]
+    return b"".join(parts)
 
 
 def _decode_proof(data: bytes, off: int, depth: int):

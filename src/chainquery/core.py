@@ -68,13 +68,22 @@ def _take(data: bytes, off: int, n: int) -> bytes:
 _U64_RUNS = tuple(struct.Struct(f">{n}Q") for n in range(256))
 
 
+def _u64_run(n: int) -> struct.Struct:
+    return _U64_RUNS[n] if n < 256 else struct.Struct(f">{n}Q")
+
+
 def _take_u64s(data: bytes, off: int, n: int) -> list[int]:
     """The n big-endian u64s at data[off:], as a list; IndexError, as
     _take raises, when fewer than 8 * n bytes remain."""
     if off + 8 * n > len(data):
         raise IndexError("truncated")
-    run = _U64_RUNS[n] if n < 256 else struct.Struct(f">{n}Q")
-    return list(run.unpack_from(data, off))
+    return list(_u64_run(n).unpack_from(data, off))
+
+
+def _pack_u64s(values) -> bytes:
+    """The values as big-endian u64s with no count, as _take_u64s reads
+    them."""
+    return _u64_run(len(values)).pack(*values)
 
 
 @dataclass(frozen=True)

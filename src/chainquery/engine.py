@@ -3,10 +3,11 @@
 The engine owns a ledger, a time index (BHashTree), a prefix index (Trie),
 a content-addressed payload store, and a bloom-filter query cache.  Writes
 insert into both indexes, store payloads, anchor the new roots in a block
-(entries + operation records), and bump the cache epoch.  Reads probe the
-cache, query the index, verify the returned proof against the latest
-anchored root, and filter out deleted or superseded entries before
-returning rows.
+(entries + operation records), and empty the cache.  Reads probe the
+cache, query the index, verify the proof against the latest anchored
+root, drop deleted or superseded entries, re-hash the payloads of the
+rest and cache those entries; a hit skips all of that.  Every read builds
+fresh row dicts from the entries.
 """
 from __future__ import annotations
 
@@ -55,6 +56,18 @@ class MalformedBlock(ValueError):
 def timestamp_string(ts: int) -> str:
     dt = datetime.datetime.fromtimestamp(ts, tz=datetime.timezone.utc)
     return dt.strftime(TS_FORMAT)
+
+
+def _rows(entries) -> list[dict]:
+    """A new row dict per entry, so no caller's edit reaches another."""
+    return [{
+        "entry_id": e.entry_id,
+        "amount": e.amount,
+        "addresses": list(e.addresses),
+        "timestamp": e.timestamp,
+        "imagecid": e.image_cid.hex() if e.image_cid else None,
+        "videocid": e.video_cid.hex() if e.video_cid else None,
+    } for e in entries]
 
 
 @dataclass(frozen=True)
@@ -114,24 +127,20 @@ class Engine:
         # not `store or ...`: an empty ContentStore is falsy via __len__
         self.store = store if store is not None else ContentStore()
         self.cache = QueryCache()
-        self.tombstones: set[int] = set()
-        self.superseded: set[int] = set()
+        # ids a DELETE or UPDATE ended; the ledger's ops say which
+        self.retired: set[int] = set()
         self.entries: dict[int, DataEntry] = {}
 
     # -- state helpers -------------------------------------------------
 
     def is_live(self, entry_id: int) -> bool:
-        return (entry_id not in self.tombstones
-                and entry_id not in self.superseded)
+        return entry_id in self.entries and entry_id not in self.retired
 
     @property
     def _next_id(self) -> int:
         """Id of the next new entry: ids are dense from 0, so the count of
         committed entries."""
         return len(self.entries)
-
-    def _trusted_roots(self):
-        return self.ledger.latest_roots()
 
     # -- writes --------------------------------------------------------
 
@@ -191,11 +200,7 @@ class Engine:
         for entry in entries:
             self.entries[entry.entry_id] = entry
             self.time_index.insert(entry.entry_id, entry.timestamp)
-        for kind, target in ops:
-            if kind == OP_DELETE:
-                self.tombstones.add(target)
-            elif kind == OP_UPDATE:
-                self.superseded.add(target)
+        self.retired |= ended
         for cid, payload in payloads:
             self.store.put(payload, cid)
         roots = (self.time_index.root_digest(), self.trie.root_digest())
@@ -221,10 +226,9 @@ class Engine:
         return QueryResult([], plan_query(ast), affected=1)
 
     def _require_live(self, entry_id: int) -> DataEntry:
-        entry = self.entries.get(entry_id)
-        if entry is None or not self.is_live(entry_id):
+        if not self.is_live(entry_id):
             raise UnknownEntry(entry_id)
-        return entry
+        return self.entries[entry_id]
 
     def _exec_delete(self, ast: DeleteQuery) -> QueryResult:
         self._commit([], [(OP_DELETE, ast.entry_id)], ())
@@ -244,50 +248,32 @@ class Engine:
 
     # -- reads ---------------------------------------------------------
 
-    def _rows(self, entries) -> list[dict]:
-        """The entries' rows, once every payload they reference is fetched
-        and re-hashed as one batch: a corrupted or missing payload raises
-        here."""
-        self.store.check_many([cid for e in entries
-                               for cid in (e.image_cid, e.video_cid)
-                               if cid is not None])
-        return [{
-            "entry_id": e.entry_id,
-            "amount": e.amount,
-            "addresses": list(e.addresses),
-            "timestamp": e.timestamp,
-            "imagecid": e.image_cid.hex() if e.image_cid else None,
-            "videocid": e.video_cid.hex() if e.video_cid else None,
-        } for e in entries]
-
-    def _rows_for_ids(self, ids) -> list[dict]:
-        return self._rows([self.entries[eid] for eid in sorted(set(ids))
-                           if self.is_live(eid)])
+    def _live(self, ids) -> tuple[DataEntry, ...]:
+        return tuple(self.entries[eid] for eid in sorted(set(ids))
+                     if self.is_live(eid))
 
     def _exec_time_range(self, start: int, end: int):
         ids, vo = self.time_index.range_query(start, end)
-        bhash_root, _ = self._trusted_roots()
+        bhash_root, _ = self.ledger.latest_roots()
         if not verify_range(vo, bhash_root, start, end, ids):
             raise VerificationFailure("time-range proof rejected")
-        return self._rows_for_ids(ids), vo
+        return self._live(ids), vo
 
     def _exec_fuzzy(self, ast: SelectFuzzy):
         if ast.field == "timestamp_string":
             key = NS_TIMESTAMP + ast.prefix
+        elif ast.prefix.startswith("0x"):
+            key = NS_ADDRESS + ast.prefix[2:]
+        elif "0x".startswith(ast.prefix):
+            key = NS_ADDRESS
         else:
-            body = ast.prefix[2:] if ast.prefix.startswith("0x") \
-                else ("" if "0x".startswith(ast.prefix) else ast.prefix)
-            key = NS_ADDRESS + body
+            # every address starts with 0x: the schema rules out a match
+            return (), None
         ids, vo = self.trie.prefix_query(key)
-        _, trie_root = self._trusted_roots()
+        _, trie_root = self.ledger.latest_roots()
         if not verify_prefix(vo, trie_root, key, ids):
             raise VerificationFailure("prefix proof rejected")
-        return self._rows_for_ids(ids), vo
-
-    def _exec_simple_id(self, entry_id: int) -> list[dict]:
-        entry = self.entries.get(entry_id)
-        live = entry is not None and self.is_live(entry_id)
-        return self._rows([entry] if live else [])
+        return self._live(ids), vo
 
     # -- entry points --------------------------------------------------
 
@@ -304,20 +290,25 @@ class Engine:
         plan = plan_query(ast)
         cached = self.cache.get(ast)
         if cached is not None:
-            return QueryResult(list(cached), plan, verified=True,
+            return QueryResult(_rows(cached), plan, verified=True,
                                cached=True)
         vo = None
         if isinstance(ast, SelectFuzzy):
-            rows, vo = self._exec_fuzzy(ast)
+            entries, vo = self._exec_fuzzy(ast)
         elif isinstance(ast, SelectTimeRange):
-            rows, vo = self._exec_time_range(ast.start_time, ast.end_time)
+            entries, vo = self._exec_time_range(ast.start_time, ast.end_time)
         elif ast.entry_id is not None:
-            rows = self._exec_simple_id(ast.entry_id)
+            entries = self._live([ast.entry_id])
         else:
-            rows, vo = self._exec_time_range(ast.timestamp, ast.timestamp)
-        self.cache.put(ast, tuple(rows))
+            entries, vo = self._exec_time_range(ast.timestamp, ast.timestamp)
+        # one batch re-hash of every payload; a corrupt or missing one raises
+        self.store.check_many([cid for e in entries
+                               for cid in (e.image_cid, e.video_cid)
+                               if cid is not None])
+        self.cache.put(ast, entries)
         vo_bytes = vo.to_bytes() if emit_vo and vo is not None else None
-        return QueryResult(rows, plan, verified=True, vo_bytes=vo_bytes)
+        return QueryResult(_rows(entries), plan, verified=True,
+                           vo_bytes=vo_bytes)
 
     def execute(self, sql: str, emit_vo: bool = False) -> QueryResult:
         return self.execute_ast(parse(sql), emit_vo=emit_vo)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from chainquery.core import ADDRESS_RE, digest
+from chainquery.core import ADDRESS_RE
 
 
 class SqlSyntaxError(ValueError):
@@ -73,11 +73,6 @@ class SelectFuzzy:
 
 QueryAst = (InsertQuery | DeleteQuery | UpdateQuery | SelectSimple
             | SelectTimeRange | SelectFuzzy)
-
-
-def ast_fingerprint(ast: QueryAst) -> bytes:
-    """Stable digest of an AST, used as the cache key component."""
-    return digest(0x04, repr(ast).encode("utf-8"))
 
 
 _TOKEN_RE = re.compile(r"""

@@ -164,11 +164,6 @@ class ContentStore:
                         pass
                 return
 
-    def __contains__(self, cid: bytes) -> bool:
-        if self.root:
-            return os.path.exists(self._path(cid))
-        return cid in self._mem
-
     def __len__(self) -> int:
         if self.root:
             base = os.path.join(self.root, "objects")

@@ -420,27 +420,27 @@ def _verify_prefix(vo, trusted_root, prefix, results) -> bool:
             return False
     else:
         return False
-    # Each path node: sorted ids, sibling indices in the alphabet and
-    # distinct from the taken one, and a taken child whose label starts
-    # with it.
+    # Each path node: sorted ids, sibling indices ascending, in the
+    # alphabet and distinct from the taken one, and a taken child whose
+    # label starts with it.
     for label_above, ids, taken, sibs in reversed(vo.path):
         idxs = [i for i, _ in sibs]
-        if _unsorted(ids) or idxs and max(idxs) >= len(ALPHABET):
+        if _unsorted(ids) or _unsorted(idxs) or taken in idxs \
+                or idxs and idxs[-1] >= len(ALPHABET):
             return False
         if label[0] != taken:
             return False
-        idxs.append(taken)
-        if len(set(idxs)) != len(idxs):
-            return False
         label = label_above
-    # Hash the terminal node, then fold the descent path up to the root.
+    # Hash the terminal node, then fold the descent path up to the root,
+    # the taken child going in among its siblings by index.
     sha256 = hashlib.sha256
     if vo.mode == PrefixVO.MODE_MATCH:
         cur = _subtree_digest(vo.terminal)
     else:
         cur = sha256(_node_preimage(*vo.terminal)).digest()
     for label, ids, taken, sibs in reversed(vo.path):
-        items = sorted(sibs + [(taken, cur)])
+        items = list(sibs)
+        items.insert(bisect_left(items, (taken,)), (taken, cur))
         cur = sha256(_node_preimage(label, ids, items)).digest()
     return cur == trusted_root
 

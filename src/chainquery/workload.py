@@ -25,6 +25,9 @@ VIDEO_BYTES = 64 * 1024
 
 PRIMITIVES = ("select_simple", "time_range", "fuzzy_time", "fuzzy_address")
 
+# fractions of entries with an image, a video and no payload
+PAYLOAD_MIX = (0.25, 0.25, 0.5)
+
 DEFAULT_QUERY_MIX = {"select_simple": 8, "time_range": 8,
                      "fuzzy_time": 8, "fuzzy_address": 8}
 
@@ -35,8 +38,6 @@ class WorkloadSpec:
     entries_per_block: int = 1
     # events per second; mean inter-arrival is 1 / timestamp_density
     timestamp_density: float = 0.01
-    # fractions (image, video, none); must sum to 1
-    payload_mix: tuple[float, float, float] = (0.25, 0.25, 0.5)
     query_mix: dict = field(default_factory=lambda: dict(DEFAULT_QUERY_MIX))
     seed: int = 0
 
@@ -49,8 +50,6 @@ class WorkloadSpec:
             raise ValueError("entries_per_block must be positive")
         if self.timestamp_density <= 0:
             raise ValueError("timestamp_density must be positive")
-        if abs(sum(self.payload_mix) - 1.0) > 1e-9:
-            raise ValueError("payload_mix fractions must sum to 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -61,8 +60,8 @@ BASE_TIMESTAMP = 1_600_000_000
 def _gen_entries(spec: WorkloadSpec):
     rng = random.Random(spec.seed)
     clock = float(BASE_TIMESTAMP)
-    image_cut = spec.payload_mix[0]
-    video_cut = image_cut + spec.payload_mix[1]
+    image_cut = PAYLOAD_MIX[0]
+    video_cut = image_cut + PAYLOAD_MIX[1]
     total = spec.n_blocks * spec.entries_per_block
     for _ in range(total):
         clock += rng.expovariate(spec.timestamp_density)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from chainquery.cache import BloomFilter, QueryCache
+from chainquery.cache import MAX_CACHED, BloomFilter, QueryCache
 from chainquery.core import EncodingError
 from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
                                VerificationFailure, plan_query, replay,
@@ -88,6 +88,20 @@ def test_fuzzy_address_matches_oracle():
     want = sorted(r["entry_id"] for r in rows
                   if r["addr"].startswith(prefix))
     assert [r["entry_id"] for r in res.rows] == want
+
+
+@pytest.mark.parametrize("pattern", ["ab%", "x%", "0X%", "00x%"])
+def test_address_like_without_0x_matches_nothing(engine, pattern,
+                                                 monkeypatch):
+    # every address is 0x plus 40 hex digits, so no index is asked
+    engine.execute(insert_sql(1, "0x" + "ab" * 20, 10))
+
+    def no_lookup(key):
+        raise AssertionError(f"trie asked for {key!r}")
+    monkeypatch.setattr(engine.trie, "prefix_query", no_lookup)
+    res = engine.execute(f"SELECT * FROM entries WHERE address LIKE "
+                         f"'{pattern}'", emit_vo=True)
+    assert res.rows == [] and res.vo_bytes is None
 
 
 def test_fuzzy_timestamp_string_matches_oracle():
@@ -196,6 +210,40 @@ def test_cache_hit_on_repeat_and_miss_after_write():
     third = eng.execute(sql)
     assert not third.cached
     assert len(third.rows) == len(first.rows) + 1
+
+
+def test_editing_returned_rows_leaves_cached_hits_unchanged():
+    eng, _ = seeded_engine(3)
+    sql = "SELECT * FROM entries WHERE timestamp BETWEEN 0 AND 2000000000"
+    for res in (eng.execute(sql), eng.execute(sql)):
+        want = [dict(r, addresses=list(r["addresses"])) for r in res.rows]
+        res.rows[0]["amount"] = 999999
+        res.rows[1]["addresses"].append("0x" + "ee" * 20)
+        res.rows.pop()
+        hit = eng.execute(sql)
+        assert hit.cached and hit.rows == want
+
+
+def test_statements_that_parse_alike_share_one_result():
+    eng, _ = seeded_engine(10)
+    first = eng.execute("SELECT * FROM entries WHERE timestamp "
+                        "BETWEEN 0 AND 2000000000")
+    second = eng.execute("select  *\tfrom ENTRIES where Timestamp between "
+                         "0 and 2000000000 ;")
+    assert not first.cached and second.cached
+    assert second.rows == first.rows
+    assert len(eng.cache._store) == 1
+
+
+def test_cache_bounded_and_newest_put_hits():
+    cache = QueryCache()
+    asts = [parse(f"SELECT * FROM entries WHERE entry_id = {i}")
+            for i in range(MAX_CACHED + 1)]
+    for i, ast in enumerate(asts):
+        cache.put(ast, (i,))
+        assert len(cache._store) <= MAX_CACHED
+    assert cache.get(asts[-1]) == (MAX_CACHED,)
+    assert cache.epoch == 0
 
 
 def test_tampered_anchor_detected():
@@ -314,8 +362,7 @@ def test_replay_1000_mixed_ops_matches_oracle():
     rebuilt = replay(eng.ledger, store=eng.store)
     assert rebuilt.ledger.blocks[-1].block_digest == \
         eng.ledger.blocks[-1].block_digest
-    assert rebuilt.tombstones == eng.tombstones
-    assert rebuilt.superseded == eng.superseded
+    assert rebuilt.retired == eng.retired
 
     lo, hi = 1_700_020_000, 1_700_060_000
     sql = f"SELECT * FROM entries WHERE timestamp BETWEEN {lo} AND {hi}"

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainquery.cache import QueryCache
 from chainquery.sqlgrammar import (DeleteQuery, InsertQuery, QueryAst,
                                     SelectFuzzy, SelectSimple,
                                     SelectTimeRange, SqlSyntaxError,
-                                    UnsupportedFeature, UpdateQuery,
-                                    ast_fingerprint, parse)
+                                    UnsupportedFeature, UpdateQuery, parse)
 
 ADDR = "0x" + "ab" * 20
 
@@ -121,14 +121,20 @@ def test_syntax_errors(sql):
 
 
 def test_fingerprints_distinguish_asts():
-    fps = {ast_fingerprint(parse(s)) for s in [
+    # the query cache keys on the AST itself: distinct statements keep
+    # distinct results
+    asts = [parse(s) for s in [
         "SELECT * FROM entries WHERE entry_id = 1",
         "SELECT * FROM entries WHERE entry_id = 2",
         "SELECT * FROM entries WHERE timestamp = 1",
         "SELECT * FROM entries WHERE timestamp BETWEEN 1 AND 1",
         "SELECT * FROM entries WHERE ts_str LIKE '1%'",
-    ]}
-    assert len(fps) == 5
+        "SELECT * FROM entries WHERE address LIKE '1%'",
+    ]]
+    cache = QueryCache()
+    for i, ast in enumerate(asts):
+        cache.put(ast, (i,))
+    assert [cache.get(ast) for ast in asts] == [(i,) for i in range(6)]
 
 
 def test_fuzz_totality_10k():

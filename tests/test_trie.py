@@ -260,6 +260,21 @@ def test_crafted_label_vos_rejected():
     assert not verify_prefix(listed, root, "ab", [0, 1, 2])
 
 
+def test_reordered_path_siblings_rejected():
+    # one node's siblings, out of index order, would give a second VO
+    # for the same proof
+    trie = build([("a1", 0), ("b2", 1), ("c3", 2), ("a4", 3), ("d5", 4)])
+    root = trie.root_digest()
+    results, vo = trie.prefix_query("a1")
+    label, ids, taken, sibs = vo.path[0]
+    assert len(sibs) == 3 and verify_prefix(vo, root, "a1", results)
+    crafted = PrefixVO(root, vo.mode, [(label, ids, taken, sibs[::-1])]
+                       + vo.path[1:], vo.terminal)
+    assert crafted.to_bytes() != vo.to_bytes()
+    assert not verify_prefix(crafted, root, "a1", results)
+    assert not verify_prefix_bytes(crafted.to_bytes(), root, "a1", results)
+
+
 def test_vo_roundtrip_bytes():
     pairs = [(k, i) for i, k in enumerate(random_keys(100, 30))]
     trie = build(pairs)

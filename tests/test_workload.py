@@ -24,8 +24,7 @@ def test_single_entry_spec(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     dict(n_blocks=0), dict(n_blocks=3), dict(n_blocks=32_768),
-    dict(entries_per_block=0), dict(timestamp_density=0.0),
-    dict(payload_mix=(0.5, 0.5, 0.5)), dict(seed=-1),
+    dict(entries_per_block=0), dict(timestamp_density=0.0), dict(seed=-1),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValueError):
@@ -54,8 +53,7 @@ def test_different_seed_different_dataset(tmp_path):
 def median_interarrival(density, n=10_000):
     ts = [r["timestamp"]
           for r, _, _ in _gen_entries(spec(n_blocks=16_384, seed=9,
-                                           timestamp_density=density,
-                                           payload_mix=(0.0, 0.0, 1.0)))]
+                                           timestamp_density=density))]
     diffs = [b - a for a, b in zip(ts, ts[1:n])]
     return statistics.median(diffs)
 
@@ -69,14 +67,15 @@ def test_density_halved_doubles_interarrival():
 
 def test_payload_sizes_and_cids(tmp_path):
     d = str(tmp_path / "d")
-    generate(spec(n_blocks=64, payload_mix=(0.5, 0.5, 0.0)), d)
+    generate(spec(n_blocks=64), d)
     records, _ = load_dataset(d)
-    sizes = set()
+    sizes = {"imagecid": set(), "videocid": set()}
     for r in records:
-        cid = r["imagecid"] or r["videocid"]
-        assert cid is not None
-        sizes.add(os.path.getsize(os.path.join(d, "payloads", cid)))
-    assert sizes == {2048, 65536}
+        for name, found in sizes.items():
+            if r[name] is not None:
+                found.add(os.path.getsize(os.path.join(d, "payloads",
+                                                       r[name])))
+    assert sizes == {"imagecid": {2048}, "videocid": {65536}}
 
 
 def test_query_mix_counts(tmp_path):
