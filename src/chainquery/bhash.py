@@ -134,27 +134,14 @@ def _crit_window_paths(root, first: int, last: int):
     on the path to last, innermost first, each side as (branch bits,
     sibling digests).  Also returns the leaves of first and last."""
     lefts, rights = [], []  # branches with a child outside the window
-    node = root
-    while node.bit < 64:  # the path both keys share
-        go = first >> (63 - node.bit) & 1
-        if go != last >> (63 - node.bit) & 1:
-            break
-        if go:
-            lefts.append(node)
-            node = node.right
-        else:
-            rights.append(node)
-            node = node.left
-    a = b = node
-    if node.bit < 64:
-        a, b = node.left, node.right
-    while a.bit < 64:
+    a = b = root
+    while a.bit < 64:  # first's left siblings: where first goes right
         if first >> (63 - a.bit) & 1:
             lefts.append(a)
             a = a.right
         else:
             a = a.left
-    while b.bit < 64:
+    while b.bit < 64:  # last's right siblings: where last goes left
         if last >> (63 - b.bit) & 1:
             b = b.right
         else:
@@ -207,7 +194,7 @@ class BHashNode:
         self.dirty = False         # digest stale until the next flush
         self.node_digest = EMPTY_DIGEST
 
-    def recompute_digest(self, meter: Optional[GasMeter]) -> None:
+    def recompute_digest(self) -> None:
         if self.is_hash_node:
             self.node_digest = hash_node_digest(_crit_rehash(self.crit),
                                                 self.lo, self.hi)
@@ -216,8 +203,6 @@ class BHashNode:
         else:
             triples = [(c.lo, c.hi, c.node_digest) for c in self.children]
             self.node_digest = internal_digest(triples, self.lo, self.hi)
-        if meter:
-            meter.compute()
 
 
 # --- verification objects ------------------------------------------------
@@ -398,9 +383,9 @@ class BHashTree:
         if threshold_t is not None and threshold_t <= 0:
             raise ValueError("threshold_t must be positive")
         self.threshold_t = threshold_t
-        self.meter = meter
+        self.meter = meter or GasMeter()
         self.root = BHashNode(is_leaf=True)
-        self.root.recompute_digest(None)
+        self.root.recompute_digest()
         self.entry_count = 0
         self.node_count = 1
         self.converted = False
@@ -419,7 +404,8 @@ class BHashTree:
         if not node.is_leaf:
             for child in node.children:
                 self._flush_node(child)
-        node.recompute_digest(self.meter)
+        node.recompute_digest()
+        self.meter.compute()
         node.dirty = False
 
     @property
@@ -442,12 +428,12 @@ class BHashTree:
             self.converted = True
         path = []
         node = self.root
-        self._visit(node)
+        self.meter.read()
         while not node.is_leaf:
             idx = self._route(node, key)
             path.append((node, idx))
             node = node.children[idx]
-            self._visit(node)
+            self.meter.read()
         if node.is_hash_node:
             self._bucket_insert(node, key, entry_id)
         else:
@@ -472,12 +458,7 @@ class BHashTree:
             node.lo, node.hi = node.children[0].lo, node.children[-1].hi
         node.dirty = True
         self._stale = True
-        if self.meter:
-            self.meter.write()
-
-    def _visit(self, node: BHashNode) -> None:
-        if self.meter:
-            self.meter.read()
+        self.meter.write()
 
     def _route(self, node: BHashNode, key: int) -> int:
         for i, child in enumerate(node.children):
@@ -584,15 +565,14 @@ class BHashTree:
         return [eid for _, eid in results], RangeVO(root, proof)
 
     def _prove(self, node: BHashNode, lo: int, hi: int, results):
-        self._visit(node)
+        self.meter.read()
         if node.is_leaf:
             if node.is_hash_node:
                 return self._prove_hash_leaf(node, lo, hi, results)
             for k, eid in node.pairs:
                 if lo <= k <= hi:
                     results.append((k, eid))
-                    if self.meter:
-                        self.meter.read()
+                    self.meter.read()
             return (P_LEAF, node.lo, node.hi, list(node.pairs))
         children = []
         for child in node.children:
@@ -617,8 +597,7 @@ class BHashTree:
             ids = node.buckets[key]
             window.append((W_REVEALED, key, list(ids)))
             results.extend((key, eid) for eid in ids)
-            if self.meter:
-                self.meter.read(len(ids))
+            self.meter.read(len(ids))
         if wend > j:
             window.append((W_DIGEST_ONLY, last.key, last.ids_digest))
         return (P_HASHLEAF, node.lo, node.hi, window, left, right)

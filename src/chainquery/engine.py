@@ -98,21 +98,16 @@ def plan_query(ast: QueryAst) -> Plan:
             cost += COST_OFFCHAIN_FETCH
         return Plan(tuple(steps), cost)
     if isinstance(ast, SelectSimple) and ast.entry_id is not None:
-        return Plan(("cache-probe", "ledger-lookup", "payload-fetch",
-                     "merge"),
-                    COST_CACHE_PROBE + COST_INDEX_LOOKUP
-                    + COST_OFFCHAIN_FETCH + COST_MERGE)
-    if isinstance(ast, (SelectSimple, SelectTimeRange)):
-        return Plan(("cache-probe", "time-index-query", "verify-vo",
-                     "payload-fetch", "merge"),
-                    COST_CACHE_PROBE + COST_INDEX_LOOKUP
-                    + COST_OFFCHAIN_FETCH + COST_MERGE)
-    if isinstance(ast, SelectFuzzy):
-        return Plan(("cache-probe", "trie-query", "verify-vo",
-                     "payload-fetch", "merge"),
-                    COST_CACHE_PROBE + COST_INDEX_LOOKUP
-                    + COST_OFFCHAIN_FETCH + COST_MERGE)
-    raise TypeError(f"unplannable ast {ast!r}")
+        index_steps = ("ledger-lookup",)
+    elif isinstance(ast, (SelectSimple, SelectTimeRange)):
+        index_steps = ("time-index-query", "verify-vo")
+    elif isinstance(ast, SelectFuzzy):
+        index_steps = ("trie-query", "verify-vo")
+    else:
+        raise TypeError(f"unplannable ast {ast!r}")
+    return Plan(("cache-probe", *index_steps, "payload-fetch", "merge"),
+                COST_CACHE_PROBE + COST_INDEX_LOOKUP + COST_OFFCHAIN_FETCH
+                + COST_MERGE)
 
 
 class Engine:

@@ -75,14 +75,16 @@ QueryAst = (InsertQuery | DeleteQuery | UpdateQuery | SelectSimple
             | SelectTimeRange | SelectFuzzy)
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<string>'(?:[^'])*')
+# Each match skips the whitespace before one token; the input's end is the
+# last token, so a parser that asks for more finds it and reports its place.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<string>'[^']*')
   | (?P<int>\d+)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[(),=*;])
-  | (?P<bad>.)
-""", re.VERBOSE)
+  | (?P<end>\Z)
+  | (?P<bad>\S)
+)""", re.VERBOSE)
 
 _UNSUPPORTED_WORDS = {"count", "sum", "avg", "min", "max", "join", "group",
                       "order", "having", "limit", "distinct", "inner",
@@ -90,6 +92,7 @@ _UNSUPPORTED_WORDS = {"count", "sum", "avg", "min", "max", "join", "group",
 
 _INSERT_COLUMNS = ("amount", "addresses", "timestamp", "image", "video")
 _UPDATE_COLUMNS = ("amount", "addresses", "timestamp")
+_REQUIRED_COLUMNS = ("amount", "addresses", "timestamp")
 _FUZZY_FIELDS = {"ts_str": "timestamp_string", "address": "address"}
 
 
@@ -98,99 +101,104 @@ class _Tokens:
         self.items: list[tuple[str, str, int]] = []
         for m in _TOKEN_RE.finditer(sql):
             kind = m.lastgroup
-            if kind == "ws":
-                continue
             if kind == "bad":
-                raise SqlSyntaxError(f"unexpected character {m.group()!r}",
-                                     m.start())
-            self.items.append((kind, m.group(), m.start()))
+                raise SqlSyntaxError(f"unexpected character {m[kind]!r}",
+                                     m.start(kind))
+            self.items.append((kind, m[kind], m.start(kind)))
+            if kind == "end":
+                break
         self.pos = 0
         self.end = len(sql)
 
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
+    def peek(self) -> tuple[str, str, int]:
+        return self.items[self.pos]
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise SqlSyntaxError("unexpected end of input", self.end)
+    def take(self, *texts: str, kind: str = "") -> str:
+        """Consume the next token and return its text, lower-cased if it is
+        a word. It must be one of `texts` when they are given, and of `kind`
+        when that is given; the end of input is never taken."""
+        tok_kind, text, pos = self.items[self.pos]
+        if tok_kind == "end":
+            raise SqlSyntaxError("unexpected end of input", pos)
+        value = text.lower() if tok_kind == "word" else text
+        if (kind and tok_kind != kind) or (texts and value not in texts):
+            want = " or ".join(map(repr, texts)) or kind
+            raise SqlSyntaxError(f"expected {want}, got {text!r}", pos)
         self.pos += 1
-        return tok
-
-    def expect_word(self, *words: str) -> str:
-        kind, text, pos = self.next()
-        if kind != "word" or text.lower() not in words:
-            raise SqlSyntaxError(
-                f"expected {' or '.join(w.upper() for w in words)}, "
-                f"got {text!r}", pos)
-        return text.lower()
-
-    def expect_punct(self, symbol: str) -> None:
-        kind, text, pos = self.next()
-        if kind != "punct" or text != symbol:
-            raise SqlSyntaxError(f"expected {symbol!r}, got {text!r}", pos)
-
-    def expect_int(self) -> int:
-        kind, text, pos = self.next()
-        if kind != "int":
-            raise SqlSyntaxError(f"expected integer, got {text!r}", pos)
-        return int(text)
-
-    def expect_string(self) -> tuple[str, int]:
-        kind, text, pos = self.next()
-        if kind != "string":
-            raise SqlSyntaxError(f"expected string literal, got {text!r}", pos)
-        return text[1:-1], pos
+        return value
 
     def finish(self) -> None:
-        tok = self.peek()
-        if tok is not None and not (tok[0] == "punct" and tok[1] == ";"):
-            raise SqlSyntaxError(f"unexpected trailing input {tok[1]!r}",
-                                 tok[2])
-        if tok is not None:
+        if self.peek()[1] == ";":
             self.pos += 1
-            if self.peek() is not None:
-                extra = self.peek()
-                raise SqlSyntaxError("input after statement end", extra[2])
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise SqlSyntaxError(f"unexpected trailing input {text!r}", pos)
 
 
 def parse(sql: str) -> QueryAst:
     if not isinstance(sql, str):
         raise SqlSyntaxError("input is not text", 0)
     toks = _Tokens(sql)
-    tok = toks.peek()
-    if tok is None:
+    if toks.peek()[0] == "end":
         raise SqlSyntaxError("empty statement", 0)
-    kind, text, pos = tok
-    if kind != "word":
-        raise SqlSyntaxError(f"expected statement keyword, got {text!r}", pos)
-    verb = text.lower()
-    if verb == "insert":
-        return _parse_insert(toks)
-    if verb == "delete":
-        return _parse_delete(toks)
-    if verb == "update":
-        return _parse_update(toks)
-    if verb == "select":
-        return _parse_select(toks)
-    if verb in _UNSUPPORTED_WORDS:
-        raise UnsupportedFeature(f"{verb.upper()} is out of grammar")
-    raise SqlSyntaxError(f"unknown statement {text!r}", pos)
+    _check_word(toks)
+    return _STATEMENTS[toks.take(*_STATEMENTS)](toks)
 
 
 def _check_word(toks: _Tokens) -> None:
-    tok = toks.peek()
-    if tok and tok[0] == "word" and tok[1].lower() in _UNSUPPORTED_WORDS:
-        raise UnsupportedFeature(f"{tok[1].upper()} is out of grammar")
+    kind, text, _ = toks.peek()
+    if kind == "word" and text.lower() in _UNSUPPORTED_WORDS:
+        raise UnsupportedFeature(f"{text.upper()} is out of grammar")
 
 
-def _expect_table(toks: _Tokens) -> None:
-    kind, text, pos = toks.next()
-    if kind != "word":
-        raise SqlSyntaxError(f"expected table name, got {text!r}", pos)
-    if text.lower() != "entries":
-        raise UnsupportedFeature(f"unknown table {text!r}; only `entries` "
+def _table(toks: _Tokens) -> None:
+    name = toks.take(kind="word")
+    if name != "entries":
+        raise UnsupportedFeature(f"unknown table {name!r}; only `entries` "
                                  "exists")
+
+
+def _columns(toks: _Tokens, allowed: tuple[str, ...],
+             assigned: bool) -> dict[str, object]:
+    """`col, ...` (or `col = value, ...` if `assigned`) over distinct
+    columns in `allowed`, in order; stops before the first token that does
+    not continue the list with ','."""
+    found: dict[str, object] = {}
+    while True:
+        pos = toks.peek()[2]
+        col = toks.take(kind="word")
+        if col not in allowed:
+            raise UnsupportedFeature(f"column {col!r} is out of grammar here")
+        if col in found:
+            raise SqlSyntaxError(f"duplicate column {col!r}", pos)
+        found[col] = None
+        if assigned:
+            toks.take("=")
+            found[col] = _value(toks, col)
+        if toks.peek()[1] != ",":
+            return found
+        toks.take()
+
+
+def _value(toks: _Tokens, col: str):
+    """The literal for `col`: an integer, or a string holding addresses or
+    payload hex."""
+    if col not in ("addresses", "image", "video"):
+        return int(toks.take(kind="int"))
+    pos = toks.peek()[2]
+    raw = toks.take(kind="string")[1:-1]
+    if col == "addresses":
+        return _parse_addresses(raw, pos)
+    return _parse_payload(raw, pos)
+
+
+def _entry_id(toks: _Tokens) -> int:
+    """The `entry_id = N` tail that ends DELETE, UPDATE and a SELECT."""
+    toks.take("entry_id")
+    toks.take("=")
+    entry_id = _value(toks, "entry_id")
+    toks.finish()
+    return entry_id
 
 
 def _parse_addresses(raw: str, pos: int) -> tuple[str, ...]:
@@ -217,52 +225,31 @@ def _parse_payload(raw: str, pos: int) -> bytes:
 
 
 def _parse_insert(toks: _Tokens) -> InsertQuery:
-    toks.next()  # INSERT
-    toks.expect_word("into")
-    _expect_table(toks)
-    toks.expect_punct("(")
-    columns = []
-    while True:
-        kind, text, pos = toks.next()
-        if kind != "word":
-            raise SqlSyntaxError(f"expected column name, got {text!r}", pos)
-        col = text.lower()
-        if col not in _INSERT_COLUMNS:
-            raise UnsupportedFeature(f"unknown insert column {col!r}")
-        if col in columns:
-            raise SqlSyntaxError(f"duplicate column {col!r}", pos)
-        columns.append(col)
-        kind, text, pos = toks.next()
-        if text == ")":
-            break
-        if text != ",":
-            raise SqlSyntaxError(f"expected ',' or ')', got {text!r}", pos)
-    for required in ("amount", "addresses", "timestamp"):
+    toks.take("into")
+    _table(toks)
+    toks.take("(")
+    columns = list(_columns(toks, _INSERT_COLUMNS, assigned=False))
+    toks.take(")")
+    for required in _REQUIRED_COLUMNS:
         if required not in columns:
             raise SqlSyntaxError(f"missing required column {required!r}",
                                  toks.end)
-    toks.expect_word("values")
-    toks.expect_punct("(")
+    toks.take("values")
+    toks.take("(")
     values: dict[str, object] = {}
     for i, col in enumerate(columns):
-        tok = toks.peek()
-        if tok and tok[0] == "word" and tok[1].lower() == "null":
-            toks.next()
+        if i:
+            toks.take(",")
+        kind, text, _ = toks.peek()
+        if kind == "word" and text.lower() == "null":
+            toks.take()
             values[col] = None
-        elif col in ("amount", "timestamp"):
-            values[col] = toks.expect_int()
         else:
-            raw, pos = toks.expect_string()
-            if col == "addresses":
-                values[col] = _parse_addresses(raw, pos)
-            else:
-                values[col] = _parse_payload(raw, pos)
-        if i < len(columns) - 1:
-            toks.expect_punct(",")
-    toks.expect_punct(")")
+            values[col] = _value(toks, col)
+    toks.take(")")
     toks.finish()
-    for required in ("amount", "addresses", "timestamp"):
-        if values.get(required) is None:
+    for required in _REQUIRED_COLUMNS:
+        if values[required] is None:
             raise SqlSyntaxError(f"column {required!r} cannot be NULL",
                                  toks.end)
     return InsertQuery(amount=values["amount"], addresses=values["addresses"],
@@ -272,92 +259,49 @@ def _parse_insert(toks: _Tokens) -> InsertQuery:
 
 
 def _parse_delete(toks: _Tokens) -> DeleteQuery:
-    toks.next()  # DELETE
-    toks.expect_word("from")
-    _expect_table(toks)
-    toks.expect_word("where")
-    toks.expect_word("entry_id")
-    toks.expect_punct("=")
-    entry_id = toks.expect_int()
-    toks.finish()
-    return DeleteQuery(entry_id)
+    toks.take("from")
+    _table(toks)
+    toks.take("where")
+    return DeleteQuery(_entry_id(toks))
 
 
 def _parse_update(toks: _Tokens) -> UpdateQuery:
-    toks.next()  # UPDATE
-    _expect_table(toks)
-    toks.expect_word("set")
-    changes = []
-    seen = set()
-    while True:
-        kind, text, pos = toks.next()
-        if kind != "word":
-            raise SqlSyntaxError(f"expected column name, got {text!r}", pos)
-        col = text.lower()
-        if col not in _UPDATE_COLUMNS:
-            raise UnsupportedFeature(f"cannot update column {col!r}")
-        if col in seen:
-            raise SqlSyntaxError(f"duplicate column {col!r}", pos)
-        seen.add(col)
-        toks.expect_punct("=")
-        if col == "addresses":
-            raw, vpos = toks.expect_string()
-            changes.append((col, _parse_addresses(raw, vpos)))
-        else:
-            changes.append((col, toks.expect_int()))
-        tok = toks.peek()
-        if tok and tok[1] == ",":
-            toks.next()
-            continue
-        break
-    toks.expect_word("where")
-    toks.expect_word("entry_id")
-    toks.expect_punct("=")
-    entry_id = toks.expect_int()
-    toks.finish()
-    return UpdateQuery(entry_id, tuple(changes))
+    _table(toks)
+    toks.take("set")
+    changes = _columns(toks, _UPDATE_COLUMNS, assigned=True)
+    toks.take("where")
+    return UpdateQuery(_entry_id(toks), tuple(changes.items()))
 
 
 def _parse_select(toks: _Tokens):
-    toks.next()  # SELECT
     _check_word(toks)
-    kind, text, pos = toks.next()
-    if not (kind == "punct" and text == "*"):
-        if kind == "word" and text.lower() in _UNSUPPORTED_WORDS:
-            raise UnsupportedFeature(f"{text.upper()} is out of grammar")
+    if toks.take() != "*":
         raise UnsupportedFeature("only SELECT * is supported")
-    toks.expect_word("from")
-    _expect_table(toks)
-    toks.expect_word("where")
-    kind, text, pos = toks.next()
-    if kind != "word":
-        raise SqlSyntaxError(f"expected column name, got {text!r}", pos)
-    col = text.lower()
-    if col == "entry_id":
-        toks.expect_punct("=")
-        entry_id = toks.expect_int()
-        toks.finish()
-        return SelectSimple(entry_id=entry_id)
-    if col == "timestamp":
-        kind, text, pos = toks.next()
-        if kind == "punct" and text == "=":
-            ts = toks.expect_int()
-            toks.finish()
-            return SelectSimple(timestamp=ts)
-        if kind == "word" and text.lower() == "between":
-            start = toks.expect_int()
-            toks.expect_word("and")
-            end = toks.expect_int()
-            toks.finish()
-            return SelectTimeRange(start, end)
-        raise SqlSyntaxError(f"expected '=' or BETWEEN, got {text!r}", pos)
-    if col in _FUZZY_FIELDS:
-        toks.expect_word("like")
-        pattern, ppos = toks.expect_string()
+    toks.take("from")
+    _table(toks)
+    toks.take("where")
+    if toks.peek()[1].lower() == "entry_id":
+        return SelectSimple(entry_id=_entry_id(toks))
+    col = toks.take(kind="word")
+    if col == "timestamp" and toks.take("=", "between") == "=":
+        ast = SelectSimple(timestamp=_value(toks, col))
+    elif col == "timestamp":
+        start = _value(toks, col)
+        toks.take("and")
+        ast = SelectTimeRange(start, _value(toks, col))
+    elif col in _FUZZY_FIELDS:
+        toks.take("like")
+        pattern = toks.take(kind="string")[1:-1]
         if not pattern.endswith("%") or "%" in pattern[:-1] \
                 or "_" in pattern:
             raise UnsupportedFeature(
                 "only LIKE 'prefix%' patterns are supported")
-        toks.finish()
-        return SelectFuzzy(_FUZZY_FIELDS[col], pattern[:-1])
-    raise UnsupportedFeature(f"cannot filter on column {col!r}")
+        ast = SelectFuzzy(_FUZZY_FIELDS[col], pattern[:-1])
+    else:
+        raise UnsupportedFeature(f"cannot filter on column {col!r}")
+    toks.finish()
+    return ast
+
+
+_STATEMENTS = {"insert": _parse_insert, "delete": _parse_delete,
+               "update": _parse_update, "select": _parse_select}

@@ -80,11 +80,9 @@ class TrieNode:
         self.entry_ids: list[int] | tuple = ()
         self.node_digest = b""
 
-    def recompute_digest(self, meter: Optional[GasMeter]) -> None:
+    def recompute_digest(self) -> None:
         self.node_digest = node_digest(self.label, self.entry_ids,
                                        _items(self))
-        if meter:
-            meter.compute()
 
 
 def _items(node: TrieNode, skip: int = _NOT_IN_ALPHABET):
@@ -226,9 +224,9 @@ class Trie:
     """Prefix index with iterative insert/descent and per-node digests."""
 
     def __init__(self, meter: Optional[GasMeter] = None):
-        self.meter = meter
+        self.meter = meter or GasMeter()
         self.root = TrieNode(b"")
-        self.root.recompute_digest(None)
+        self.root.recompute_digest()
         self.key_count = 0
         self.last_descent_visits = 0
 
@@ -303,11 +301,11 @@ class Trie:
                 at = bisect_left(ids, entry_id)
                 if at == len(ids) or ids[at] != entry_id:
                     ids.insert(at, entry_id)
-            if meter:
-                meter.read(visited)
-                meter.write(written)
+            meter.read(visited)
+            meter.write(written)
         for node in sorted(dirty, key=dirty.__getitem__, reverse=True):
-            node.recompute_digest(meter)
+            node.recompute_digest()
+            meter.compute()
 
     def prefix_query(self, prefix: str):
         """All entry ids whose key starts with prefix, sorted ascending,
@@ -325,8 +323,7 @@ class Trie:
             path.append((node.label, list(node.entry_ids), idx,
                          _items(node, idx)))
             node = child
-            if meter:
-                meter.read()
+            meter.read()
             matched = _match_len(node.label, want, pos)
             pos += matched
             if matched < len(node.label) and pos < len(want):
@@ -346,8 +343,7 @@ class Trie:
         """Encode the subtree under node, gathering terminal entry ids.
         Key length is capped, so recursion depth is bounded."""
         ids.update(node.entry_ids)
-        if self.meter:
-            self.meter.read()
+        self.meter.read()
         children = [self._collect(node.children[i], ids)
                     for i in sorted(node.children)]
         return (node.label, list(node.entry_ids), children)

@@ -271,7 +271,7 @@ def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
             # rehashing every crit node from scratch gives the same digest
             incremental = node.node_digest
             _mark_crit_stale(node)
-            node.recompute_digest(None)
+            node.recompute_digest()
             assert node.node_digest == incremental
     # rehashing every node from scratch gives the same root
     root = tree.root_digest()
