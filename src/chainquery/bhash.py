@@ -15,9 +15,9 @@ from bisect import bisect_left, insort
 from typing import Optional
 
 from chainquery import _kernels
-from chainquery.core import (DOM_BUCKET, DOM_INTERNAL, DOM_LEAF, EMPTY_DIGEST,
-                             MAX_TIMESTAMP, VODecodeError, _check_timestamp,
-                             _pack_u64s, _take, _take_u64s, digest)
+from chainquery.core import (DOM_BUCKET, DOM_INTERNAL, DOM_LEAF, MAX_TIMESTAMP,
+                             VODecodeError, _check_timestamp, _pack_u64s,
+                             _take, _take_u64s, digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
@@ -178,8 +178,7 @@ def _crit_fold(items, gaps):
 
 class BHashNode:
     __slots__ = ("is_leaf", "is_hash_node", "pairs", "children",
-                 "lo", "hi", "buckets", "bucket_keys", "crit", "dirty",
-                 "node_digest")
+                 "lo", "hi", "buckets", "bucket_keys", "crit", "node_digest")
 
     def __init__(self, is_leaf: bool):
         self.is_leaf = is_leaf
@@ -191,8 +190,7 @@ class BHashNode:
         self.buckets = None        # {key: sorted [entry_id]}
         self.bucket_keys = None    # sorted [key]
         self.crit = None           # crit-bit tree over the buckets
-        self.dirty = False         # digest stale until the next flush
-        self.node_digest = EMPTY_DIGEST
+        self.node_digest = None    # None: stale until the next flush
 
     def recompute_digest(self) -> None:
         if self.is_hash_node:
@@ -374,8 +372,8 @@ class BHashTree:
     threshold_t=None disables conversion (the plain-B+Tree variant used
     for the VO-size comparison).
 
-    Inserts only mark the nodes they change; root_digest() recomputes the
-    marked digests once, children before parents.
+    Inserts only mark the nodes they change stale; root_digest()
+    recomputes the stale digests once, children before parents.
     """
 
     def __init__(self, threshold_t: Optional[int] = DEFAULT_THRESHOLD,
@@ -386,27 +384,25 @@ class BHashTree:
         self.meter = meter or GasMeter()
         self.root = BHashNode(is_leaf=True)
         self.root.recompute_digest()
-        self.entry_count = 0
         self.node_count = 1
-        self.converted = False
-        self._stale = False
         self._inserted: set[int] = set()
 
+    @property
+    def converted(self) -> bool:
+        return (self.threshold_t is not None
+                and len(self._inserted) > self.threshold_t)
+
     def root_digest(self) -> bytes:
-        if self._stale:
-            self._flush_node(self.root)
-            self._stale = False
+        self._flush_node(self.root)
         return self.root.node_digest
 
     def _flush_node(self, node: BHashNode) -> None:
-        if not node.dirty:
-            return
-        if not node.is_leaf:
-            for child in node.children:
-                self._flush_node(child)
-        node.recompute_digest()
-        self.meter.compute()
-        node.dirty = False
+        if node.node_digest is None:
+            if not node.is_leaf:
+                for child in node.children:
+                    self._flush_node(child)
+            node.recompute_digest()
+            self.meter.compute()
 
     @property
     def depth(self) -> int:
@@ -422,10 +418,8 @@ class BHashTree:
         if entry_id in self._inserted:
             raise DuplicateEntry(f"entry {entry_id} already inserted")
         key = _check_timestamp(timestamp)
-        if (self.threshold_t is not None and not self.converted
-                and self.entry_count >= self.threshold_t):
+        if len(self._inserted) == self.threshold_t:
             self._convert_node(self.root)
-            self.converted = True
         path = []
         node = self.root
         self.meter.read()
@@ -445,19 +439,19 @@ class BHashTree:
             for parent, _ in reversed(path):
                 self._touch(parent)
         self._inserted.add(entry_id)
-        self.entry_count += 1
 
     def _touch(self, node: BHashNode) -> None:
         """Record a change to node: refresh its key range from its pairs,
-        buckets or children, and leave its digest to the next flush."""
+        buckets or children, and leave its digest to the next flush.  Every
+        caller touches each ancestor after node, so the root is stale
+        whenever any node is."""
         if node.is_hash_node:
             node.lo, node.hi = node.bucket_keys[0], node.bucket_keys[-1]
         elif node.is_leaf:
             node.lo, node.hi = node.pairs[0][0], node.pairs[-1][0]
         else:
             node.lo, node.hi = node.children[0].lo, node.children[-1].hi
-        node.dirty = True
-        self._stale = True
+        node.node_digest = None
         self.meter.write()
 
     def _route(self, node: BHashNode, key: int) -> int:

@@ -183,9 +183,13 @@ def _columns(toks: _Tokens, allowed: tuple[str, ...],
 def _value(toks: _Tokens, col: str):
     """The literal for `col`: an integer, or a string holding addresses or
     payload hex."""
-    if col not in ("addresses", "image", "video"):
-        return int(toks.take(kind="int"))
     pos = toks.peek()[2]
+    if col not in ("addresses", "image", "video"):
+        text = toks.take(kind="int")
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's integer-string limit
+            raise SqlSyntaxError("integer literal too long", pos) from None
     raw = toks.take(kind="string")[1:-1]
     if col == "addresses":
         return _parse_addresses(raw, pos)

@@ -11,6 +11,7 @@ code of this module and hashlib, never a public chainquery function.
 """
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import os
@@ -119,17 +120,16 @@ class ContentStore:
             for cid in cids:
                 self._fetch_checked(cid)
             return
-        items = enumerate(cids)
-        pull = threading.Lock()
+        todo = collections.deque(enumerate(cids))
         busy = threading.Lock()
         errors: list[tuple[int, Exception]] = []
 
         def helper_part() -> None:
             with busy:
-                self._check_items(items, pull, errors)
+                self._check_items(todo, errors)
 
         jobs.put(helper_part)
-        self._check_items(items, pull, errors)
+        self._check_items(todo, errors)
         # the items are all taken now; wait only if the helper holds one
         with busy:
             pass
@@ -145,23 +145,21 @@ class ContentStore:
                 return 0
         return len(self._mem.get(cid, b""))
 
-    def _check_items(self, items, pull: threading.Lock,
-                     errors: list) -> None:
-        """Check (index, cid) items taken from the shared iterator until it
-        runs out or a check fails.  A failure is kept with its index and
-        ends the iterator: no later cid can be the first bad one."""
+    def _check_items(self, todo: collections.deque, errors: list) -> None:
+        """Check (index, cid) items popped from the shared deque, whose pops
+        are thread-safe, until it is empty or a check fails.  A failure is
+        kept with its index and empties the deque: no later cid can be the
+        first bad one."""
         while True:
-            with pull:
-                item = next(items, None)
-            if item is None:
+            try:
+                index, cid = todo.popleft()
+            except IndexError:  # empty: all taken, or a check failed
                 return
             try:
-                self._fetch_checked(item[1])
+                self._fetch_checked(cid)
             except Exception as exc:  # re-raised by check_many's caller
-                errors.append((item[0], exc))
-                with pull:
-                    for _ in items:
-                        pass
+                errors.append((index, exc))
+                todo.clear()
                 return
 
     def __len__(self) -> int:

@@ -378,67 +378,57 @@ def _verify_prefix(vo, trusted_root, prefix, results) -> bool:
         return False
     want = _indices(prefix)
     # The prefix spells out every path label, and the branch taken after
-    # each is the prefix's next character.
+    # each is the prefix's next character, so it starts the next label.
     pos = 0
     for k, (label, ids, taken, sibs) in enumerate(vo.path):
         if not _label_ok(label, pos, k == 0) or \
                 not want.startswith(label, pos):
             return False
         pos += len(label)
-        if pos >= len(want) or want[pos] != taken:
+        if pos >= len(want) or want[pos] != taken or _unsorted(ids) \
+                or not _items_ok(sibs, taken):
             return False
     rest = want[pos:]
+    label = vo.terminal[0]
+    if not _label_ok(label, pos, not vo.path):
+        return False
     if vo.mode == PrefixVO.MODE_MATCH:
-        label = vo.terminal[0]
         # the prefix ends inside or at the end of the subtree root's label
-        if not _label_ok(label, pos, not vo.path) or \
-                not label.startswith(rest):
+        if not label.startswith(rest):
             return False
         collected: set[int] = set()
         if not _check_subtree(vo.terminal, collected, pos + len(label)) \
                 or sorted(collected) != list(results):
             return False
+        cur = _subtree_digest(vo.terminal)
     elif vo.mode == PrefixVO.MODE_NONMATCH:
-        if results != []:
+        _, node_ids, items = vo.terminal
+        # the label starts with the branch taken, and must leave the
+        # prefix: by a mismatch inside it, or by ending before the prefix
+        # does with no branch for the next character
+        if results != [] or label.startswith(rest) or _unsorted(node_ids) \
+                or vo.path and label[0] != vo.path[-1][2]:
             return False
-        label, node_ids, items = vo.terminal
-        # the label must leave the prefix: by a mismatch inside it, or by
-        # ending before the prefix does with no branch for the next
-        # character
-        if not _label_ok(label, pos, not vo.path) or label.startswith(rest):
+        if not _items_ok(items, rest[len(label)] if rest.startswith(label)
+                         else _NOT_IN_ALPHABET):
             return False
-        idxs = [i for i, _ in items]
-        if idxs != sorted(set(idxs)) or any(i >= len(ALPHABET) for i in idxs):
-            return False
-        if rest.startswith(label) and rest[len(label)] in idxs:
-            return False
-        if _unsorted(node_ids):
-            return False
+        cur = hashlib.sha256(_node_preimage(*vo.terminal)).digest()
     else:
         return False
-    # Each path node: sorted ids, sibling indices ascending, in the
-    # alphabet and distinct from the taken one, and a taken child whose
-    # label starts with it.
-    for label_above, ids, taken, sibs in reversed(vo.path):
-        idxs = [i for i, _ in sibs]
-        if _unsorted(ids) or _unsorted(idxs) or taken in idxs \
-                or idxs and idxs[-1] >= len(ALPHABET):
-            return False
-        if label[0] != taken:
-            return False
-        label = label_above
-    # Hash the terminal node, then fold the descent path up to the root,
-    # the taken child going in among its siblings by index.
-    sha256 = hashlib.sha256
-    if vo.mode == PrefixVO.MODE_MATCH:
-        cur = _subtree_digest(vo.terminal)
-    else:
-        cur = sha256(_node_preimage(*vo.terminal)).digest()
+    # Fold the descent path up to the root, the taken child going in among
+    # its siblings by index.
     for label, ids, taken, sibs in reversed(vo.path):
         items = list(sibs)
         items.insert(bisect_left(items, (taken,)), (taken, cur))
-        cur = sha256(_node_preimage(label, ids, items)).digest()
+        cur = hashlib.sha256(_node_preimage(label, ids, items)).digest()
     return cur == trusted_root
+
+
+def _items_ok(items, taken: int) -> bool:
+    """Child indices ascending and in the alphabet, and none is taken."""
+    idxs = [i for i, _ in items]
+    return not (_unsorted(idxs) or taken in idxs
+                or idxs and idxs[-1] >= len(ALPHABET))
 
 
 def _check_subtree(sub, ids: set[int], end: int) -> bool:

@@ -9,7 +9,7 @@ from chainquery.bhash import (MAX_PROOF_DEPTH, P_INTERNAL, P_PRUNED,
                               BHashTree, DuplicateEntry, RangeVO,
                               VODecodeError, _crit_fold, verify_range,
                               verify_range_bytes)
-from chainquery.core import MAX_TIMESTAMP
+from chainquery.core import MAX_TIMESTAMP, EncodingError
 from chainquery.gas import GasMeter
 
 
@@ -53,6 +53,23 @@ def test_conversion_at_eleventh_insert():
     assert tree.root.is_hash_node
     assert tree.root.pairs == []
     assert sum(len(v) for v in tree.root.buckets.values()) == 11
+
+
+@pytest.mark.parametrize("threshold", [1, 10, 40, None])
+def test_only_accepted_insert_converts(threshold):
+    # a rejected insert at the boundary leaves the tree unconverted, and
+    # the next accepted one converts it; with no threshold, none does
+    tree = BHashTree(threshold_t=threshold)
+    for eid in range(threshold or 40):
+        tree.insert(eid, 100 + eid)
+    with pytest.raises(DuplicateEntry):
+        tree.insert(0, 7)
+    with pytest.raises(EncodingError):
+        tree.insert(1000, MAX_TIMESTAMP + 1)
+    assert not tree.converted and not any_hash_node(tree.root)
+    tree.insert(1000, 7)
+    assert tree.converted is (threshold is not None)
+    assert any_hash_node(tree.root) is (threshold is not None)
 
 
 def any_hash_node(node):
@@ -278,8 +295,7 @@ def test_incremental_merkle_levels_match_full_rebuild(threshold, seed):
     for node in _nodes(tree.root):
         if node.is_hash_node:
             _mark_crit_stale(node)
-        node.dirty = True
-    tree._stale = True
+        node.node_digest = None
     assert tree.root_digest() == root
 
 

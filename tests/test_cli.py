@@ -71,7 +71,8 @@ def test_query_bad_sql_exit_2(dataset, capsys):
     "INSERT INTO entries (amount, addresses, timestamp) VALUES "
     f"(1, '0x{'ab' * 20}', {1 << 64})",
     "DELETE FROM entries WHERE entry_id = 999",
-], ids=["year-11476", "2^64", "delete-unknown"])
+    "DELETE FROM entries WHERE entry_id = " + "1" * 5000,
+], ids=["year-11476", "2^64", "delete-unknown", "5000-digit-id"])
 def test_query_rejected_statement_exit_2(dataset, capsys, sql):
     code, _, err = run(capsys, "query", "--dataset", dataset, sql)
     assert code == 2

@@ -83,6 +83,18 @@ def test_syntax_error_has_position():
     assert exc.value.position == 37
 
 
+@pytest.mark.parametrize("sql,position", [
+    ("DELETE FROM entries WHERE entry_id = " + "1" * 5000, 37),
+    ("INSERT INTO entries (amount, addresses, timestamp) VALUES ("
+     + "1" * 5000 + f", '{ADDR}', 2)", 59),
+], ids=["delete-entry-id", "insert-amount"])
+def test_integer_past_str_limit_is_syntax_error(sql, position):
+    # int() refuses strings of more than 4,300 digits by default
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse(sql)
+    assert exc.value.position == position
+
+
 def test_unknown_table_unsupported():
     with pytest.raises(UnsupportedFeature):
         parse("SELECT * FROM users WHERE entry_id = 1")

@@ -120,12 +120,19 @@ def _prefix_cases():
             PrefixVO(root, nonmatch.mode, nonmatch.path,
                      (t_label, t_ids, items[::-1])), "f1", []),
         "label off the prefix": (match, "ax", ids),
+        # the only check on a label's first character that the prefix does
+        # not imply: a non-match terminal must start with the branch taken
+        "terminal off the branch taken": (
+            PrefixVO(root, nonmatch.mode, nonmatch.path,
+                     (bytes([ALPHABET.index("e")]), t_ids, items)),
+            "f1", []),
     }
 
 
 @pytest.mark.parametrize("name", [
     "extra claimed id", "child label outside the alphabet",
-    "children out of order", "items out of order", "label off the prefix"])
+    "children out of order", "items out of order", "label off the prefix",
+    "terminal off the branch taken"])
 def test_prefix_proof_rejected_before_hashing(name, sha256_calls):
     root, cases = _prefix_cases()
     vo, prefix, claim = cases[name]
