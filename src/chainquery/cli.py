@@ -65,8 +65,18 @@ class SystemExit2(Exception):
     """Usage-level error: reported on stderr, exit code 2."""
 
 
+def _checked_input(func, *args, **kwargs):
+    """func(*args, **kwargs), which checks outside input: its ValueError
+    is a usage error."""
+    try:
+        return func(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
+
+
 def cmd_generate(args) -> int:
-    spec = workload.WorkloadSpec(
+    spec = _checked_input(
+        workload.WorkloadSpec,
         n_blocks=args.blocks, entries_per_block=args.entries_per_block,
         timestamp_density=args.density, seed=args.seed,
         query_mix={p: args.queries_per_primitive
@@ -80,9 +90,9 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     store = ContentStore(_store_dir(args.dataset))
-    engine = workload.ingest(args.dataset, args.blocks,
-                             args.entries_per_block,
-                             threshold_t=_threshold(args), store=store)
+    engine = _checked_input(workload.ingest, args.dataset, args.blocks,
+                            args.entries_per_block,
+                            threshold_t=_threshold(args), store=store)
     engine.ledger.save(_ledger_path(args.dataset))
     with open(_meta_path(args.dataset), "w") as fh:
         json.dump({"threshold_t": _threshold(args)}, fh)
@@ -146,16 +156,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    scales = [int(s) for s in args.scales.split(",") if s]
+    scales = [_checked_input(int, s) for s in args.scales.split(",") if s]
     if not scales:
         raise SystemExit2("--scales must list at least one block count")
-    spec = workload.WorkloadSpec(
+    spec = _checked_input(
+        workload.WorkloadSpec,
         n_blocks=max(scales), entries_per_block=args.entries_per_block,
         seed=args.seed)
     if not os.path.exists(os.path.join(args.dataset, "dataset.jsonl")):
         workload.generate(spec, args.dataset)
-    report = workload.run_bench(spec, args.dataset, scales,
-                                threshold_t=_threshold(args))
+    report = _checked_input(workload.run_bench, spec, args.dataset, scales,
+                            threshold_t=_threshold(args))
     if args.format == "jsonl":
         for row in report.rows:
             print(json.dumps({

@@ -1,7 +1,7 @@
 """Query middleware: planning and verified execution of the six primitives.
 
 The engine owns a ledger, a time index (BHashTree), a prefix index (Trie),
-a content-addressed payload store, and a bloom-filter query cache.  Writes
+a content-addressed payload store, and a query cache.  Writes
 insert into both indexes, store payloads, anchor the new roots in a block
 (entries + operation records), and empty the cache.  Reads probe the
 cache, query the index, verify the proof against the latest anchored
@@ -247,9 +247,14 @@ class Engine:
         return tuple(self.entries[eid] for eid in sorted(set(ids))
                      if self.is_live(eid))
 
+    def _anchor(self) -> tuple[bytes, bytes]:
+        if not self.ledger.blocks:
+            raise VerificationFailure("no anchored block to check against")
+        return self.ledger.latest_roots()
+
     def _exec_time_range(self, start: int, end: int):
         ids, vo = self.time_index.range_query(start, end)
-        bhash_root, _ = self.ledger.latest_roots()
+        bhash_root, _ = self._anchor()
         if not verify_range(vo, bhash_root, start, end, ids):
             raise VerificationFailure("time-range proof rejected")
         return self._live(ids), vo
@@ -265,7 +270,7 @@ class Engine:
             # every address starts with 0x: the schema rules out a match
             return (), None
         ids, vo = self.trie.prefix_query(key)
-        _, trie_root = self.ledger.latest_roots()
+        _, trie_root = self._anchor()
         if not verify_prefix(vo, trie_root, key, ids):
             raise VerificationFailure("prefix proof rejected")
         return self._live(ids), vo

@@ -79,7 +79,7 @@ QueryAst = (InsertQuery | DeleteQuery | UpdateQuery | SelectSimple
 # last token, so a parser that asks for more finds it and reports its place.
 _TOKEN_RE = re.compile(r"""\s*(?:
     (?P<string>'[^']*')
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[(),=*;])
   | (?P<end>\Z)

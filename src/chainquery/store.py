@@ -4,10 +4,11 @@ Addresses are the plain SHA-256 of the raw bytes; every fetch re-hashes, so
 a corrupted store surfaces as IntegrityFailure rather than bad data.
 
 `check_many` re-hashes a read's payloads as one batch, split between the
-calling thread and one helper thread per process.  hashlib releases the GIL
-while it hashes an input of 2 KiB or more, so on a machine with a second
-CPU the two threads hash at the same time.  The helper runs only private
-code of this module and hashlib, never a public chainquery function.
+calling thread and the one worker thread of a per-process executor.
+hashlib releases the GIL while it hashes an input of 2 KiB or more, so on
+a machine with a second CPU the two threads hash at the same time.  The
+helper runs only private code of this module and hashlib, never a public
+chainquery function.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import collections
 import hashlib
 import itertools
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional
 
 from chainquery.core import DIGEST_SIZE, content_id
@@ -115,24 +116,18 @@ class ContentStore:
         big = len(cids) > 1 and any(
             total >= SPLIT_FROM_BYTES for total
             in itertools.accumulate(map(self._stored_size, cids)))
-        jobs = _helper_jobs() if big else None
-        if jobs is None:
+        helper = _helper() if big else None
+        if helper is None:
             for cid in cids:
                 self._fetch_checked(cid)
             return
         todo = collections.deque(enumerate(cids))
-        busy = threading.Lock()
         errors: list[tuple[int, Exception]] = []
-
-        def helper_part() -> None:
-            with busy:
-                self._check_items(todo, errors)
-
-        jobs.put(helper_part)
+        share = helper.submit(self._check_items, todo, errors)
         self._check_items(todo, errors)
-        # the items are all taken now; wait only if the helper holds one
-        with busy:
-            pass
+        # all items are taken: cancel a helper that never started, or wait
+        if not share.cancel():
+            share.result()
         if errors:
             raise min(errors, key=lambda e: e[0])[1]
 
@@ -169,11 +164,11 @@ class ContentStore:
         return len(self._mem)
 
 
-# The helper thread: one per process, started on first use and started
-# again in a forked child, which inherits no threads.
+# The helper: one single-thread executor per process, made on first use
+# and made again in a forked child, which inherits no threads.
 _helper_lock = threading.Lock()
 _helper_pid: Optional[int] = None
-_helper_queue: Optional[queue.SimpleQueue] = None
+_helper_pool: Optional[ThreadPoolExecutor] = None
 
 
 def _usable_cpus() -> int:
@@ -182,24 +177,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _helper_jobs() -> Optional[queue.SimpleQueue]:
-    """The job queue of this process's helper thread, or None when the
-    process can run on only one CPU."""
-    global _helper_pid, _helper_queue
+def _helper() -> Optional[ThreadPoolExecutor]:
+    """This process's helper executor, or None when the process can run
+    on only one CPU."""
+    global _helper_pid, _helper_pool
     if _helper_pid != os.getpid():
         with _helper_lock:
             if _helper_pid != os.getpid():
-                jobs = None
+                pool = None
                 if _usable_cpus() > 1:
-                    jobs = queue.SimpleQueue()
-                    threading.Thread(target=_serve, args=(jobs,),
-                                     name="chainquery-store-check",
-                                     daemon=True).start()
-                _helper_queue = jobs
+                    pool = ThreadPoolExecutor(1, "chainquery-store-check")
+                _helper_pool = pool
                 _helper_pid = os.getpid()
-    return _helper_queue
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while True:
-        jobs.get()()
+    return _helper_pool

@@ -219,6 +219,32 @@ def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("generate", "--blocks", "3"),
+    ("generate", "--density", "0"),
+    ("bench", "--scales", "x"),
+    ("ingest", "--blocks", "16"),
+    ("ingest", "--threshold-t", "0"),
+], ids=["generate-blocks-3", "generate-density-0", "bench-scales-x",
+        "ingest-past-dataset", "ingest-threshold-t-0"])
+def test_bad_input_value_exit_2(tmp_path, capsys, argv):
+    d = str(tmp_path / "data")
+    if argv[0] == "ingest":
+        assert run(capsys, "generate", "--dataset", d, "--blocks", "8")[0] == 0
+    code, out, err = run(capsys, argv[0], "--dataset", d, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_query_on_empty_ledger_exit_1(dataset, capsys):
+    open(os.path.join(dataset, "ledger.bin"), "wb").close()
+    code, _, err = run(capsys, "query", "--dataset", dataset,
+                       "SELECT * FROM entries WHERE timestamp BETWEEN 0 "
+                       "AND 9999999999")
+    assert code == 1
+    assert err.startswith("verification failed: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ("query", "SELECT * FROM entries WHERE entry_id = 1"), ("verify",),
 ], ids=["query", "verify"])
 def test_query_and_verify_load_the_ledger_alike(dataset, capsys, argv):

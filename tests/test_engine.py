@@ -246,6 +246,45 @@ def test_cache_bounded_and_newest_put_hits():
     assert cache.epoch == 0
 
 
+def test_cache_counters_match_a_dict_model():
+    """get, put and invalidate in a seeded order, with puts past
+    MAX_CACHED: every value and both counters match a plain dict."""
+    rng = random.Random(11)
+    asts = [parse(f"SELECT * FROM entries WHERE entry_id = {i}")
+            for i in range(4 * MAX_CACHED)]
+    cache, model = QueryCache(), {}
+    hits = misses = full = 0
+    for step in range(10000):
+        ast = rng.choice(asts)
+        op = rng.random()
+        if op < 0.3:
+            want = model.get(ast)
+            assert cache.get(ast) == want
+            hits, misses = hits + (want is not None), misses + (want is None)
+        elif op < 0.9995:
+            if len(model) >= MAX_CACHED:
+                model, full = {}, full + 1
+            model[ast] = (step,)
+            cache.put(ast, (step,))
+        else:
+            model = {}
+            cache.invalidate()
+        assert (cache.hits, cache.misses) == (hits, misses)
+        assert len(cache._store) == len(model)
+    assert hits and misses and full >= 2 and cache.epoch >= 2
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT * FROM entries WHERE timestamp BETWEEN 0 AND 5",
+    "SELECT * FROM entries WHERE timestamp = 5",
+    "SELECT * FROM entries WHERE address LIKE '0xab%'",
+    "SELECT * FROM entries WHERE ts_str LIKE '2023%'",
+], ids=["between", "timestamp-eq", "address-like", "ts-string-like"])
+def test_read_before_any_anchor_is_verification_failure(engine, sql):
+    with pytest.raises(VerificationFailure, match="no anchored block"):
+        engine.execute(sql)
+
+
 def test_tampered_anchor_detected():
     eng, _ = seeded_engine(30)
     # point the trusted anchor somewhere else: proofs must be rejected

@@ -95,6 +95,19 @@ def test_integer_past_str_limit_is_syntax_error(sql, position):
     assert exc.value.position == position
 
 
+@pytest.mark.parametrize("sql,position", [
+    ("SELECT * FROM entries WHERE entry_id = \u0663\uff17", 39),
+    ("SELECT * FROM entries WHERE entry_id = \uff17", 39),
+    ("SELECT * FROM entries WHERE timestamp BETWEEN \u0663 AND 9", 46),
+    ("SELECT * FROM entries WHERE timestamp BETWEEN 1 AND 9\uff10", 53),
+], ids=["arabic-indic-id", "fullwidth-id", "arabic-indic-between",
+        "fullwidth-between"])
+def test_integer_literals_are_ascii_digits_only(sql, position):
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse(sql)
+    assert exc.value.position == position
+
+
 def test_unknown_table_unsupported():
     with pytest.raises(UnsupportedFeature):
         parse("SELECT * FROM users WHERE entry_id = 1")

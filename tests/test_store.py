@@ -144,7 +144,7 @@ def test_check_many_keeps_one_helper_thread():
                           "0 AND 1000")
         assert len(res.rows) == n_rows
     helpers = [t for t in threading.enumerate()
-               if t.name == "chainquery-store-check"]
+               if t.name.startswith("chainquery-store-check")]
     assert len(helpers) == (1 if store_mod._usable_cpus() > 1 else 0)
 
 
@@ -159,7 +159,7 @@ def test_forked_child_starts_its_own_helper():
         code = 1
         try:
             store.check_many(cids)
-            code = 0 if any(t.name == "chainquery-store-check"
+            code = 0 if any(t.name.startswith("chainquery-store-check")
                             for t in threading.enumerate()) else 2
         finally:
             os.write(write_end, bytes([code]))
