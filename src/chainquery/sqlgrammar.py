@@ -15,6 +15,7 @@ Anything else raises SqlSyntaxError (with position) or UnsupportedFeature.
 """
 from __future__ import annotations
 
+import binascii
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -77,8 +78,11 @@ QueryAst = (InsertQuery | DeleteQuery | UpdateQuery | SelectSimple
 
 # Each match skips the whitespace before one token; the input's end is the
 # last token, so a parser that asks for more finds it and reports its place.
+# A string matches only its opening quote: `_Tokens` finds the closing one
+# with `str.find`, which scans a long payload literal far faster than the
+# regex engine does.
 _TOKEN_RE = re.compile(r"""\s*(?:
-    (?P<string>'[^']*')
+    (?P<string>')
   | (?P<int>[0-9]+)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[(),=*;])
@@ -99,14 +103,18 @@ _FUZZY_FIELDS = {"ts_str": "timestamp_string", "address": "address"}
 class _Tokens:
     def __init__(self, sql: str):
         self.items: list[tuple[str, str, int]] = []
-        for m in _TOKEN_RE.finditer(sql):
-            kind = m.lastgroup
+        kind, end = "", 0
+        while kind != "end":
+            m = _TOKEN_RE.match(sql, end)
+            kind, start, end = m.lastgroup, m.start(m.lastgroup), m.end()
+            if kind == "string":
+                end = sql.find("'", end) + 1
+                if not end:  # unterminated: the quote is a stray character
+                    kind = "bad"
             if kind == "bad":
-                raise SqlSyntaxError(f"unexpected character {m[kind]!r}",
-                                     m.start(kind))
-            self.items.append((kind, m[kind], m.start(kind)))
-            if kind == "end":
-                break
+                raise SqlSyntaxError(f"unexpected character {sql[start]!r}",
+                                     start)
+            self.items.append((kind, sql[start:end], start))
         self.pos = 0
         self.end = len(sql)
 
@@ -216,13 +224,14 @@ def _parse_addresses(raw: str, pos: int) -> tuple[str, ...]:
 
 
 def _parse_payload(raw: str, pos: int) -> bytes:
-    # bytes.fromhex is linear but lenient (upper case, whitespace); the
-    # round trip admits exactly the canonical even-length lowercase form.
+    # unhexlify rejects odd lengths, whitespace, non-hex and non-ASCII
+    # characters but admits upper case, so six scans for A-F leave exactly
+    # even-length lowercase hex; every step is one linear pass in C.
     try:
-        data = bytes.fromhex(raw)
-    except ValueError:
+        data = binascii.unhexlify(raw)
+    except ValueError:  # binascii.Error is a ValueError
         data = None
-    if data is None or data.hex() != raw:
+    if data is None or any(c in raw for c in "ABCDEF"):
         raise SqlSyntaxError("payload literal must be even-length lowercase "
                              "hex", pos)
     return data

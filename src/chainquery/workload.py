@@ -52,6 +52,8 @@ class WorkloadSpec:
             raise ValueError("timestamp_density must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        if any(count < 0 for count in self.query_mix.values()):
+            raise ValueError("query_mix counts must not be negative")
 
 
 BASE_TIMESTAMP = 1_600_000_000

@@ -224,8 +224,10 @@ def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
     ("bench", "--scales", "x"),
     ("ingest", "--blocks", "16"),
     ("ingest", "--threshold-t", "0"),
+    ("generate", "--queries-per-primitive", "-1"),
 ], ids=["generate-blocks-3", "generate-density-0", "bench-scales-x",
-        "ingest-past-dataset", "ingest-threshold-t-0"])
+        "ingest-past-dataset", "ingest-threshold-t-0",
+        "generate-queries-per-primitive-negative"])
 def test_bad_input_value_exit_2(tmp_path, capsys, argv):
     d = str(tmp_path / "data")
     if argv[0] == "ingest":

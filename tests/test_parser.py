@@ -197,6 +197,7 @@ def test_fuzz_totality_hypothesis(sql):
 
 _PAYLOAD_PREFIX = (f"INSERT INTO entries (amount, addresses, timestamp, "
                    f"image) VALUES (1, '{ADDR}', 2, ")
+_LONG_HEX = bytes(range(256)).hex() * 256  # 64 KiB of payload
 
 
 def _parse_image(literal: str):
@@ -229,6 +230,9 @@ def test_payload_literal_accepted_iff_lowercase_even_hex(literal):
     "0xabcd",       # 0x prefix
     "ab\u00e9d",    # non-ASCII
     "\uff11\uff12",  # non-ASCII digits
+    pytest.param(_LONG_HEX[:-1] + "F", id="long-upper-case-last"),
+    pytest.param(_LONG_HEX[:65_536] + " " + _LONG_HEX[65_536:],
+                 id="long-space-in-middle"),
 ])
 def test_payload_literal_rejections(literal):
     with pytest.raises(SqlSyntaxError) as exc:
@@ -239,3 +243,10 @@ def test_payload_literal_rejections(literal):
 def test_payload_literal_empty_and_canonical():
     assert _parse_image("") == b""
     assert _parse_image("00ff10") == b"\x00\xff\x10"
+    assert _parse_image(_LONG_HEX) == bytes(range(256)) * 256
+
+
+def test_unterminated_long_literal_is_syntax_error_at_its_quote():
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse(_PAYLOAD_PREFIX + "'" + "ab" * 50_000 + ")")
+    assert exc.value.position == len(_PAYLOAD_PREFIX)

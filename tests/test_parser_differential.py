@@ -34,6 +34,17 @@ STATEMENTS = [
     "SELECT * FROM entries WHERE ts_str LIKE '2023-11%'",
     "SELECT * FROM entries WHERE address LIKE '0xab%'",
 ]
+# 64 KiB payload literals: valid, unterminated, upper case last, a space in
+# the middle. Compared once each, outside the mutated corpus.
+_LONG_HEX = bytes(range(256)).hex() * 256
+_LONG_PREFIX = ("INSERT INTO entries (amount, addresses, timestamp, image) "
+                f"VALUES (1, '{ADDR}', 2, ")
+LONG_STATEMENTS = [
+    _LONG_PREFIX + f"'{_LONG_HEX}')",
+    _LONG_PREFIX + "'" + "ab" * 50_000 + ")",
+    _LONG_PREFIX + f"'{_LONG_HEX[:-1]}F')",
+    _LONG_PREFIX + f"'{_LONG_HEX[:65_536]} {_LONG_HEX[65_536:]}')",
+]
 
 
 def outcome(parse, sql):
@@ -108,6 +119,12 @@ def test_seeded_corpus_matches_reference():
     assert kinds >= {"InsertQuery", "DeleteQuery", "UpdateQuery",
                      "SelectSimple", "SelectTimeRange", "SelectFuzzy",
                      "SqlSyntaxError", "UnsupportedFeature"}
+
+
+def test_long_literals_match_reference():
+    outcomes = [same_outcome(sql) for sql in LONG_STATEMENTS]
+    assert not isinstance(outcomes[0], tuple)
+    assert outcomes[1:] == [("SqlSyntaxError", len(_LONG_PREFIX))] * 3
 
 
 def test_non_text_input_matches_reference():
