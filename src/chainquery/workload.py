@@ -169,13 +169,24 @@ def ingest(out_dir: str, n_blocks: int, entries_per_block: int = 1,
            threshold_t=DEFAULT_THRESHOLD,
            store: ContentStore = None) -> Engine:
     """Build a fresh engine from the first n_blocks blocks of a generated
-    dataset."""
+    dataset.  ValueError, before anything is stored, for a count below 1,
+    too few entries or a missing payload file."""
+    if n_blocks < 1 or entries_per_block < 1:
+        raise ValueError(f"need at least 1 block of at least 1 entry, got "
+                         f"{n_blocks} blocks of {entries_per_block}")
     records, _ = load_dataset(out_dir)
     payload_dir = os.path.join(out_dir, "payloads")
     needed = n_blocks * entries_per_block
     if needed > len(records):
         raise ValueError(f"dataset holds {len(records)} entries, "
                          f"need {needed}")
+    for record in records[:needed]:
+        for name in ("imagecid", "videocid"):
+            cid = record.get(name)
+            if cid is not None and not os.path.isfile(
+                    os.path.join(payload_dir, cid)):
+                raise ValueError(f"no payload file for {name} {cid} in "
+                                 f"{payload_dir}")
     engine = Engine(store=store, threshold_t=threshold_t)
     for i in range(0, needed, entries_per_block):
         batch = [_record_to_insert(r, payload_dir)

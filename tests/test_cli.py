@@ -1,6 +1,7 @@
 """CLI tests: subcommand round trips, output formats, and exit codes."""
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -225,9 +226,13 @@ def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
     ("ingest", "--blocks", "16"),
     ("ingest", "--threshold-t", "0"),
     ("generate", "--queries-per-primitive", "-1"),
+    ("ingest", "--blocks", "0"),
+    ("ingest", "--blocks", "-3"),
+    ("ingest", "--entries-per-block", "0"),
 ], ids=["generate-blocks-3", "generate-density-0", "bench-scales-x",
         "ingest-past-dataset", "ingest-threshold-t-0",
-        "generate-queries-per-primitive-negative"])
+        "generate-queries-per-primitive-negative", "ingest-blocks-0",
+        "ingest-blocks-negative", "ingest-entries-per-block-0"])
 def test_bad_input_value_exit_2(tmp_path, capsys, argv):
     d = str(tmp_path / "data")
     if argv[0] == "ingest":
@@ -235,6 +240,37 @@ def test_bad_input_value_exit_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv[0], "--dataset", d, *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--blocks", "0"), ("--blocks", "-1"), ("--entries-per-block", "0"),
+], ids=["blocks-0", "blocks-negative", "entries-per-block-0"])
+def test_rejected_ingest_keeps_the_saved_ledger(dataset, capsys, argv):
+    paths = [Path(dataset, name)
+             for name in ("ledger.bin", "ingest-meta.json")]
+    saved = [path.read_bytes() for path in paths]
+    code, _, err = run(capsys, "ingest", "--dataset", dataset, *argv)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert [path.read_bytes() for path in paths] == saved
+    assert run(capsys, "verify", "--dataset", dataset)[0] == 0
+
+
+def test_ingest_with_missing_payload_file_exit_2(tmp_path, capsys):
+    d = str(tmp_path / "data")
+    assert run(capsys, "generate", "--dataset", d, "--blocks", "8")[0] == 0
+    with open(os.path.join(d, "dataset.jsonl")) as fh:
+        records = [json.loads(line) for line in fh]
+    # the last image: without the check, earlier blocks would be stored
+    cid = next(r["imagecid"] for r in reversed(records) if r["imagecid"])
+    os.remove(os.path.join(d, "payloads", cid))
+    code, out, err = run(capsys, "ingest", "--dataset", d, "--blocks", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert cid in err
+    assert not os.path.exists(os.path.join(d, "ledger.bin"))
+    assert not os.path.exists(os.path.join(d, "ingest-meta.json"))
+    objects = os.path.join(d, "store", "objects")
+    assert [f for _, _, files in os.walk(objects) for f in files] == []
 
 
 def test_query_on_empty_ledger_exit_1(dataset, capsys):

@@ -12,8 +12,7 @@ from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
                                timestamp_string)
 from chainquery.ledger import OP_DELETE, OP_INSERT, OP_UPDATE
 from chainquery.sqlgrammar import InsertQuery, parse
-from chainquery.store import (MAX_PAYLOAD, SPLIT_FROM_BYTES, IntegrityFailure,
-                              PayloadTooLarge)
+from chainquery.store import MAX_PAYLOAD, IntegrityFailure, PayloadTooLarge
 
 ADDRS = ["0x" + f"{i:040x}" for i in range(16)]
 
@@ -300,8 +299,6 @@ def test_tampered_anchor_detected():
 def test_between_over_many_payloads_with_one_flipped_raises():
     eng = Engine()
     images = [bytes([i]) * 8192 for i in range(24)]
-    # more stored bytes than SPLIT_FROM_BYTES: the helper takes a share
-    assert 24 * 8192 >= SPLIT_FROM_BYTES
     for i, image in enumerate(images):
         eng.execute(insert_sql(i, ADDRS[i % 16], 100 + i, image=image))
     assert len(eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN "

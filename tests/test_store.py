@@ -6,10 +6,8 @@ import threading
 
 import pytest
 
-import chainquery.store as store_mod
-from chainquery.engine import Engine
-from chainquery.store import (SPLIT_FROM_BYTES, ContentStore, IntegrityFailure,
-                              NotFound, PayloadTooLarge)
+from chainquery.store import (ContentStore, IntegrityFailure, NotFound,
+                              PayloadTooLarge)
 
 
 def put(store, payload):
@@ -97,7 +95,6 @@ def damage(store, cid, how):
 
 def test_check_many_honest_batch_passes(store):
     cids = [put(store, bytes([i]) * (8000 + i)) for i in range(20)]
-    assert 20 * 8000 >= SPLIT_FROM_BYTES
     store.check_many(cids)
     store.check_many(cids[:2])
     store.check_many([])
@@ -107,11 +104,9 @@ def test_check_many_honest_batch_passes(store):
                                          ("missing", NotFound)])
 def test_check_many_raises_first_bad_cid_in_input_order(store, first,
                                                         error):
-    """One flipped and one missing payload in a batch the helper shares.
-    "flipped" first: the flipped payload is 16 MiB, so the other thread
-    meets the later missing one while it is still being hashed.  "missing"
-    first: a 16 MiB honest payload keeps the calling thread busy, so the
-    helper meets the missing one."""
+    """One flipped and one missing payload in one batch, beside a 16 MiB
+    payload: the error raised is the earlier bad one's, whichever of the
+    two it is."""
     small = [put(store, bytes([i]) * 4096) for i in range(8)]
     payload = bytes(range(256)) * (64 * 1024)   # 16 MiB: ~10 ms to hash
     big = put(store, payload)
@@ -123,7 +118,6 @@ def test_check_many_raises_first_bad_cid_in_input_order(store, first,
         cids = [big, small[0], small[1]] + small[2:]
         damage(store, small[0], "missing")
         damage(store, small[1], "flipped")
-    assert len(payload) >= SPLIT_FROM_BYTES
     with pytest.raises(error):
         store.check_many(cids)
     with pytest.raises(error):
@@ -131,55 +125,33 @@ def test_check_many_raises_first_bad_cid_in_input_order(store, first,
             store.get(cid)
 
 
-def test_check_many_keeps_one_helper_thread():
-    video = bytes(range(256)) * 256
-    n_rows = SPLIT_FROM_BYTES // len(video) + 1
-    for n in range(50):
-        eng = Engine()
-        for i in range(n_rows):
-            eng.execute(f"INSERT INTO entries (amount, addresses, timestamp,"
-                        f" video) VALUES ({i}, '0x{n:040x}', {100 + i}, "
-                        f"'{(bytes([i]) + video).hex()}')")
-        res = eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN "
-                          "0 AND 1000")
-        assert len(res.rows) == n_rows
-    helpers = [t for t in threading.enumerate()
-               if t.name.startswith("chainquery-store-check")]
-    assert len(helpers) == (1 if store_mod._usable_cpus() > 1 else 0)
+def test_check_many_is_one_get_per_cid_in_input_order(store, monkeypatch):
+    cids = [put(store, bytes([i]) * 4096) for i in range(6)]
+    damage(store, cids[3], "flipped")
+    damage(store, cids[4], "missing")
+    seen = []
+    get = ContentStore.get
 
+    def recorded_get(self, cid):
+        seen.append(cid)
+        return get(self, cid)
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_helper():
-    store = ContentStore()
-    cids = [put(store, bytes([i]) * SPLIT_FROM_BYTES) for i in range(4)]
-    store.check_many(cids)
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            store.check_many(cids)
-            code = 0 if any(t.name.startswith("chainquery-store-check")
-                            for t in threading.enumerate()) else 2
-        finally:
-            os.write(write_end, bytes([code]))
-            os._exit(0)
-    os.close(write_end)
-    try:
-        code = os.read(read_end, 1)
-    finally:
-        os.close(read_end)
-        os.waitpid(pid, 0)
-    expected = 0 if store_mod._usable_cpus() > 1 else 2
-    assert code == bytes([expected])
+    monkeypatch.setattr(ContentStore, "get", recorded_get)
+    store.check_many(cids[:3])
+    assert seen == cids[:3]
+    seen.clear()
+    batch = [cids[5], cids[0], cids[3], cids[4], cids[1]]
+    with pytest.raises(IntegrityFailure):
+        store.check_many(batch)
+    assert seen == batch[:3]
 
 
 def test_check_many_from_many_threads_at_once():
-    """Four callers share the one helper under a short switch interval;
-    each must see exactly the first bad cid of its own batch."""
+    """Four callers check batches of one store at once under a short
+    switch interval; each must see exactly the first bad cid of its own
+    batch."""
     store = ContentStore()
     honest = [put(store, bytes([i]) * 8192) for i in range(40)]
-    assert 40 * 8192 >= SPLIT_FROM_BYTES
     flipped = []
     for i in range(0, 40, 7):
         payload = bytes([i, 1]) * 4096
