@@ -15,9 +15,10 @@ from bisect import bisect_left, insort
 from typing import Optional
 
 from chainquery import _kernels
-from chainquery.core import (DOM_BUCKET, DOM_INTERNAL, DOM_LEAF, MAX_TIMESTAMP,
-                             VODecodeError, _check_timestamp, _pack_u64s,
-                             _take, _take_u64s, digest)
+from chainquery.core import (_U32, _U64, DOM_BUCKET, DOM_INTERNAL, DOM_LEAF,
+                             MAX_TIMESTAMP, VODecodeError, _check_timestamp,
+                             _pack_u64_list, _pack_u64s, _take, _take_u64s,
+                             digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
@@ -33,11 +34,21 @@ class DuplicateEntry(ValueError):
 
 # --- digest compositions -------------------------------------------------
 
+_RANGE = struct.Struct(">QQ")              # a node's lo, hi
+_RANGE_COUNT = struct.Struct(">QQI")       # lo, hi, pair or child count
+
+
+def _leaf_body(lo: int, hi: int, pairs) -> bytes:
+    """A pre-conversion leaf's key range and sorted (key, entry_id) pairs:
+    its digest preimage, and its proof record after the kind byte."""
+    return _RANGE_COUNT.pack(lo, hi, len(pairs)) + _pack_u64s(
+        [v for pair in pairs for v in pair])
+
+
 def leaf_digest(pairs, lo: int, hi: int) -> bytes:
     """Pre-conversion leaf: digest over the sorted (key, entry_id) pairs
     and the leaf's key range."""
-    return digest(DOM_LEAF, lo.to_bytes(8, "big") + hi.to_bytes(8, "big")
-                  + _kernels.pack_u64_pairs(pairs))
+    return digest(DOM_LEAF, _leaf_body(lo, hi, pairs))
 
 
 # The bucket preimages, spelled once.  Each layout below is the whole
@@ -57,7 +68,7 @@ _BRANCH_PREFIX = [bytes((DOM_BUCKET, 0x04, bit)) for bit in range(64)]
 def _ids_preimage(entry_ids) -> bytes:
     if len(entry_ids) == 1:
         return _ONE_ID.pack(_IDS_HEAD, 1, entry_ids[0])
-    return _IDS_HEAD + _kernels.pack_u64_list(entry_ids)
+    return _IDS_HEAD + _pack_u64_list(entry_ids)
 
 
 def bucket_ids_digest(entry_ids) -> bytes:
@@ -70,19 +81,15 @@ def bucket_leaf_digest(key: int, ids_digest: bytes) -> bytes:
 
 
 def hash_node_digest(crit_root: bytes, lo: int, hi: int) -> bytes:
-    return digest(DOM_INTERNAL, b"\x02" + crit_root + lo.to_bytes(8, "big")
-                  + hi.to_bytes(8, "big"))
+    return digest(DOM_INTERNAL, b"\x02" + crit_root + _RANGE.pack(lo, hi))
 
 
 def internal_digest(child_triples, lo: int, hi: int) -> bytes:
     """child_triples: iterable of (child_lo, child_hi, child_digest)."""
-    parts = [b"\x01", len(child_triples).to_bytes(4, "big")]
+    parts = [b"\x01", _U32.pack(len(child_triples))]
     for clo, chi, d in child_triples:
-        parts.append(clo.to_bytes(8, "big"))
-        parts.append(chi.to_bytes(8, "big"))
-        parts.append(d)
-    parts.append(lo.to_bytes(8, "big"))
-    parts.append(hi.to_bytes(8, "big"))
+        parts += [_RANGE.pack(clo, chi), d]
+    parts.append(_RANGE.pack(lo, hi))
     return digest(DOM_INTERNAL, b"".join(parts))
 
 
@@ -250,10 +257,6 @@ class RangeVO:
 # One layout per record, shared by the encoder and the decoder; each
 # proof node starts with its kind byte.
 _KIND = {k: bytes((k,)) for k in (P_PRUNED, P_LEAF, P_INTERNAL, P_HASHLEAF)}
-_U64 = struct.Struct(">Q")
-_U32 = struct.Struct(">I")
-_RANGE = struct.Struct(">QQ")              # a proof node's lo, hi
-_RANGE_COUNT = struct.Struct(">QQI")       # lo, hi, pair or child count
 _HASHLEAF_HEAD = struct.Struct(">QQBI")    # lo, hi, flags, nrev
 _KEY_COUNT = struct.Struct(">QB")          # a revealed bucket's key, count
 
@@ -263,9 +266,7 @@ def _encode_proof(node) -> bytes:
     if kind == P_PRUNED:
         return b"".join((_KIND[kind], _RANGE.pack(lo, hi), node[3]))
     if kind == P_LEAF:
-        pairs = node[3]
-        return b"".join((_KIND[kind], _RANGE_COUNT.pack(lo, hi, len(pairs)),
-                         _pack_u64s([v for pair in pairs for v in pair])))
+        return _KIND[kind] + _leaf_body(lo, hi, node[3])
     if kind == P_INTERNAL:
         return b"".join([_KIND[kind], _RANGE_COUNT.pack(lo, hi, len(node[3])),
                          *map(_encode_proof, node[3])])

@@ -63,9 +63,13 @@ def _take(data: bytes, off: int, n: int) -> bytes:
     return bytes(data[off:off + n])
 
 
-# the layout of n big-endian u64s, compiled once for every n a one-byte
-# count can give
+# The fixed-width scalars every committed layout is built from, and the
+# run of n big-endian u64s, with and without the u32 count of an id list,
+# compiled once for every n a one-byte count can give.
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 _U64_RUNS = tuple(struct.Struct(f">{n}Q") for n in range(256))
+_COUNTED_U64_RUNS = tuple(struct.Struct(f">I{n}Q") for n in range(256))
 
 
 def _u64_run(n: int) -> struct.Struct:
@@ -84,6 +88,14 @@ def _pack_u64s(values) -> bytes:
     """The values as big-endian u64s with no count, as _take_u64s reads
     them."""
     return _u64_run(len(values)).pack(*values)
+
+
+def _pack_u64_list(values) -> bytes:
+    """The counted id list both indexes commit: a u32 count, then the
+    values as big-endian u64s."""
+    n = len(values)
+    run = _COUNTED_U64_RUNS[n] if n < 256 else struct.Struct(f">I{n}Q")
+    return run.pack(n, *values)
 
 
 @dataclass(frozen=True)
@@ -113,53 +125,34 @@ class DataEntry:
                 raise EncodingError("content id must be 32 bytes")
 
 
-def _encode_uint(value: int, width: int) -> bytes:
-    return value.to_bytes(width, "big")
-
-
-def _encode_var_bytes(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
-
-
-def _encode_biguint(value: int) -> bytes:
-    raw = value.to_bytes((value.bit_length() + 7) // 8, "big") if value else b""
-    return _encode_var_bytes(raw)
-
-
-def _encode_optional_digest(value: Optional[bytes]) -> bytes:
-    if value is None:
-        return b"\x00"
-    return b"\x01" + value
-
-
 def encode_data_entry_body(entry: DataEntry) -> bytes:
-    parts = [
-        _encode_uint(entry.entry_id, 8),
-        _encode_biguint(entry.amount),
-        _encode_uint(len(entry.addresses), 4),
-    ]
+    amount = entry.amount.to_bytes((entry.amount.bit_length() + 7) // 8,
+                                   "big")
+    parts = [_U64.pack(entry.entry_id), _U32.pack(len(amount)), amount,
+             _U32.pack(len(entry.addresses))]
     for addr in entry.addresses:
-        parts.append(_encode_var_bytes(addr.encode("ascii")))
-    parts.append(_encode_uint(entry.timestamp, 8))
-    parts.append(_encode_optional_digest(entry.image_cid))
-    parts.append(_encode_optional_digest(entry.video_cid))
+        parts += [_U32.pack(len(addr)), addr.encode("ascii")]
+    parts.append(_U64.pack(entry.timestamp))
+    for cid in (entry.image_cid, entry.video_cid):
+        parts.append(b"\x00" if cid is None else b"\x01" + cid)
     return b"".join(parts)
 
 
 def decode_data_entry_body(data: bytes, off: int) -> tuple[DataEntry, int]:
     """Inverse of encode_data_entry_body; raises EncodingError on bad input."""
     try:
-        entry_id, alen = struct.unpack_from(">QI", data, off)
+        entry_id, = _U64.unpack_from(data, off)
+        alen, = _U32.unpack_from(data, off + 8)
         amount = int.from_bytes(_take(data, off + 12, alen), "big")
         off += 12 + alen
-        n_addr, = struct.unpack_from(">I", data, off)
+        n_addr, = _U32.unpack_from(data, off)
         off += 4
         addrs = []
         for _ in range(n_addr):
-            ln, = struct.unpack_from(">I", data, off)
+            ln, = _U32.unpack_from(data, off)
             addrs.append(_take(data, off + 4, ln).decode("ascii"))
             off += 4 + ln
-        timestamp, = struct.unpack_from(">Q", data, off)
+        timestamp, = _U64.unpack_from(data, off)
         off += 8
         cids = []
         for _ in range(2):

@@ -112,9 +112,8 @@ def plan_query(ast: QueryAst) -> Plan:
 
 class Engine:
     def __init__(self, store: Optional[ContentStore] = None,
-                 threshold_t: Optional[int] = DEFAULT_THRESHOLD,
-                 meter: GasMeter = None):
-        self.meter = meter or GasMeter()
+                 threshold_t: Optional[int] = DEFAULT_THRESHOLD):
+        self.meter = GasMeter()
         self.ledger = Ledger()
         self.time_index = BHashTree(threshold_t=threshold_t,
                                     meter=self.meter)

@@ -10,13 +10,15 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from chainquery.core import (DIGEST_SIZE, DOM_ANCHOR, EMPTY_DIGEST, DataEntry,
-                             EncodingError, _take, decode_data_entry_body,
-                             digest, encode_data_entry_body)
+from chainquery.core import (_U32, _U64, DIGEST_SIZE, DOM_ANCHOR,
+                             EMPTY_DIGEST, DataEntry, EncodingError, _take,
+                             decode_data_entry_body, digest,
+                             encode_data_entry_body)
 
 OP_INSERT = 0
 OP_DELETE = 1
 OP_UPDATE = 2
+_OP = struct.Struct(">BQ")    # an op record: kind u8, target entry_id u64
 
 
 class NonDenseEntryIds(ValueError):
@@ -48,16 +50,13 @@ class Block:
 
 def _block_body(height: int, entries, ops, bhash_root: bytes,
                 trie_root: bytes) -> bytes:
-    parts = [height.to_bytes(8, "big"), len(entries).to_bytes(4, "big")]
+    parts = [_U64.pack(height), _U32.pack(len(entries))]
     for entry in entries:
         body = encode_data_entry_body(entry)
-        parts.append(len(body).to_bytes(4, "big"))
-        parts.append(body)
-    parts.append(len(ops).to_bytes(4, "big"))
-    for kind, target in ops:
-        parts.append(struct.pack(">BQ", kind, target))
-    parts.append(bhash_root)
-    parts.append(trie_root)
+        parts += [_U32.pack(len(body)), body]
+    parts.append(_U32.pack(len(ops)))
+    parts += [_OP.pack(kind, target) for kind, target in ops]
+    parts += [bhash_root, trie_root]
     return b"".join(parts)
 
 
@@ -75,21 +74,21 @@ def _parse_record(record: bytes):
     and compares; every count is bounded by the bytes left to read."""
     try:
         pos = DIGEST_SIZE + 8
-        n_entries, = struct.unpack_from(">I", record, pos)
+        n_entries, = _U32.unpack_from(record, pos)
         pos += 4
         entries = []
         for _ in range(n_entries):
-            ln, = struct.unpack_from(">I", record, pos)
+            ln, = _U32.unpack_from(record, pos)
             pos += 4
             entries.append(
                 decode_data_entry_body(record[pos:pos + ln], 0)[0])
             pos += ln
-        n_ops, = struct.unpack_from(">I", record, pos)
+        n_ops, = _U32.unpack_from(record, pos)
         pos += 4
         ops = []
         for _ in range(n_ops):
-            ops.append(struct.unpack_from(">BQ", record, pos))
-            pos += 9
+            ops.append(_OP.unpack_from(record, pos))
+            pos += _OP.size
         roots = (_take(record, pos, DIGEST_SIZE),
                  _take(record, pos + DIGEST_SIZE, DIGEST_SIZE))
     except (EncodingError, struct.error, IndexError) as exc:

@@ -15,9 +15,8 @@ import struct
 from bisect import bisect_left
 from typing import Optional
 
-from chainquery import _kernels
-from chainquery.core import (DOM_TRIE, VODecodeError, _take, _take_u64s,
-                             digest)
+from chainquery.core import (_U64, DOM_TRIE, VODecodeError, _pack_u64_list,
+                             _take, _take_u64s, digest)
 from chainquery.gas import GasMeter
 
 ALPHABET = "0123456789abcdef-:"
@@ -55,7 +54,7 @@ def _node_preimage(label: bytes, entry_ids, child_items) -> bytes:
     elif n == 1:
         ids = _ONE_ID.pack(1, 1, entry_ids[0])
     else:
-        ids = b"\x01" + _kernels.pack_u64_list(entry_ids)
+        ids = b"\x01" + _pack_u64_list(entry_ids)
     return b"".join([_HEAD[len(label)], label, ids, _BYTE[len(child_items)],
                      *[_BYTE[i] + d for i, d in child_items]])
 
@@ -111,13 +110,13 @@ class PrefixVO:
     def to_bytes(self) -> bytes:
         parts = [self.claimed_root, bytes([self.mode, len(self.path)])]
         for label, ids, taken, sibs in self.path:
-            parts += [_BYTE[len(label)], label, _kernels.pack_u64_list(ids),
+            parts += [_BYTE[len(label)], label, _pack_u64_list(ids),
                       _BYTE[taken], _encode_items(sibs)]
         if self.mode == self.MODE_MATCH:
             parts.append(_encode_subtree(self.terminal))
         else:
             label, ids, items = self.terminal
-            parts += [_BYTE[len(label)], label, _kernels.pack_u64_list(ids),
+            parts += [_BYTE[len(label)], label, _pack_u64_list(ids),
                       _encode_items(items)]
         return b"".join(parts)
 
@@ -163,7 +162,6 @@ def _decode_items(data: bytes, off: int):
 
 # a label of each length, then the u32 count of the ids after it
 _LABEL_COUNT = tuple(struct.Struct(f">{n}sI") for n in range(256))
-_U64 = struct.Struct(">Q")
 
 
 def _decode_label_ids(data: bytes, off: int):
@@ -182,7 +180,7 @@ def _decode_label_ids(data: bytes, off: int):
 
 def _encode_subtree(sub) -> bytes:
     label, ids, children = sub
-    parts = [_BYTE[len(label)], label, _kernels.pack_u64_list(ids),
+    parts = [_BYTE[len(label)], label, _pack_u64_list(ids),
              bytes([len(children)])]
     for child in children:
         parts.append(_encode_subtree(child))

@@ -285,6 +285,18 @@ def test_query_on_empty_ledger_exit_1(dataset, capsys):
 @pytest.mark.parametrize("argv", [
     ("query", "SELECT * FROM entries WHERE entry_id = 1"), ("verify",),
 ], ids=["query", "verify"])
+def test_emptied_ledger_exit_1(dataset, capsys, argv):
+    # ingest saves at least one block, so an empty ledger.bin beside
+    # ingest-meta.json was emptied after ingest
+    open(os.path.join(dataset, "ledger.bin"), "wb").close()
+    code, out, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "SELECT * FROM entries WHERE entry_id = 1"), ("verify",),
+], ids=["query", "verify"])
 def test_query_and_verify_load_the_ledger_alike(dataset, capsys, argv):
     ledger, meta = (os.path.join(dataset, name)
                     for name in ("ledger.bin", "ingest-meta.json"))

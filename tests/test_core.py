@@ -2,13 +2,16 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from chainquery.core import (DataEntry, EncodingError, content_id,
+from chainquery.bhash import P_LEAF, _encode_proof, _leaf_body, leaf_digest
+from chainquery.core import (DOM_LEAF, DataEntry, EncodingError,
+                             _pack_u64_list, content_id,
                              decode_data_entry_body, digest,
                              encode_data_entry_body)
 
 ADDR = "0x" + "ab" * 20
+u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
 def rand_entry(rng, eid):
@@ -50,19 +53,40 @@ def test_encoding_distinct_over_corpus():
 
 _hex40 = st.text("0123456789abcdef", min_size=40, max_size=40)
 _cid = st.none() | st.binary(min_size=32, max_size=32)
+_entries = st.builds(DataEntry,
+                     entry_id=u64,
+                     amount=st.integers(0, 1 << 200),
+                     addresses=st.lists(_hex40.map("0x".__add__), min_size=1,
+                                        max_size=4).map(tuple),
+                     timestamp=st.integers(0, (1 << 63) - 1),
+                     image_cid=_cid, video_cid=_cid)
 
 
-@given(st.builds(DataEntry,
-                 entry_id=st.integers(0, (1 << 64) - 1),
-                 amount=st.integers(0, 1 << 200),
-                 addresses=st.lists(_hex40.map("0x".__add__), min_size=1,
-                                    max_size=4).map(tuple),
-                 timestamp=st.integers(0, (1 << 63) - 1),
-                 image_cid=_cid, video_cid=_cid),
-       st.binary(max_size=3))
+@given(_entries, st.binary(max_size=3))
 def test_entry_body_roundtrip(entry, tail):
     body = encode_data_entry_body(entry)
     assert decode_data_entry_body(body + tail, 0) == (entry, len(body))
+
+
+@given(_entries)
+@example(DataEntry(0, 0, (ADDR,), 0, None, b"\x07" * 32))
+@example(DataEntry((1 << 64) - 1, 1, (ADDR, ADDR), (1 << 63) - 1,
+                   b"\x07" * 32, None))
+def test_entry_body_is_the_readme_layout(entry):
+    # README, "Wire formats": entry_id u64 ‖ len u32 ‖ amount (minimal
+    # big-endian) ‖ n u32 ‖ n × (len u32 ‖ ascii address) ‖ timestamp u64
+    # ‖ two content ids (0x00, or 0x01 ‖ 32 bytes)
+    amount = entry.amount.to_bytes((entry.amount.bit_length() + 7) // 8,
+                                   "big")
+    want = (entry.entry_id.to_bytes(8, "big")
+            + len(amount).to_bytes(4, "big") + amount
+            + len(entry.addresses).to_bytes(4, "big"))
+    for addr in entry.addresses:
+        want += len(addr).to_bytes(4, "big") + addr.encode("ascii")
+    want += entry.timestamp.to_bytes(8, "big")
+    for cid in (entry.image_cid, entry.video_cid):
+        want += b"\x00" if cid is None else b"\x01" + cid
+    assert encode_data_entry_body(entry) == want
 
 
 def test_entry_validation():
@@ -94,3 +118,30 @@ def test_digest_domain_separation():
 
 def test_content_id_plain_sha256():
     assert content_id(b"") == hashlib.sha256(b"").digest()
+
+
+def test_pack_layout():
+    assert _leaf_body(7, 9, [(1, 2)]) == (
+        (7).to_bytes(8, "big") + (9).to_bytes(8, "big") + b"\x00\x00\x00\x01"
+        + (1).to_bytes(8, "big") + (2).to_bytes(8, "big"))
+    assert _pack_u64_list([5, (1 << 64) - 1]) == (
+        b"\x00\x00\x00\x02" + (5).to_bytes(8, "big") + b"\xff" * 8)
+    assert _pack_u64_list([]) == b"\x00\x00\x00\x00"
+    # past the precompiled layouts, which stop at 255 values
+    assert _pack_u64_list(range(300)) == (300).to_bytes(4, "big") + b"".join(
+        v.to_bytes(8, "big") for v in range(300))
+
+
+@given(st.lists(st.tuples(u64, u64), max_size=50), u64, u64)
+def test_pack_matches_per_value_encoding(pairs, lo, hi):
+    flat = [v for pair in pairs for v in pair]
+    assert _pack_u64_list(flat) == (
+        len(flat).to_bytes(4, "big")
+        + b"".join(v.to_bytes(8, "big") for v in flat))
+    body = _leaf_body(lo, hi, pairs)
+    assert body == (lo.to_bytes(8, "big") + hi.to_bytes(8, "big")
+                    + len(pairs).to_bytes(4, "big")
+                    + _pack_u64_list(flat)[4:])
+    # a B+ leaf's digest and its proof record commit the same body
+    assert leaf_digest(pairs, lo, hi) == digest(DOM_LEAF, body)
+    assert _encode_proof((P_LEAF, lo, hi, pairs)) == bytes([P_LEAF]) + body
