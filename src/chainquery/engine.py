@@ -5,9 +5,11 @@ a content-addressed payload store, and a query cache.  Writes
 insert into both indexes, store payloads, anchor the new roots in a block
 (entries + operation records), and empty the cache.  Reads probe the
 cache, query the index, verify the proof against the latest anchored
-root, drop deleted or superseded entries, re-hash the payloads of the
-rest and cache those entries; a hit skips all of that.  Every read builds
-fresh row dicts from the entries.
+root, drop deleted or superseded entries, check the payloads of the rest
+with the store and cache those entries; a hit skips all of that.  The
+memory store hashes each stored payload object on its first fetch and
+again whenever the object under a cid changes; the disk store re-hashes
+on every fetch.  Every read builds fresh row dicts from the entries.
 """
 from __future__ import annotations
 
@@ -300,7 +302,7 @@ class Engine:
             entries = self._live([ast.entry_id])
         else:
             entries, vo = self._exec_time_range(ast.timestamp, ast.timestamp)
-        # one batch re-hash of every payload; a corrupt or missing one raises
+        # one batch check of every payload; a corrupt or missing one raises
         self.store.check_many([cid for e in entries
                                for cid in (e.image_cid, e.video_cid)
                                if cid is not None])

@@ -1,9 +1,14 @@
 """Content-addressed payload store.
 
-Addresses are the plain SHA-256 of the raw bytes; every fetch re-hashes, so
-a corrupted store surfaces as IntegrityFailure rather than bad data.
-`check_many` re-hashes a batch of payloads on the calling thread, one `get`
-per cid in input order, so the first bad cid is the one that raises.
+Addresses are the plain SHA-256 of the raw bytes, and a fetch checks them,
+so a corrupted store surfaces as IntegrityFailure rather than bad data.  A
+disk fetch re-hashes every time: a file can change under the same path.  A
+memory fetch hashes on the first fetch of each stored object, and again
+whenever the object under a cid changes: the store remembers which
+immutable `bytes` object last hashed to each cid, and skips the hash only
+while that same object is still the one stored.  `check_many` checks a
+batch of payloads on the calling thread, one `get` per cid in input order,
+so the first bad cid is the one that raises.
 """
 from __future__ import annotations
 
@@ -35,6 +40,9 @@ class ContentStore:
     def __init__(self, root: Optional[str] = None):
         self.root = root
         self._mem: dict[bytes, bytes] = {}
+        # cid -> the object in _mem that last hashed to it; holding it
+        # keeps its id from being reused
+        self._checked: dict[bytes, bytes] = {}
         if root:
             os.makedirs(os.path.join(root, "objects"), exist_ok=True)
 
@@ -52,7 +60,9 @@ class ContentStore:
     def put(self, payload: bytes, cid: bytes) -> None:
         """Store payload under cid, which must be address(payload): a
         writer hashes once, and can check a whole batch before storing any
-        of it.  Fetches re-hash, so a wrong cid surfaces there."""
+        of it.  Fetches check the hash, so a wrong cid surfaces there.  In
+        memory the store keeps an immutable copy of a bytearray or
+        memoryview (a plain bytes is kept as it is)."""
         if self.root:
             path = self._path(cid)
             if not os.path.exists(path):
@@ -62,11 +72,13 @@ class ContentStore:
                     fh.write(payload)
                 os.replace(tmp, path)
         else:
-            self._mem.setdefault(cid, payload)
+            self._mem.setdefault(cid, bytes(payload))
 
     def get(self, cid: bytes) -> bytes:
-        """The payload stored under cid, re-hashed: NotFound or
-        IntegrityFailure."""
+        """The payload stored under cid, hash-checked: NotFound or
+        IntegrityFailure.  A disk fetch re-hashes every time; a memory
+        fetch hashes only when the object under cid is not the one that
+        last passed."""
         payload = None
         if len(cid) == DIGEST_SIZE:
             if self.root:
@@ -77,16 +89,25 @@ class ContentStore:
                     pass
             else:
                 payload = self._mem.get(cid)
+                if payload is not None and payload is self._checked.get(cid):
+                    return payload
         if payload is None:
+            self._checked.pop(cid, None)
             raise NotFound(f"no payload stored under {cid.hex()}")
         if content_id(payload) != cid:
+            self._checked.pop(cid, None)
             raise IntegrityFailure(f"stored bytes for {cid.hex()} hash "
                                    "differently")
+        # only an immutable object can stand for the bytes that passed
+        if not self.root and type(payload) is bytes:
+            self._checked[cid] = payload
         return payload
 
     def check_many(self, cids: Iterable[bytes]) -> None:
-        """Fetch and re-hash each payload in cids, keeping none of them:
-        the error of the first bad cid in input order."""
+        """Fetch and check each payload in cids with `get`, keeping none
+        of them: the error of the first bad cid in input order.  A disk
+        store re-hashes every payload; a memory store hashes only the
+        objects it has not yet seen pass under their cid."""
         for cid in cids:
             self.get(cid)
 

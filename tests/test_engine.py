@@ -316,6 +316,32 @@ def test_between_over_many_payloads_with_one_flipped_raises():
                     "AND 1002")
 
 
+def test_overlapping_betweens_hash_each_stored_payload_once(monkeypatch):
+    """Distinct, overlapping BETWEENs all miss the cache and return the
+    same rows again and again, yet each stored payload is hashed once."""
+    import chainquery.store as store_mod
+    eng = Engine()
+    images = [bytes([i]) * 8192 for i in range(24)]
+    for i, image in enumerate(images):
+        eng.execute(insert_sql(i, ADDRS[i % 16], 100 + i, image=image))
+    calls = []
+    real = store_mod.content_id
+
+    def counted(payload):
+        calls.append(real(payload))
+        return calls[-1]
+
+    monkeypatch.setattr(store_mod, "content_id", counted)
+    returned = 0
+    for lo, hi in [(0, 1000), (100, 123), (105, 2000), (0, 115), (99, 124)]:
+        result = eng.execute("SELECT * FROM entries WHERE timestamp "
+                             f"BETWEEN {lo} AND {hi}")
+        assert not result.cached
+        returned += len(result.rows)
+    assert returned > 2 * len(images)
+    assert sorted(calls) == sorted(eng.store.address(i) for i in images)
+
+
 def test_plan_costs_ordered():
     ins = plan_query(parse(insert_sql(1, ADDRS[0], 1)))
     sel = plan_query(parse("SELECT * FROM entries WHERE entry_id = 1"))

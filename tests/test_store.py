@@ -190,3 +190,149 @@ def test_check_many_from_many_threads_at_once():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# -- the memory store's hash memo --------------------------------------------
+
+def restore(store, cid, payload):
+    """Put the honest bytes back under cid, as the very object stored first
+    where there is one."""
+    if store.root:
+        with open(store._path(cid), "wb") as fh:
+            fh.write(payload)
+    else:
+        store._mem[cid] = payload
+
+
+def count_hashes(monkeypatch):
+    """Count the store's content_id calls, per cid hashed."""
+    import chainquery.store as store_mod
+    calls = []
+    real = store_mod.content_id
+
+    def counted(payload):
+        cid = real(payload)
+        calls.append(cid)
+        return cid
+
+    monkeypatch.setattr(store_mod, "content_id", counted)
+    return calls
+
+
+@pytest.mark.parametrize("how,error", [("flipped", IntegrityFailure),
+                                       ("missing", NotFound)])
+def test_get_after_a_passing_get_sees_damage(store, how, error):
+    payload = bytes(range(256)) * 16
+    cid = put(store, payload)
+    assert store.get(cid) == payload
+    damage(store, cid, how)
+    with pytest.raises(error):
+        store.get(cid)
+    with pytest.raises(error):
+        store.check_many([cid])
+
+
+@pytest.mark.parametrize("how", ["flipped", "missing"])
+def test_restored_payload_is_hashed_again(store, how, monkeypatch):
+    payload = bytes(range(256)) * 16
+    cid = put(store, payload)
+    stored = store._mem.get(cid)
+    assert store.get(cid) == payload
+    damage(store, cid, how)
+    with pytest.raises((IntegrityFailure, NotFound)):
+        store.get(cid)
+    # the very object that passed before is hashed again once it is back
+    restore(store, cid, stored if stored is not None else payload)
+    calls = count_hashes(monkeypatch)
+    assert store.get(cid) == payload
+    assert calls == [cid]
+
+
+def test_unchanged_payload_hashes_once_in_memory_twice_on_disk(
+        store, monkeypatch):
+    payload = b"\x5a" * 4096
+    cid = put(store, payload)
+    calls = count_hashes(monkeypatch)
+    assert store.get(cid) == payload
+    assert store.get(cid) == payload
+    assert calls == [cid] * (2 if store.root else 1)
+
+
+def test_put_keeps_an_immutable_copy_of_a_mutable_buffer(store):
+    buf = bytearray(b"original bytes" * 100)
+    cid = put(store, buf)
+    assert store.get(cid) == b"original bytes" * 100
+    buf[0] ^= 0xFF
+    view = memoryview(bytearray(b"view bytes"))
+    view_cid = put(store, view)
+    view[0] = 0
+    assert store.get(cid) == b"original bytes" * 100
+    assert type(store.get(cid)) is bytes
+    assert store.get(view_cid) == b"view bytes"
+
+
+def test_mutable_object_written_into_the_store_is_always_hashed(
+        monkeypatch):
+    store = ContentStore()
+    payload = b"abc" * 1000
+    cid = put(store, payload)
+    store._mem[cid] = bytearray(payload)
+    assert store.get(cid) == payload
+    store._mem[cid][0] ^= 0xFF
+    with pytest.raises(IntegrityFailure):
+        store.get(cid)
+
+
+def test_memo_under_concurrent_flips_and_restores():
+    """One thread keeps swapping flipped, honest and freshly copied bytes
+    under a few cids while four threads read them under a short switch
+    interval: every get that returns must return the honest bytes."""
+    store = ContentStore()
+    honest = {}
+    for i in range(4):
+        payload = bytes([i, 7]) * 2048
+        honest[put(store, payload)] = payload
+    cids = list(honest)
+    stop = threading.Event()
+    wrong = []
+
+    def writer():
+        rng = random.Random(1)
+        while not stop.is_set():
+            cid = rng.choice(cids)
+            how = rng.randrange(3)
+            if how == 0:
+                damage(store, cid, "flipped")
+            else:
+                store._mem[cid] = honest[cid] if how == 1 \
+                    else bytes(bytearray(honest[cid]))
+
+    def reader(seed):
+        rng = random.Random(seed)
+        for _ in range(3000):
+            cid = rng.choice(cids)
+            try:
+                got = store.get(cid)
+            except IntegrityFailure:
+                continue
+            if got != honest[cid]:
+                wrong.append(cid)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        w = threading.Thread(target=writer)
+        readers = [threading.Thread(target=reader, args=(s,))
+                   for s in range(4)]
+        w.start()
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=60)
+        stop.set()
+        w.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in readers + [w])
+    assert wrong == []
