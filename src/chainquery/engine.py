@@ -21,7 +21,7 @@ from chainquery.bhash import DEFAULT_THRESHOLD, BHashTree, verify_range
 from chainquery.cache import QueryCache
 from chainquery.core import DataEntry
 from chainquery.gas import GasMeter
-from chainquery.ledger import (Ledger, OP_DELETE, OP_INSERT, OP_UPDATE)
+from chainquery.ledger import Ledger, OP_DELETE, OP_UPDATE
 from chainquery.sqlgrammar import (DeleteQuery, InsertQuery, QueryAst,
                                    SelectFuzzy, SelectSimple, SelectTimeRange,
                                    UpdateQuery, parse)
@@ -163,32 +163,23 @@ class Engine:
         Live writes and replay both come here, so a replayed block meets
         the same rules.
 
-        In op order, each INSERT names the next entry of the block, each
-        UPDATE takes the next entry as its replacement, and DELETE and
-        UPDATE targets must be live.  Raises UnknownEntry or MalformedBlock
-        before changing any state."""
+        An entry is its own record, so ops are only DELETEs and UPDATEs:
+        each target must be live and named once, and the block must hold
+        at least one entry per UPDATE.  Raises UnknownEntry or
+        MalformedBlock before changing any state."""
         keys = self._trie_keys(entries)
-        n_named = 0
         ended = set()
         for kind, target in ops:
-            if kind == OP_INSERT:
-                if (n_named == len(entries)
-                        or entries[n_named].entry_id != target):
-                    raise MalformedBlock(
-                        f"INSERT of entry {target} does not name the "
-                        "block's next entry")
-                n_named += 1
-            elif kind in (OP_DELETE, OP_UPDATE):
-                if target in ended:
-                    raise UnknownEntry(target)
-                self._require_live(target)
-                ended.add(target)
-                n_named += kind == OP_UPDATE
-            else:
+            if kind not in (OP_DELETE, OP_UPDATE):
                 raise MalformedBlock(f"unknown op kind {kind}")
-        if n_named != len(entries):
-            raise MalformedBlock(f"{len(entries)} entries but {n_named} "
-                                 "INSERT and UPDATE ops")
+            if target in ended:
+                raise UnknownEntry(target)
+            self._require_live(target)
+            ended.add(target)
+        n_updates = sum(kind == OP_UPDATE for kind, _ in ops)
+        if n_updates > len(entries):
+            raise MalformedBlock(f"{n_updates} UPDATE ops but "
+                                 f"{len(entries)} entries")
         # the trie checks every key before it changes, so it goes first;
         # the time index cannot reject a checked entry, and payloads are
         # stored once nothing can reject the block
@@ -213,8 +204,7 @@ class Engine:
             payloads += [(c, p) for c, p in zip(cids, raw) if p is not None]
             entries.append(DataEntry(eid, ins.amount, tuple(ins.addresses),
                                      ins.timestamp, *cids))
-        self._commit(entries, [(OP_INSERT, e.entry_id) for e in entries],
-                     payloads)
+        self._commit(entries, (), payloads)
         return [e.entry_id for e in entries]
 
     def _exec_insert(self, ast: InsertQuery) -> QueryResult:

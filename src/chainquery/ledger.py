@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from chainquery.core import (_U32, _U64, DIGEST_SIZE, DOM_ANCHOR,
                              EMPTY_DIGEST, DataEntry, EncodingError, _take,
                              decode_data_entry_body, digest,
                              encode_data_entry_body)
 
-OP_INSERT = 0
 OP_DELETE = 1
 OP_UPDATE = 2
 _OP = struct.Struct(">BQ")    # an op record: kind u8, target entry_id u64
@@ -38,7 +36,7 @@ class Block:
     height: int
     prev_digest: bytes
     entries: tuple[DataEntry, ...]
-    ops: tuple[tuple[int, int], ...]  # (op kind, target entry_id)
+    ops: tuple[tuple[int, int], ...]  # (OP_DELETE or OP_UPDATE, target id)
     bhash_root: bytes
     trie_root: bytes
     block_digest: bytes
@@ -108,14 +106,12 @@ class Ledger:
         return len(self.blocks) - 1
 
     def append_block(self, entries, roots: tuple[bytes, bytes],
-                     ops: Optional[list[tuple[int, int]]] = None) -> Block:
+                     ops=()) -> Block:
         entries = tuple(entries)
         for i, entry in enumerate(entries, self._next_entry_id):
             if entry.entry_id != i:
                 raise NonDenseEntryIds(
                     f"expected entry_id {i}, got {entry.entry_id}")
-        if ops is None:
-            ops = [(OP_INSERT, e.entry_id) for e in entries]
         ops = tuple(ops)
         prev = self.blocks[-1].block_digest if self.blocks else EMPTY_DIGEST
         height = len(self.blocks)

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from chainquery.cache import MAX_CACHED, BloomFilter, QueryCache
-from chainquery.core import EncodingError
+from chainquery.core import DataEntry, EncodingError
 from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
                                VerificationFailure, plan_query, replay,
                                timestamp_string)
-from chainquery.ledger import OP_DELETE, OP_INSERT, OP_UPDATE
+from chainquery.ledger import OP_DELETE, OP_UPDATE, Ledger
 from chainquery.sqlgrammar import InsertQuery, parse
 from chainquery.store import MAX_PAYLOAD, IntegrityFailure, PayloadTooLarge
 
@@ -443,10 +443,10 @@ def test_replay_detects_foreign_roots():
 
 @pytest.mark.parametrize("ops", [
     [(OP_UPDATE, 0)],     # no replacement entry rides in the block
-    [(OP_INSERT, 99)],    # names an entry the block does not carry
+    [(0, 99)],            # the insert record blocks no longer carry
     [(7, 0)],             # unknown op kind
     [(OP_DELETE, 999)],   # target never existed
-], ids=["update-without-entry", "insert-without-entry", "unknown-kind",
+], ids=["update-without-entry", "insert-record-is-unknown", "unknown-kind",
         "delete-unknown"])
 def test_replay_rejects_ops_that_do_not_fit(ops):
     # the crafted block re-anchors the previous roots and links correctly,
@@ -456,6 +456,30 @@ def test_replay_rejects_ops_that_do_not_fit(ops):
     assert eng.ledger.verify_chain()
     with pytest.raises(VerificationFailure):
         replay(eng.ledger, store=eng.store)
+
+
+def test_update_block_may_carry_more_entries_than_updates():
+    # an entry is its own record, so a block holds at least one entry per
+    # UPDATE, not exactly one
+    eng, _ = seeded_engine(12)
+    new = [DataEntry(eid, 5, (ADDRS[1],), 1_700_000_000 + eid)
+           for eid in (12, 13)]
+    eng._commit(new, [(OP_UPDATE, 0)], ())
+    rebuilt = replay(eng.ledger, store=eng.store)
+    for e in (eng, rebuilt):
+        assert not e.is_live(0)
+        assert e.is_live(12) and e.is_live(13)
+    assert rebuilt.ledger.blocks == eng.ledger.blocks
+
+
+def test_insert_only_block_records_no_ops(tmp_path):
+    eng = Engine()
+    eng.insert_batch([parse(insert_sql(i, ADDRS[i], 100 + i))
+                      for i in range(2)])
+    assert eng.ledger.blocks[-1].ops == ()
+    path = str(tmp_path / "ledger.bin")
+    eng.ledger.save(path)
+    assert Ledger.load(path).blocks == eng.ledger.blocks
 
 
 def test_bloom_no_false_negatives():
