@@ -106,7 +106,7 @@ PINNED = {
         "trie_root":
             "a96388f43e9fa7fde3cee662918c73c482f0af676ddabd5bd3de57c0808d5d1f",
         "block_digest":
-            "944476a173ed23c70adb9d10c5ebfded5b922506a352495dba3f6a7d3540c198",
+            "e67d7e35622cf279862744b0a3100fc82e95a8f8df432526c6de65c3375db554",
         "vo_sha256": (
             "fd800b9c887bfb77d7513fd50175de01e67b16637e22f87b671aefe9fe383bdd",
             "b1e4800604a676bec40fdc461aecd3c8a8778175dd83c420fc943e2f8320407b",
@@ -123,7 +123,7 @@ PINNED = {
         "trie_root":
             "a96388f43e9fa7fde3cee662918c73c482f0af676ddabd5bd3de57c0808d5d1f",
         "block_digest":
-            "dc7c49e4f4a207a4ac012cf4a4f60df54ca09af7a6cbce0709dc1d07d17fcd86",
+            "e2fc530fe4bb964781d3bfc8a8d328cc6d081f1aba005d03e48ef79e3aacc4db",
         "vo_sha256": (
             "15e3895919109dc08f86c97cb8b38dc5e92e4166d1aca03f351bb9280fe9d664",
             "fa73f25a6b9a12445da7452e49662dbd32d85a41a431f7dd58550781326b4c5d",
@@ -140,7 +140,7 @@ PINNED = {
         "trie_root":
             "a0fb8600399aa25ddc4f27336134b3f4f9d32c5ccafc40e1d14648e9264bf810",
         "block_digest":
-            "075cbb51b73dd76dcbec800f7bf3f818b1a45e462975587fcb5d73b024154b1a",
+            "4c78c12b0713cd4b375b2e1cfbb74279b49a2190e57e8830a99405823baad5d5",
         "vo_sha256": (
             "8923ffeae7d84d5fd899e7072d9cc8348e6b1ccf65fabb445e2f26117c641897",
             "765f7dd217a197eac562ae5277d5d2c6cfbbe1f6bf0c954af66bd19f776b3539",
@@ -157,7 +157,7 @@ PINNED = {
         "trie_root":
             "a0fb8600399aa25ddc4f27336134b3f4f9d32c5ccafc40e1d14648e9264bf810",
         "block_digest":
-            "26f8707630d080d80f9cd71d1d95954e8630cace33d67e5c509656c6a551984f",
+            "176a959b008ccd37b4bebb30de13488b6fbe0f21de1faefe581c46d63b6f9c73",
         "vo_sha256": (
             "99408d69f83506dd1da62e5ac87e5e6f67fff16ff9a65ee434267ee491af4f3b",
             "fee3b961723a1c20eb7d8291dd687e0abd5c1cb1be39677bc9b07bd8cf8b8fe1",
