@@ -13,10 +13,10 @@ import sys
 from chainquery import workload
 from chainquery.bhash import DEFAULT_THRESHOLD
 from chainquery.core import EncodingError
-from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
-                               VerificationFailure, replay)
+from chainquery.engine import Engine, VerificationFailure, replay
 from chainquery.ledger import Ledger, LedgerDecodeError
-from chainquery.sqlgrammar import SqlSyntaxError, UnsupportedFeature
+from chainquery.sqlgrammar import (DeleteQuery, InsertQuery, SqlSyntaxError,
+                                   UnsupportedFeature, UpdateQuery, parse)
 from chainquery.store import ContentStore, IntegrityFailure, NotFound
 
 
@@ -131,12 +131,20 @@ def _cell(value) -> str:
 
 
 def cmd_query(args) -> int:
+    """Run one SELECT.  `query` saves no ledger, so a write would be lost:
+    INSERT, UPDATE and DELETE are refused before the ledger loads."""
+    try:
+        ast = parse(args.sql)
+    except (SqlSyntaxError, UnsupportedFeature) as exc:
+        raise SystemExit2(f"bad query: {exc}") from None
+    if isinstance(ast, (InsertQuery, UpdateQuery, DeleteQuery)):
+        raise SystemExit2("bad query: `query` runs SELECT statements only; "
+                          "entries are written by `ingest`")
     engine = _load_engine(args)
     try:
-        result = engine.execute(args.sql, emit_vo=args.emit_vo)
-    except (SqlSyntaxError, UnsupportedFeature, EncodingError,
-            MalformedBlock, UnknownEntry) as exc:
-        raise SystemExit2(f"bad query: {exc}")
+        result = engine.execute_ast(ast, emit_vo=args.emit_vo)
+    except EncodingError as exc:  # a time key past u64
+        raise SystemExit2(f"bad query: {exc}") from None
     _emit_rows(result.rows, args.format)
     if args.emit_vo and result.vo_bytes is not None:
         print(f"# vo_bytes={len(result.vo_bytes)}", file=sys.stderr)
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--entries-per-block", "--index-variant", "--threshold-t")
     p.add_argument("--blocks", type=int, default=64)
 
-    p = command("query", cmd_query, "run one SQL statement")
+    p = command("query", cmd_query, "run one SELECT statement")
     p.add_argument("--format", choices=["table", "jsonl", "csv"],
                    default="table")
     p.add_argument("--emit-vo", action="store_true")

@@ -307,9 +307,9 @@ class Engine:
 
 def replay(ledger: Ledger, store: Optional[ContentStore] = None,
            threshold_t: Optional[int] = DEFAULT_THRESHOLD) -> Engine:
-    """Rebuild engine state from a ledger by re-applying every block's
-    operation records in order; each block's rebuilt roots must equal its
-    anchored roots."""
+    """Rebuild engine state from a ledger by re-applying every block, its
+    entries and operation records, in order; each block's rebuilt roots
+    must equal its anchored roots."""
     engine = Engine(store=store, threshold_t=threshold_t)
     for block in ledger.blocks:
         try:

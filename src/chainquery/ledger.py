@@ -6,6 +6,7 @@ indexes.  Identical ingest sequences produce identical digest chains.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -146,12 +147,16 @@ class Ledger:
     # -- persistence --
 
     def save(self, path: str) -> None:
-        """Length-prefixed binary log of block records."""
-        with open(path, "wb") as fh:
+        """Length-prefixed binary log of block records, written to
+        path + ".tmp" and then moved over path, so a save that fails
+        leaves the old file whole."""
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as fh:
             for block in self.blocks:
                 record = _record(block)
                 fh.write(len(record).to_bytes(4, "big"))
                 fh.write(record)
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "Ledger":

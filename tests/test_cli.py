@@ -80,6 +80,29 @@ def test_query_rejected_statement_exit_2(dataset, capsys, sql):
     assert "bad query" in err and "Traceback" not in err
 
 
+def _store_files(dataset):
+    return sum(len(files)
+               for _, _, files in os.walk(os.path.join(dataset, "store")))
+
+
+@pytest.mark.parametrize("sql", [
+    "INSERT INTO entries (amount, addresses, timestamp, image) VALUES "
+    f"(1, '0x{'ab' * 20}', 1700000000, '0badcafe')",
+    "UPDATE entries SET amount = 5 WHERE entry_id = 1",
+    "DELETE FROM entries WHERE entry_id = 1",
+], ids=["insert-with-image", "update", "delete"])
+def test_query_refuses_writes_exit_2(dataset, capsys, sql):
+    # `query` saves no ledger, so a write it ran would be lost
+    ledger = Path(dataset, "ledger.bin")
+    saved, n_files = ledger.read_bytes(), _store_files(dataset)
+    code, out, err = run(capsys, "query", "--dataset", dataset, sql)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad query") and err.count("\n") == 1
+    assert "SELECT statements only" in err
+    assert ledger.read_bytes() == saved
+    assert _store_files(dataset) == n_files
+
+
 def test_query_without_ingest_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "query", "--dataset", str(tmp_path),
                        "SELECT * FROM entries WHERE entry_id = 1")
@@ -116,6 +139,22 @@ def test_verify_rejects_op_without_entry(dataset, capsys):
     code, _, err = run(capsys, "verify", "--dataset", dataset)
     assert code == 1
     assert "verification failed" in err and "height 32" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "SELECT * FROM entries WHERE entry_id = 1"), ("verify",),
+], ids=["query", "verify"])
+def test_ledger_with_insert_records_exit_1(dataset, capsys, argv):
+    # a ledger saved when blocks still recorded (0, id) for each entry
+    path = os.path.join(dataset, "ledger.bin")
+    old = Ledger()
+    for block in Ledger.load(path).blocks:
+        old.append_block(block.entries, block.anchored_roots,
+                         [(0, e.entry_id) for e in block.entries])
+    old.save(path)
+    code, out, err = run(capsys, argv[0], "--dataset", dataset, *argv[1:])
+    assert code == 1 and out == ""
+    assert "unknown op kind 0" in err and "Traceback" not in err
 
 
 def test_verify_detects_payload_corruption(dataset, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chainquery import ledger as ledger_module
 from chainquery.bhash import BHashTree
 from chainquery.core import EMPTY_DIGEST, DataEntry
 from chainquery.gas import GasMeter
@@ -91,6 +92,33 @@ def test_save_load_roundtrip(tmp_path):
     again = str(tmp_path / "again.bin")
     loaded.save(again)
     assert open(again, "rb").read() == open(path, "rb").read()
+
+
+def test_failed_save_leaves_the_saved_file_whole(tmp_path, monkeypatch):
+    ledger = Ledger()
+    for h in range(5):
+        ledger.append_block([make_entry(h)], ROOTS)
+    path = tmp_path / "ledger.bin"
+    ledger.save(str(path))
+    saved = path.read_bytes()
+    ledger.append_block([make_entry(5)], ROOTS)
+    record = ledger_module._record
+    calls = []
+
+    def failing_record(block):
+        calls.append(block.height)
+        if len(calls) == 3:
+            raise OSError("disk gone")
+        return record(block)
+
+    monkeypatch.setattr(ledger_module, "_record", failing_record)
+    with pytest.raises(OSError):
+        ledger.save(str(path))
+    assert path.read_bytes() == saved
+    monkeypatch.setattr(ledger_module, "_record", record)
+    ledger.save(str(path))
+    assert [b.block_digest for b in Ledger.load(str(path)).blocks] == \
+           [b.block_digest for b in ledger.blocks]
 
 
 def test_tamper_evidence():
