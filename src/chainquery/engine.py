@@ -28,13 +28,6 @@ from chainquery.sqlgrammar import (DeleteQuery, InsertQuery, QueryAst,
 from chainquery.store import ContentStore
 from chainquery.trie import Trie, verify_prefix
 
-# Planner cost constants (abstract units).
-COST_CACHE_PROBE = 1
-COST_INDEX_LOOKUP = 50
-COST_OFFCHAIN_FETCH = 500
-COST_MERGE = 5
-COST_LEDGER_APPEND = 100
-
 # Trie namespace prefixes; both are alphabet characters that cannot start
 # a key in the other namespace.
 NS_TIMESTAMP = ":"
@@ -75,7 +68,6 @@ def _rows(entries) -> list[dict]:
 @dataclass(frozen=True)
 class Plan:
     steps: tuple[str, ...]
-    est_cost: int
 
 
 @dataclass
@@ -91,14 +83,9 @@ class QueryResult:
 def plan_query(ast: QueryAst) -> Plan:
     if isinstance(ast, (InsertQuery, DeleteQuery, UpdateQuery)):
         # in the order Engine._commit runs them
-        steps = ["index-insert"]
-        if isinstance(ast, InsertQuery):
-            steps.append("store-payloads")
-        steps += ["anchor-roots", "ledger-append", "cache-invalidate"]
-        cost = COST_LEDGER_APPEND + 2 * COST_INDEX_LOOKUP
-        if isinstance(ast, InsertQuery):
-            cost += COST_OFFCHAIN_FETCH
-        return Plan(tuple(steps), cost)
+        store = ("store-payloads",) if isinstance(ast, InsertQuery) else ()
+        return Plan(("index-insert", *store, "anchor-roots", "ledger-append",
+                     "cache-invalidate"))
     if isinstance(ast, SelectSimple) and ast.entry_id is not None:
         index_steps = ("ledger-lookup",)
     elif isinstance(ast, (SelectSimple, SelectTimeRange)):
@@ -107,9 +94,7 @@ def plan_query(ast: QueryAst) -> Plan:
         index_steps = ("trie-query", "verify-vo")
     else:
         raise TypeError(f"unplannable ast {ast!r}")
-    return Plan(("cache-probe", *index_steps, "payload-fetch", "merge"),
-                COST_CACHE_PROBE + COST_INDEX_LOOKUP + COST_OFFCHAIN_FETCH
-                + COST_MERGE)
+    return Plan(("cache-probe", *index_steps, "payload-fetch", "merge"))
 
 
 class Engine:
@@ -155,13 +140,11 @@ class Engine:
             keys.extend((NS_ADDRESS + a[2:], e.entry_id) for a in e.addresses)
         return keys
 
-    def _commit(self, entries, ops, payloads) -> None:
-        """Apply one block: check its operation records against its
-        entries and the live state, then index the entries, store their
-        payloads ((cid, bytes) pairs), take the new roots, append the block
-        with them and invalidate the cache, the steps `plan_query` lists.
-        Live writes and replay both come here, so a replayed block meets
-        the same rules.
+    def _apply(self, entries, ops) -> None:
+        """Check one block's operation records against its entries and the
+        live state, then index the entries and end the ops' targets.  Live
+        writes and replay both come here, so a replayed block meets the
+        same rules.
 
         An entry is its own record, so ops are only DELETEs and UPDATEs:
         each target must be live and named once, and the block must hold
@@ -181,13 +164,18 @@ class Engine:
             raise MalformedBlock(f"{n_updates} UPDATE ops but "
                                  f"{len(entries)} entries")
         # the trie checks every key before it changes, so it goes first;
-        # the time index cannot reject a checked entry, and payloads are
-        # stored once nothing can reject the block
+        # the time index cannot reject a checked entry
         self.trie.insert_many(keys)
         for entry in entries:
             self.entries[entry.entry_id] = entry
             self.time_index.insert(entry.entry_id, entry.timestamp)
         self.retired |= ended
+
+    def _commit(self, entries, ops, payloads) -> None:
+        """Write one block: apply it, store its payloads ((cid, bytes)
+        pairs) once nothing can reject it, then append the block with the
+        new roots and invalidate the cache, the steps `plan_query` lists."""
+        self._apply(entries, ops)
         for cid, payload in payloads:
             self.store.put(payload, cid)
         roots = (self.time_index.root_digest(), self.trie.root_digest())
@@ -276,9 +264,7 @@ class Engine:
             return self._exec_delete(ast)
         if isinstance(ast, UpdateQuery):
             return self._exec_update(ast)
-        if not isinstance(ast, (SelectSimple, SelectTimeRange, SelectFuzzy)):
-            raise TypeError(f"unexecutable ast {ast!r}")
-        plan = plan_query(ast)
+        plan = plan_query(ast)  # a TypeError for an ast it cannot plan
         cached = self.cache.get(ast)
         if cached is not None:
             return QueryResult(_rows(cached), plan, verified=True,
@@ -307,13 +293,14 @@ class Engine:
 
 def replay(ledger: Ledger, store: Optional[ContentStore] = None,
            threshold_t: Optional[int] = DEFAULT_THRESHOLD) -> Engine:
-    """Rebuild engine state from a ledger by re-applying every block, its
-    entries and operation records, in order; each block's rebuilt roots
-    must equal its anchored roots."""
+    """Rebuild engine state by applying every block of a ledger in order,
+    by the rules live writes meet; each height's rebuilt roots must equal
+    its anchored roots.  The engine keeps the blocks it checked, in a list
+    of its own, and encodes or hashes none of them again."""
     engine = Engine(store=store, threshold_t=threshold_t)
     for block in ledger.blocks:
         try:
-            engine._commit(block.entries, block.ops, ())
+            engine._apply(block.entries, block.ops)
         except UnknownEntry as exc:
             raise VerificationFailure(
                 f"block at height {block.height} changes entry "
@@ -321,8 +308,11 @@ def replay(ledger: Ledger, store: Optional[ContentStore] = None,
         except MalformedBlock as exc:
             raise VerificationFailure(
                 f"block at height {block.height}: {exc}") from None
-        if engine.ledger.latest_roots() != block.anchored_roots:
+        if (engine.time_index.root_digest(), engine.trie.root_digest()) \
+                != block.anchored_roots:
             raise VerificationFailure(
                 f"replayed roots at height {block.height} do not match the "
                 "anchored roots")
+    engine.ledger.blocks = list(ledger.blocks)
+    engine.ledger._next_entry_id = engine._next_id
     return engine

@@ -6,6 +6,7 @@ indexes.  Identical ingest sequences produce identical digest chains.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -69,8 +70,8 @@ def _record(block: Block) -> bytes:
 
 def _parse_record(record: bytes):
     """(entries, roots, ops) of a log record.  The prev digest and the
-    height are left to the caller, which re-encodes the block it builds
-    and compares; every count is bounded by the bytes left to read."""
+    height are left to the caller, which checks the record against the
+    block it builds; every count is bounded by the bytes left to read."""
     try:
         pos = DIGEST_SIZE + 8
         n_entries, = _U32.unpack_from(record, pos)
@@ -87,6 +88,8 @@ def _parse_record(record: bytes):
         ops = []
         for _ in range(n_ops):
             ops.append(_OP.unpack_from(record, pos))
+            if ops[-1][0] not in (OP_DELETE, OP_UPDATE):
+                raise LedgerDecodeError(f"unknown op kind {ops[-1][0]}")
             pos += _OP.size
         roots = (_take(record, pos, DIGEST_SIZE),
                  _take(record, pos + DIGEST_SIZE, DIGEST_SIZE))
@@ -149,21 +152,26 @@ class Ledger:
     def save(self, path: str) -> None:
         """Length-prefixed binary log of block records, written to
         path + ".tmp" and then moved over path, so a save that fails
-        leaves the old file whole."""
+        leaves the old file whole and removes the tmp file."""
         tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            for block in self.blocks:
-                record = _record(block)
-                fh.write(len(record).to_bytes(4, "big"))
-                fh.write(record)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                for block in self.blocks:
+                    record = _record(block)
+                    fh.write(len(record).to_bytes(4, "big"))
+                    fh.write(record)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "Ledger":
         """Inverse of save: each record is appended through append_block,
-        and only the bytes save would write for that block are accepted,
-        so a wrong height or prev digest, or a byte save would not write,
-        is a LedgerDecodeError."""
+        and its anchor digest must equal the new block's digest, so a
+        wrong height or prev digest, or a byte save would not write, is a
+        LedgerDecodeError."""
         ledger = cls()
         with open(path, "rb") as fh:
             data = fh.read()
@@ -180,7 +188,7 @@ class Ledger:
             except NonDenseEntryIds as exc:
                 raise LedgerDecodeError(f"non-dense entry ids in log: "
                                         f"{exc}") from None
-            if _record(block) != record:
+            if digest(DOM_ANCHOR, record) != block.block_digest:
                 raise LedgerDecodeError(
                     f"record {block.height} is not the record of the block "
                     "it decodes to (height, prev digest or encoding)")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from chainquery import ledger as ledger_module
 from chainquery.cache import MAX_CACHED, BloomFilter, QueryCache
 from chainquery.core import DataEntry, EncodingError
 from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
@@ -342,12 +343,11 @@ def test_overlapping_betweens_hash_each_stored_payload_once(monkeypatch):
     assert sorted(calls) == sorted(eng.store.address(i) for i in images)
 
 
-def test_plan_costs_ordered():
+def test_plan_steps():
     ins = plan_query(parse(insert_sql(1, ADDRS[0], 1)))
     sel = plan_query(parse("SELECT * FROM entries WHERE entry_id = 1"))
     rng = plan_query(parse("SELECT * FROM entries WHERE timestamp "
                            "BETWEEN 1 AND 2"))
-    assert ins.est_cost > 0 and sel.est_cost > 0
     assert "cache-probe" in sel.steps and "ledger-append" in ins.steps
     assert rng.steps[0] == "cache-probe"
 
@@ -470,6 +470,49 @@ def test_update_block_may_carry_more_entries_than_updates():
         assert not e.is_live(0)
         assert e.is_live(12) and e.is_live(13)
     assert rebuilt.ledger.blocks == eng.ledger.blocks
+
+
+def test_replayed_engine_keeps_the_blocks_it_checked():
+    eng, _ = seeded_engine(12)
+    eng.execute("DELETE FROM entries WHERE entry_id = 3")
+    eng.execute("UPDATE entries SET amount = 9 WHERE entry_id = 4")
+    ledger = eng.ledger
+    height = ledger.height
+    rebuilt = replay(ledger, store=eng.store)
+    assert len(rebuilt.ledger.blocks) == len(ledger.blocks)
+    assert all(mine is theirs for mine, theirs
+               in zip(rebuilt.ledger.blocks, ledger.blocks))
+    # a write to the replayed engine extends its own chain only
+    rebuilt.execute(insert_sql(7, ADDRS[2], 1_700_000_500))
+    assert ledger.height == height
+    assert rebuilt.ledger.height == height + 1
+    assert [e.entry_id for e in rebuilt.ledger.blocks[-1].entries] == [13]
+    assert rebuilt.ledger.verify_chain()
+    again = replay(rebuilt.ledger, store=eng.store)
+    assert again.ledger.latest_roots() == rebuilt.ledger.latest_roots()
+
+
+def test_load_and_replay_encode_each_block_once(tmp_path, monkeypatch):
+    eng = Engine()
+    for b in range(6):
+        eng.insert_batch([parse(insert_sql(i, ADDRS[i], 100 * b + i))
+                          for i in range(3)])
+    eng.execute("DELETE FROM entries WHERE entry_id = 1")
+    eng.execute("UPDATE entries SET amount = 9 WHERE entry_id = 2")
+    path = str(tmp_path / "ledger.bin")
+    eng.ledger.save(path)
+    calls = {"_block_body": 0, "encode_data_entry_body": 0}
+    for name in calls:
+        real = getattr(ledger_module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ledger_module, name, counted)
+    rebuilt = replay(Ledger.load(path), store=eng.store)
+    assert rebuilt.ledger.latest_roots() == eng.ledger.latest_roots()
+    assert calls == {"_block_body": len(eng.ledger.blocks),
+                     "encode_data_entry_body": len(eng.entries)}
 
 
 def test_insert_only_block_records_no_ops(tmp_path):

@@ -7,7 +7,8 @@ from chainquery.bhash import BHashTree
 from chainquery.core import EMPTY_DIGEST, DataEntry
 from chainquery.gas import GasMeter
 from chainquery.ledger import (Block, Ledger, LedgerDecodeError,
-                               NonDenseEntryIds, OP_DELETE, UnknownHeight)
+                               NonDenseEntryIds, OP_DELETE, OP_UPDATE,
+                               UnknownHeight)
 from chainquery.trie import Trie
 
 ROOTS = (b"\x11" * 32, b"\x22" * 32)
@@ -78,9 +79,7 @@ def test_save_load_roundtrip(tmp_path):
     for h in range(20):
         entries = [make_entry(eid + i, rng=rng) for i in range(2)]
         eid += 2
-        ops = [(0, e.entry_id) for e in entries]
-        if h == 5:
-            ops.append((OP_DELETE, 1))
+        ops = {5: [(OP_DELETE, 1)], 8: [(OP_UPDATE, 2)]}.get(h, [])
         ledger.append_block(entries, ROOTS, ops)
     path = str(tmp_path / "chain.bin")
     ledger.save(path)
@@ -115,6 +114,7 @@ def test_failed_save_leaves_the_saved_file_whole(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         ledger.save(str(path))
     assert path.read_bytes() == saved
+    assert list(tmp_path.iterdir()) == [path]
     monkeypatch.setattr(ledger_module, "_record", record)
     ledger.save(str(path))
     assert [b.block_digest for b in Ledger.load(str(path)).blocks] == \
@@ -236,6 +236,18 @@ def test_load_accepts_only_what_save_writes(tmp_path, craft):
         for rec in records:
             fh.write(len(rec).to_bytes(4, "big") + rec)
     with pytest.raises(LedgerDecodeError):
+        Ledger.load(path)
+
+
+@pytest.mark.parametrize("kind", [0, 7])
+def test_load_rejects_unknown_op_kinds(tmp_path, kind):
+    # append_block leaves op rules to the engine; the decoder has its own
+    ledger = Ledger()
+    ledger.append_block([make_entry(0)], ROOTS)
+    ledger.append_block([], ROOTS, ops=[(kind, 0)])
+    path = str(tmp_path / "chain.bin")
+    ledger.save(path)
+    with pytest.raises(LedgerDecodeError, match=f"unknown op kind {kind}"):
         Ledger.load(path)
 
 
