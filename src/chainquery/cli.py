@@ -82,7 +82,7 @@ def cmd_generate(args) -> int:
         timestamp_density=args.density, seed=args.seed,
         query_mix={p: args.queries_per_primitive
                    for p in workload.PRIMITIVES})
-    workload.generate(spec, args.dataset)
+    _checked_input(workload.generate, spec, args.dataset)
     total = spec.n_blocks * spec.entries_per_block
     print(f"generated {total} entries and "
           f"{4 * args.queries_per_primitive} queries in {args.dataset}")

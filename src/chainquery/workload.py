@@ -13,6 +13,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from chainquery.bhash import DEFAULT_THRESHOLD
 from chainquery.core import content_id
@@ -48,7 +49,7 @@ class WorkloadSpec:
             raise ValueError("n_blocks must be at most 16384")
         if self.entries_per_block < 1:
             raise ValueError("entries_per_block must be positive")
-        if self.timestamp_density <= 0:
+        if not self.timestamp_density > 0:  # also NaN
             raise ValueError("timestamp_density must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
@@ -57,6 +58,7 @@ class WorkloadSpec:
 
 
 BASE_TIMESTAMP = 1_600_000_000
+TIMESTAMP_END = 253_402_300_800  # 10000-01-01T00:00:00Z: no date string
 
 
 def _gen_entries(spec: WorkloadSpec):
@@ -67,6 +69,9 @@ def _gen_entries(spec: WorkloadSpec):
     total = spec.n_blocks * spec.entries_per_block
     for _ in range(total):
         clock += rng.expovariate(spec.timestamp_density)
+        if clock >= TIMESTAMP_END:
+            raise ValueError(f"timestamp_density {spec.timestamp_density} "
+                             "puts a timestamp after 9999-12-31T23:59:59Z")
         addresses = ["0x" + rng.getrandbits(160).to_bytes(20, "big").hex()
                      for _ in range(rng.randint(1, 3))]
         roll = rng.random()
@@ -150,19 +155,10 @@ def load_dataset(out_dir: str) -> tuple[list[dict], list[tuple[str, str]]]:
 
 
 def _record_to_insert(record: dict, payload_dir: str) -> InsertQuery:
-    payloads = {}
-    for name in ("imagecid", "videocid"):
-        cid = record.get(name)
-        if cid is None:
-            payloads[name] = None
-            continue
-        with open(os.path.join(payload_dir, cid), "rb") as fh:
-            payloads[name] = fh.read()
-    return InsertQuery(amount=record["amount"],
-                       addresses=tuple(record["addresses"]),
-                       timestamp=record["timestamp"],
-                       image_payload=payloads["imagecid"],
-                       video_payload=payloads["videocid"])
+    payloads = [None if cid is None else Path(payload_dir, cid).read_bytes()
+                for cid in (record.get("imagecid"), record.get("videocid"))]
+    return InsertQuery(record["amount"], tuple(record["addresses"]),
+                       record["timestamp"], *payloads)
 
 
 def ingest(out_dir: str, n_blocks: int, entries_per_block: int = 1,

@@ -268,10 +268,15 @@ def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
     ("ingest", "--blocks", "0"),
     ("ingest", "--blocks", "-3"),
     ("ingest", "--entries-per-block", "0"),
+    ("generate", "--density", "nan"),
+    ("generate", "--density", "5e-324"),
+    ("generate", "--density", "1e-20"),
 ], ids=["generate-blocks-3", "generate-density-0", "bench-scales-x",
         "ingest-past-dataset", "ingest-threshold-t-0",
         "generate-queries-per-primitive-negative", "ingest-blocks-0",
-        "ingest-blocks-negative", "ingest-entries-per-block-0"])
+        "ingest-blocks-negative", "ingest-entries-per-block-0",
+        "generate-density-nan", "generate-density-5e-324",
+        "generate-density-1e-20"])
 def test_bad_input_value_exit_2(tmp_path, capsys, argv):
     d = str(tmp_path / "data")
     if argv[0] == "ingest":

@@ -6,14 +6,17 @@ import random
 import pytest
 
 from chainquery import ledger as ledger_module
+from chainquery.bhash import verify_range_bytes
 from chainquery.cache import MAX_CACHED, BloomFilter, QueryCache
 from chainquery.core import DataEntry, EncodingError
-from chainquery.engine import (Engine, MalformedBlock, UnknownEntry,
+from chainquery.engine import (NS_ADDRESS, NS_TIMESTAMP, Engine,
+                               MalformedBlock, UnknownEntry,
                                VerificationFailure, plan_query, replay,
                                timestamp_string)
 from chainquery.ledger import OP_DELETE, OP_UPDATE, Ledger
 from chainquery.sqlgrammar import InsertQuery, parse
 from chainquery.store import MAX_PAYLOAD, IntegrityFailure, PayloadTooLarge
+from chainquery.trie import verify_prefix_bytes
 
 ADDRS = ["0x" + f"{i:040x}" for i in range(16)]
 
@@ -315,6 +318,80 @@ def test_between_over_many_payloads_with_one_flipped_raises():
     with pytest.raises(VerificationFailure):
         eng.execute("SELECT * FROM entries WHERE timestamp BETWEEN 0 "
                     "AND 1002")
+
+
+def test_tampered_trie_anchor_detected():
+    eng, _ = seeded_engine(30)
+    block = eng.ledger.blocks[-1]
+    object.__setattr__(block, "trie_root", b"\x00" * 32)
+    for sql in ("SELECT * FROM entries WHERE address LIKE '0x00%'",
+                "SELECT * FROM entries WHERE ts_str LIKE '2023-11%'"):
+        with pytest.raises(VerificationFailure,
+                           match=f"trie .* height {block.height}"):
+            eng.execute(sql)
+
+
+def mutated_engine(threshold_t, seed=13):
+    """seeded_engine after seeded DELETEs and UPDATEs, some of which move an
+    entry to a new timestamp and address; also the live ids, kept apart
+    from the engine's own bookkeeping."""
+    eng, _ = seeded_engine(40, seed=seed, threshold_t=threshold_t)
+    live = set(eng.entries)
+    rng = random.Random(seed)
+    for _ in range(16):
+        target = rng.choice(sorted(live))
+        live.discard(target)
+        if rng.random() < 0.4:
+            eng.execute(f"DELETE FROM entries WHERE entry_id = {target}")
+            continue
+        eng.execute(f"UPDATE entries SET amount = {rng.randrange(99)}, "
+                    f"timestamp = {1_700_000_000 + rng.randrange(3600)}, "
+                    f"addresses = '{rng.choice(ADDRS)}' "
+                    f"WHERE entry_id = {target}")
+        live.add(max(eng.entries))
+    return eng, live
+
+
+@pytest.mark.parametrize("threshold_t", [10, None])
+def test_emitted_vos_pass_the_client_check(threshold_t):
+    """The engine runs no verifier, so check what it emits: each read's VO
+    is the index's own, a client accepts its bytes against the anchors, and
+    the rows are exactly the live subset of the ids the VO proves."""
+    eng, live = mutated_engine(threshold_t)
+    bhash_root, trie_root = eng.ledger.latest_roots()
+    stamps = sorted({e.timestamp for e in eng.entries.values()})
+    reads = []  # (sql, the index's ids and VO, client check of VO bytes)
+    for lo, hi in [(s, s) for s in stamps[::7] + [stamps[0] - 1]] + \
+            [(stamps[3], stamps[30]), (0, 2 ** 40), (stamps[9], stamps[2])]:
+        sql = (f"SELECT * FROM entries WHERE timestamp = {lo}" if lo == hi
+               else f"SELECT * FROM entries WHERE timestamp BETWEEN {lo} "
+                    f"AND {hi}")
+        reads.append((sql, eng.time_index.range_query(lo, hi),
+                      lambda b, ids, lo=lo, hi=hi:
+                      verify_range_bytes(b, bhash_root, lo, hi, ids)))
+    ts_prefixes = [timestamp_string(stamps[5])[:n] for n in (1, 7, 13, 19)]
+    addr_prefixes = ["0", "0x", ADDRS[3][:6], ADDRS[3], ADDRS[12], "0x1"]
+    for field, prefix, key in \
+            [("ts_str", p, NS_TIMESTAMP + p) for p in ts_prefixes + ["19"]] + \
+            [("address", p, NS_ADDRESS + p[2:]) for p in addr_prefixes]:
+        reads.append((f"SELECT * FROM entries WHERE {field} LIKE '{prefix}%'",
+                      eng.trie.prefix_query(key),
+                      lambda b, ids, key=key:
+                      verify_prefix_bytes(b, trie_root, key, ids)))
+    hidden = 0
+    for sql, (ids, vo), client_check in reads:
+        res = eng.execute(sql, emit_vo=True)
+        assert res.verified and not res.cached
+        assert res.vo_bytes == vo.to_bytes()
+        assert client_check(res.vo_bytes, ids)
+        want = sorted(set(ids) & live)
+        assert [r["entry_id"] for r in res.rows] == want
+        hidden += len(set(ids)) - len(want)
+    assert hidden  # some proofs reveal retired ids that the rows drop
+    for eid in range(0, len(eng.entries), 3):
+        res = eng.execute(f"SELECT * FROM entries WHERE entry_id = {eid}",
+                          emit_vo=True)
+        assert [r["entry_id"] for r in res.rows] == sorted({eid} & live)
 
 
 def test_overlapping_betweens_hash_each_stored_payload_once(monkeypatch):

@@ -26,6 +26,7 @@ def test_single_entry_spec(tmp_path):
     dict(n_blocks=0), dict(n_blocks=3), dict(n_blocks=32_768),
     dict(entries_per_block=0), dict(timestamp_density=0.0), dict(seed=-1),
     dict(seed=2 ** 64), dict(query_mix={"time_range": -1}),
+    dict(timestamp_density=float("nan")),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValueError):
