@@ -237,6 +237,40 @@ def test_bench_csv_and_jsonl(tmp_path, capsys):
     assert row["n_blocks"] == 8
 
 
+_BENCH_HEADER = ("n_blocks,vo_bytes_select_simple,vo_bytes_time_range,"
+                 "vo_bytes_fuzzy_time,vo_bytes_fuzzy_address,gas_writes,"
+                 "gas_reads,gas_compute,root_digest")
+# `bench --scales 8,16,64` at seed 0: VO bytes per primitive, gas ticks and
+# the root per scale.  Any change to an index's shape, its VO encoding or
+# its metering moves a figure here and must say why.
+_BENCH_CSV = {
+    "bhash": [
+        "8,1448,1448,1876,3941,100,42,76,"
+        "127c61b52e6dfe148af1405fe99844bd8c0566a8ef81796c10efa5e83725d14d",
+        "16,1863,2475,2938,4895,192,85,151,"
+        "dd494e8a2c7d9e58af471c67835ce9985d7ed306c3ec956747b8a17226e9b1ae",
+        "64,2999,4996,9666,6827,933,489,735,"
+        "81c7c1f53c11601d267c222b64a40b6c004fe58ef475cd764e1cb3b15bbd554b",
+    ],
+    "bplus-only": [
+        "8,1448,1448,1876,3941,100,42,76,"
+        "127c61b52e6dfe148af1405fe99844bd8c0566a8ef81796c10efa5e83725d14d",
+        "16,2472,2472,2938,4895,191,85,151,"
+        "c1d680bc30ec371fa01cb527ec00875ad072c646785c9209efe8f49f1068ee62",
+        "64,4096,6052,9666,6827,992,536,789,"
+        "48701e83dbe459cb83e90f57394176d1dce716e88d1043a40cb7f17e18b76cb6",
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_BENCH_CSV))
+def test_bench_csv_pinned(tmp_path, capsys, variant):
+    code, out, _ = run(capsys, "bench", "--dataset", str(tmp_path / "data"),
+                       "--scales", "8,16,64", "--index-variant", variant)
+    assert code == 0
+    assert out.splitlines() == [_BENCH_HEADER, *_BENCH_CSV[variant]]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--format", "csv"),
     ("verify", "--seed", "1"),
