@@ -167,9 +167,10 @@ class Engine:
         if n_updates > len(entries):
             raise MalformedBlock(f"{n_updates} UPDATE ops but "
                                  f"{len(entries)} entries")
-        # the trie checks every key before it changes, so it goes first;
-        # the time index cannot reject a checked entry
-        self.trie.insert_many(keys)
+        # _trie_keys built only keys the trie accepts, and the time index
+        # cannot reject a checked entry; both rehash once, in _commit
+        for key, entry_id in keys:
+            self.trie.insert(key, entry_id)
         for entry in entries:
             self.entries[entry.entry_id] = entry
             self.time_index.insert(entry.entry_id, entry.timestamp)

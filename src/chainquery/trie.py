@@ -77,7 +77,7 @@ class TrieNode:
         # a shared empty tuple until the node turns terminal: most inner
         # nodes never do, and a list each would cost memory and GC time
         self.entry_ids: list[int] | tuple = ()
-        self.node_digest = b""
+        self.node_digest = None    # None: stale until the next flush
 
     def recompute_digest(self) -> None:
         self.node_digest = node_digest(self.label, self.entry_ids,
@@ -229,7 +229,15 @@ class Trie:
         self.last_descent_visits = 0
 
     def root_digest(self) -> bytes:
+        self._flush_node(self.root)
         return self.root.node_digest
+
+    def _flush_node(self, node: TrieNode) -> None:
+        if node.node_digest is None:
+            for child in node.children.values():
+                self._flush_node(child)
+            node.recompute_digest()
+            self.meter.compute()
 
     @staticmethod
     def _check_key(key: str) -> bytes:
@@ -244,72 +252,54 @@ class Trie:
             raise InvalidCharacter(f"character {bad!r} not in alphabet") from None
 
     def insert(self, key: str, entry_id: int) -> None:
-        self.insert_many([(key, entry_id)])
-
-    def insert_many(self, pairs) -> None:
-        """Insert (key, entry_id) pairs, then recompute the digest of every
-        touched node once, children before parents.  All keys are checked
-        first, so a bad pair leaves the trie unchanged.
-
-        Meter: per key, one read per existing node descended into and one
-        write per node on the key's path (each gets a new digest, and new
-        nodes are on it) or relabelled by a split; one compute per node
-        rehashed."""
-        checked = []
-        for key, entry_id in pairs:
-            if entry_id < 0:
-                raise ValueError("entry_id must be non-negative")
-            checked.append((self._check_key(key), entry_id))
-        meter = self.meter
-        # touched node -> its end depth, the characters from the root to
-        # the end of its label.  A split pushes the nodes below it one level
-        # down but leaves every end depth as it was, and a child's end depth
-        # exceeds its parent's, so this order hashes children first.
-        dirty: dict[TrieNode, int] = {self.root: 0}
-        for key, entry_id in checked:
-            node, pos, visited, written = self.root, 0, 0, 1
-            while pos < len(key):
-                child = node.children.get(key[pos])
-                if child is None:
-                    child = node.children[key[pos]] = TrieNode(key[pos:])
-                    pos = len(key)
-                else:
-                    visited += 1
-                    label = child.label
-                    common = _match_len(label, key, pos)
-                    if common < len(label):
-                        # the key leaves the edge inside its label: split
-                        # it, and hang the old node under the shared part
-                        dirty[child] = pos + len(label)
-                        written += 1
-                        child.label = label[common:]
-                        mid = node.children[key[pos]] = TrieNode(
-                            label[:common])
-                        mid.children[label[common]] = child
-                        child = mid
-                    pos += common
-                node = child
-                dirty[node] = pos
-                written += 1
-            ids = node.entry_ids
-            if not ids:
-                self.key_count += 1
-                node.entry_ids = [entry_id]
+        """Add entry_id under key; a bad key or id raises first.  Every
+        node on the key's path, and any node a split relabels, is marked
+        stale for root_digest() to rehash.  Meter: one read per existing
+        node descended into, one write per node marked stale."""
+        if entry_id < 0:
+            raise ValueError("entry_id must be non-negative")
+        key = self._check_key(key)
+        node, pos, visited, written = self.root, 0, 0, 1
+        node.node_digest = None
+        while pos < len(key):
+            child = node.children.get(key[pos])
+            if child is None:
+                child = node.children[key[pos]] = TrieNode(key[pos:])
+                pos = len(key)
             else:
-                at = bisect_left(ids, entry_id)
-                if at == len(ids) or ids[at] != entry_id:
-                    ids.insert(at, entry_id)
-            meter.read(visited)
-            meter.write(written)
-        for node in sorted(dirty, key=dirty.__getitem__, reverse=True):
-            node.recompute_digest()
-            meter.compute()
+                visited += 1
+                label = child.label
+                common = _match_len(label, key, pos)
+                if common < len(label):
+                    # the key leaves the edge inside its label: split it,
+                    # and hang the old node under the shared part
+                    child.node_digest = None
+                    written += 1
+                    child.label = label[common:]
+                    mid = node.children[key[pos]] = TrieNode(label[:common])
+                    mid.children[label[common]] = child
+                    child = mid
+                pos += common
+            node = child
+            node.node_digest = None
+            written += 1
+        ids = node.entry_ids
+        if not ids:
+            self.key_count += 1
+            node.entry_ids = [entry_id]
+        else:
+            at = bisect_left(ids, entry_id)
+            if at == len(ids) or ids[at] != entry_id:
+                ids.insert(at, entry_id)
+        self.meter.read(visited)
+        self.meter.write(written)
 
     def prefix_query(self, prefix: str):
         """All entry ids whose key starts with prefix, sorted ascending,
         plus a PrefixVO (a non-membership proof when nothing matches).
         The descent compares one prefix character per step and counts the
         matched ones in last_descent_visits."""
+        root = self.root_digest()
         want = _indices(prefix)
         node, pos, path = self.root, 0, []
         meter = self.meter
@@ -329,13 +319,11 @@ class Trie:
         self.last_descent_visits = pos
         if pos < len(want):
             terminal = (node.label, list(node.entry_ids), _items(node))
-            return [], PrefixVO(self.root_digest(), PrefixVO.MODE_NONMATCH,
-                                path, terminal)
+            return [], PrefixVO(root, PrefixVO.MODE_NONMATCH, path, terminal)
         # the prefix ends inside or at the end of node's label
         ids: set[int] = set()
         subtree = self._collect(node, ids)
-        return sorted(ids), PrefixVO(self.root_digest(), PrefixVO.MODE_MATCH,
-                                     path, subtree)
+        return sorted(ids), PrefixVO(root, PrefixVO.MODE_MATCH, path, subtree)
 
     def _collect(self, node: TrieNode, ids: set[int]):
         """Encode the subtree under node, gathering terminal entry ids.

@@ -4,6 +4,7 @@ determinism over mixed workloads, and cache behavior."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainquery import ledger as ledger_module
 from chainquery.bhash import verify_range_bytes
@@ -16,7 +17,7 @@ from chainquery.engine import (NS_ADDRESS, NS_TIMESTAMP, Engine,
 from chainquery.ledger import OP_DELETE, OP_UPDATE, Ledger
 from chainquery.sqlgrammar import InsertQuery, parse
 from chainquery.store import MAX_PAYLOAD, IntegrityFailure, PayloadTooLarge
-from chainquery.trie import verify_prefix_bytes
+from chainquery.trie import Trie, verify_prefix_bytes
 
 ADDRS = ["0x" + f"{i:040x}" for i in range(16)]
 
@@ -126,6 +127,32 @@ def test_delete_hides_entry():
     res = eng.execute(f"SELECT * FROM entries WHERE timestamp BETWEEN "
                       f"{ts} AND {ts}")
     assert 5 not in [r["entry_id"] for r in res.rows]
+
+
+def test_delete_only_block_hashes_nothing():
+    eng, _ = seeded_engine(8)
+    compute = eng.meter.compute_units
+    eng.execute("DELETE FROM entries WHERE entry_id = 3")
+    assert eng.meter.compute_units == compute
+
+
+# 9999-12-31T23:59:59Z, the last second with a four-digit year
+LAST_DATED_SECOND = 253_402_300_799
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(
+    DataEntry, st.integers(0, 2**64 - 1), st.integers(0, 10**30),
+    st.lists(st.text("0123456789abcdef", min_size=40, max_size=40)
+             .map("0x".__add__), min_size=1, max_size=3).map(tuple),
+    st.integers(0, LAST_DATED_SECOND)), max_size=4))
+def test_trie_keys_are_keys_the_trie_accepts(entries):
+    # _apply inserts key by key with no pre-check, so no key can fail
+    keys = Engine()._trie_keys(entries)
+    assert len(keys) == sum(1 + len(e.addresses) for e in entries)
+    for key, entry_id in keys:
+        Trie._check_key(key)
+        assert entry_id >= 0
 
 
 def test_delete_unknown_raises(engine):
@@ -449,7 +476,7 @@ def test_write_runs_its_plan_steps_in_order(sql, monkeypatch):
             return method(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    record(eng.trie, "insert_many", "index-insert")
+    record(eng, "_apply", "index-insert")
     record(eng.time_index, "insert", "index-insert")
     record(eng.store, "put", "store-payloads")
     record(eng.time_index, "root_digest", "anchor-roots")

@@ -109,6 +109,7 @@ def test_descent_visits_equal_prefix_length():
 def test_digest_consistency_bottom_up():
     pairs = [(k, i) for i, k in enumerate(random_keys(300, 27))]
     trie = build(pairs)
+    trie.root_digest()
 
     def recompute(node):
         items = [(i, recompute(node.children[i])) for i in sorted(node.children)]
@@ -136,8 +137,10 @@ def test_shape_depends_only_on_the_key_set(pairs, rng, chunk):
     shuffled = list(pairs)
     rng.shuffle(shuffled)
     other = Trie()
-    for i in range(0, len(shuffled), chunk):
-        other.insert_many(shuffled[i:i + chunk])
+    for i, (key, eid) in enumerate(shuffled, 1):
+        other.insert(key, eid)
+        if i % chunk == 0:
+            other.root_digest()
     assert other.root_digest() == trie.root_digest()
     keys = {key for key, _ in pairs}
     count = 0
@@ -155,14 +158,16 @@ def test_shape_depends_only_on_the_key_set(pairs, rng, chunk):
 
 def test_split_inside_one_batch():
     """A later key of a batch splits an edge above nodes that earlier keys
-    touched: a node's depth in nodes then grows, its depth in characters
-    does not, and only the latter orders the rehash correctly."""
+    touched since the last flush: the rehash must still reach every stale
+    node, children before parents."""
     base = [("abcd1", 0), ("abcd2", 1), ("abcd1ef", 2), ("abcd1e0", 3)]
     for batch in ([("abcd3", 4), ("ab:", 5)],
                   [("abcd1e", 4), ("abcd1:", 5), ("ab", 6), ("a", 7)],
                   [("abcd1ef9", 4), ("abcd", 5), ("abc0", 6), ("a-", 7)]):
         one, many = build(base + batch), build(base)
-        many.insert_many(batch)
+        many.root_digest()
+        for key, eid in batch:
+            many.insert(key, eid)
         assert many.root_digest() == one.root_digest()
         for prefix in ("a", "ab", "abc", "abcd1e", "ab:", "abcd1ef"):
             results, vo = many.prefix_query(prefix)
@@ -309,29 +314,34 @@ def test_property_oracle(pairs, prefix):
 @given(st.lists(st.tuples(st.text(alphabet="0123:-", min_size=1, max_size=6),
                           st.integers(0, 40)), max_size=30),
        st.integers(1, 8))
-def test_insert_many_matches_single_inserts(pairs, chunk):
+def test_flush_points_change_no_root_or_meter_reads_and_writes(pairs,
+                                                               chunk):
     meter_one, meter_many = GasMeter(), GasMeter()
     one, many = Trie(meter=meter_one), Trie(meter=meter_many)
-    for key, eid in pairs:
+    for i, (key, eid) in enumerate(pairs, 1):
         one.insert(key, eid)
-    for i in range(0, len(pairs), chunk):
-        many.insert_many(pairs[i:i + chunk])
+        one.root_digest()
+        many.insert(key, eid)
+        if i % chunk == 0:
+            many.root_digest()
     assert many.root_digest() == one.root_digest()
     assert many.key_count == one.key_count
-    # same reads and writes; each touched node is rehashed at most once
-    # per call instead of once per key
+    # same reads and writes; each stale node is rehashed once per flush,
+    # so fewer flushes rehash no more
     assert meter_many.storage_writes == meter_one.storage_writes
     assert meter_many.storage_reads == meter_one.storage_reads
     assert meter_many.compute_units <= meter_one.compute_units
 
 
-def test_insert_many_rejects_bad_pair_before_changing_anything():
+def test_rejected_insert_changes_nothing():
     trie = build([("ab", 1)])
     root = trie.root_digest()
     with pytest.raises(InvalidCharacter):
-        trie.insert_many([("abc", 2), ("a_c", 3)])
+        trie.insert("a_c", 3)
     with pytest.raises(ValueError):
-        trie.insert_many([("abc", 2), ("abd", -1)])
+        trie.insert("abd", -1)
+    # nothing was marked stale
+    assert trie.root.node_digest == root
     assert trie.root_digest() == root
     assert trie.prefix_query("abc")[0] == []
 
