@@ -21,6 +21,22 @@ OP_UPDATE = 2
 _OP = struct.Struct(">BQ")    # an op record: kind u8, target entry_id u64
 
 
+@contextlib.contextmanager
+def replace_when_whole(*paths: str):
+    """Yield path + ".tmp" for each path; move each over its path once the
+    block completes, or remove them all if it raises."""
+    tmps = [path + ".tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+
+
 class NonDenseEntryIds(ValueError):
     pass
 
@@ -150,21 +166,13 @@ class Ledger:
     # -- persistence --
 
     def save(self, path: str) -> None:
-        """Length-prefixed binary log of block records, written to
-        path + ".tmp" and then moved over path, so a save that fails
-        leaves the old file whole and removes the tmp file."""
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                for block in self.blocks:
-                    record = _record(block)
-                    fh.write(len(record).to_bytes(4, "big"))
-                    fh.write(record)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+        """Length-prefixed binary log of block records; a failed save
+        leaves the old file whole."""
+        with replace_when_whole(path) as (tmp,), open(tmp, "wb") as fh:
+            for block in self.blocks:
+                record = _record(block)
+                fh.write(len(record).to_bytes(4, "big"))
+                fh.write(record)
 
     @classmethod
     def load(cls, path: str) -> "Ledger":

@@ -18,6 +18,7 @@ from pathlib import Path
 from chainquery.bhash import DEFAULT_THRESHOLD
 from chainquery.core import content_id
 from chainquery.engine import Engine, timestamp_string
+from chainquery.ledger import replace_when_whole
 from chainquery.sqlgrammar import InsertQuery
 from chainquery.store import ContentStore
 
@@ -86,27 +87,29 @@ def _gen_entries(spec: WorkloadSpec):
 
 
 def generate(spec: WorkloadSpec, out_dir: str) -> None:
-    """Write dataset.jsonl, queries.jsonl, and payloads/ under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write dataset.jsonl, queries.jsonl, and payloads/ under out_dir.
+    A rejected spec leaves the old jsonl files; the payload files written
+    before it are named by content id, so they are harmless."""
     payload_dir = os.path.join(out_dir, "payloads")
-    os.makedirs(payload_dir, exist_ok=True)
+    os.makedirs(payload_dir, exist_ok=True)  # and out_dir
     records = []
-    with open(os.path.join(out_dir, "dataset.jsonl"), "w") as fh:
-        for record, image, video in _gen_entries(spec):
-            for name, payload in (("imagecid", image), ("videocid", video)):
-                if payload is None:
-                    record[name] = None
-                    continue
-                cid = content_id(payload)
-                with open(os.path.join(payload_dir, cid.hex()), "wb") as pf:
-                    pf.write(payload)
-                record[name] = cid.hex()
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            records.append(record)
-    queries = build_queries(spec, records)
-    with open(os.path.join(out_dir, "queries.jsonl"), "w") as fh:
-        for primitive, sql in queries:
-            fh.write(json.dumps({"primitive": primitive, "sql": sql}) + "\n")
+    for record, image, video in _gen_entries(spec):
+        for name, payload in (("imagecid", image), ("videocid", video)):
+            if payload is None:
+                record[name] = None
+                continue
+            cid = content_id(payload)
+            Path(payload_dir, cid.hex()).write_bytes(payload)
+            record[name] = cid.hex()
+        records.append(record)
+    queries = [{"primitive": primitive, "sql": sql}
+               for primitive, sql in build_queries(spec, records)]
+    with replace_when_whole(os.path.join(out_dir, "dataset.jsonl"),
+                            os.path.join(out_dir, "queries.jsonl")) as tmps:
+        for tmp, rows in zip(tmps, (records, queries)):
+            with open(tmp, "w") as fh:
+                fh.writelines(json.dumps(row, sort_keys=True) + "\n"
+                              for row in rows)
 
 
 def build_queries(spec: WorkloadSpec, records: list[dict]) \

@@ -320,6 +320,20 @@ def test_bad_input_value_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_rejected_generate_keeps_the_dataset(tmp_path, capsys):
+    d = tmp_path / "data"
+    assert run(capsys, "generate", "--dataset", str(d), "--blocks", "8")[0] \
+        == 0
+    paths = [d / "dataset.jsonl", d / "queries.jsonl"]
+    saved = [path.read_bytes() for path in paths]
+    # the density puts a timestamp past year 9999 after some entries
+    code, _, err = run(capsys, "generate", "--dataset", str(d), "--blocks",
+                       "8", "--density", "1e-20")
+    assert code == 2 and err.startswith("error: ")
+    assert [path.read_bytes() for path in paths] == saved
+    assert not list(d.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("argv", [
     ("--blocks", "0"), ("--blocks", "-1"), ("--entries-per-block", "0"),
 ], ids=["blocks-0", "blocks-negative", "entries-per-block-0"])
