@@ -6,6 +6,12 @@ so a verifier can reject proofs that hide an overlapping subtree.  Converted
 leaves commit their buckets through a crit-bit merkle tree over the 64 key
 bits.  Its shape depends only on the key set, so an insert rehashes one
 root-to-leaf path, and a range proof carries one digest per level.
+
+A range proof travels as its wire bytes: range_query writes them straight
+from the nodes, and verify_range_bytes checks them in one forward walk
+that hashes nothing, then hashes preimages built from slices of them.
+The proof tuples of RangeVO.proof are decoded only for a caller that
+reads them.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from chainquery import _kernels
 from chainquery.core import (_U32, _U64, DOM_BUCKET, DOM_INTERNAL, DOM_LEAF,
                              MAX_TIMESTAMP, VODecodeError, _check_timestamp,
                              _pack_u64_list, _pack_u64s, _take, _take_u64s,
-                             digest)
+                             _u64_run, digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
@@ -53,12 +59,15 @@ def leaf_digest(pairs, lo: int, hi: int) -> bytes:
 
 # The bucket preimages, spelled once.  Each layout below is the whole
 # SHA-256 input, DOM_BUCKET's tag byte first: the verifier hashes it with
-# hashlib itself, and the provers hand the rest of it to digest(), which
-# puts the tag back (and which the benchmark's tracer counts).
+# hashlib itself, the ids after a head from _IDS_HEADS sliced from the VO,
+# and the provers hand the rest of it to digest(), which puts the tag back
+# (and which the benchmark's tracer counts).
 #   ids     0x03 ‖ count u32 ‖ count × id u64
 #   leaf    0x00 ‖ key u64 ‖ ids digest
 #   branch  0x04 ‖ bit u8 ‖ left digest ‖ right digest
 _IDS_HEAD = bytes((DOM_BUCKET, 0x03))
+# the ids preimage up to the ids, for each count a one-byte count spells
+_IDS_HEADS = tuple(_IDS_HEAD + _U32.pack(n) for n in range(0xFF))
 _ONE_ID = struct.Struct(">2sIQ")           # _IDS_HEAD, 1, id
 _LEAF_HEAD = bytes((DOM_BUCKET, 0x00))
 _BUCKET_LEAF = struct.Struct(">2sQ32s")    # _LEAF_HEAD, key, ids digest
@@ -136,10 +145,11 @@ def _crit_rehash(node) -> bytes:
 
 
 def _crit_window_paths(root, first: int, last: int):
-    """The subtrees outside the key window [first, last]: the left
-    siblings on the path to first, outermost first, and the right siblings
-    on the path to last, innermost first, each side as (branch bits,
-    sibling digests).  Also returns the leaves of first and last."""
+    """The subtrees outside the key window [first, last], as the two side
+    records of a hash-leaf proof: the left siblings on the path to first,
+    outermost first, and the right siblings on the path to last, innermost
+    first, each side count u8 ‖ branch bits ‖ sibling digests.  Also
+    returns the leaves of first and last."""
     lefts, rights = [], []  # branches with a child outside the window
     a = b = root
     while a.bit < 64:  # first's left siblings: where first goes right
@@ -155,29 +165,35 @@ def _crit_window_paths(root, first: int, last: int):
             rights.append(b)
             b = b.left
     rights.reverse()
-    return ((bytes([n.bit for n in lefts]), [n.left.digest for n in lefts]),
-            (bytes([n.bit for n in rights]), [n.right.digest for n in rights]),
+    return (b"".join([bytes([len(lefts)] + [n.bit for n in lefts]),
+                      *[n.left.digest for n in lefts]]),
+            b"".join([bytes([len(rights)] + [n.bit for n in rights]),
+                      *[n.right.digest for n in rights]]),
             a, b)
 
 
 def _crit_fold(items, gaps):
     """Root of the crit-bit tree whose leaves, in key order, have the
     digests `items`; gaps[i] is the bit of the branch that separates
-    items[i] from items[i + 1].  None if two neighbouring gaps are equal,
-    which no crit-bit tree has.  Hashes inline: this is the verifier's
-    hot loop."""
+    items[i] from items[i + 1].  None if two gaps with only larger gaps
+    between them are equal, which no crit-bit tree has.  Hashes inline:
+    this is the verifier's hot loop."""
     sha256, prefix = hashlib.sha256, _BRANCH_PREFIX
-    digests, bits = [items[0]], []
-    # a last gap of -1 merges the whole stack into digests[0]
-    for gap, item in zip(gaps + [-1], items[1:] + [None]):
-        while bits and bits[-1] > gap:
+    # bits holds the open branches' bits above a -1 that no gap reaches
+    digests, bits = [items[0]], [-1]
+    for gap, item in zip(gaps, items[1:]):
+        while bits[-1] > gap:
             right = digests.pop()
             digests[-1] = sha256(prefix[bits.pop()] + digests[-1]
                                  + right).digest()
-        if bits and bits[-1] == gap:
+        if bits[-1] == gap:
             return None
         bits.append(gap)
         digests.append(item)
+    while len(digests) > 1:
+        right = digests.pop()
+        digests[-1] = sha256(prefix[bits.pop()] + digests[-1]
+                             + right).digest()
     return digests[0]
 
 
@@ -225,7 +241,12 @@ W_DIGEST_ONLY = 1
 
 class RangeVO:
     """Proof that a range query's results are exactly the entries the
-    anchored tree holds in [start_key, end_key]."""
+    anchored tree holds in [start_key, end_key].
+
+    A prover's VO holds its wire bytes and decodes `proof` only when
+    something reads it.  to_bytes() is always claimed_root plus the
+    encoding of the current proof, so a proof assigned or changed in
+    place is what gets encoded."""
 
     def __init__(self, claimed_root: bytes, proof):
         self.claimed_root = claimed_root
@@ -238,18 +259,32 @@ class RangeVO:
     #   (P_HASHLEAF, lo, hi, [(kind, key, ids_or_digest)],
     #    (bits, [digest]) of the left siblings, the same of the right)
 
+    @classmethod
+    def _written(cls, claimed_root: bytes, body: bytes) -> "RangeVO":
+        """A VO whose proof is still its encoding, body."""
+        vo = cls.__new__(cls)
+        vo.claimed_root = claimed_root
+        vo._body = body
+        return vo
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: the proof of a
+        # written VO that nothing has read yet
+        if name == "proof" and "_body" in self.__dict__:
+            self.proof = _decode_body(self.__dict__.pop("_body"), 0)
+            return self.proof
+        raise AttributeError(name)
+
     def to_bytes(self) -> bytes:
-        return self.claimed_root + _encode_proof(self.proof)
+        if "proof" in self.__dict__:
+            return self.claimed_root + _encode_proof(self.proof)
+        return self.claimed_root + self._body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RangeVO":
         if len(data) < 32:
             raise VODecodeError("truncated")
-        root = bytes(data[:32])
-        proof, off = _decode_proof(data, 32, 0)
-        if off != len(data):
-            raise VODecodeError("trailing bytes")
-        return cls(root, proof)
+        return cls(bytes(data[:32]), _decode_body(data, 32))
 
 
 # --- wire format for proof trees ----------------------------------------
@@ -259,6 +294,7 @@ class RangeVO:
 _KIND = {k: bytes((k,)) for k in (P_PRUNED, P_LEAF, P_INTERNAL, P_HASHLEAF)}
 _HASHLEAF_HEAD = struct.Struct(">QQBI")    # lo, hi, flags, nrev
 _KEY_COUNT = struct.Struct(">QB")          # a revealed bucket's key, count
+_KEY_ONE_ID = struct.Struct(">QBQ")        # key, 1, its one id
 
 
 def _encode_proof(node) -> bytes:
@@ -294,6 +330,14 @@ def _encode_proof(node) -> bytes:
     for bits, digests in (left, right):
         parts += [bytes((len(bits),)), bits, *digests]
     return b"".join(parts)
+
+
+def _decode_body(data: bytes, off: int):
+    """The proof tree that fills data from off to its end."""
+    proof, off = _decode_proof(data, off, 0)
+    if off != len(data):
+        raise VODecodeError("trailing bytes")
+    return proof
 
 
 def _decode_proof(data: bytes, off: int, depth: int):
@@ -394,16 +438,18 @@ class BHashTree:
                 and len(self._inserted) > self.threshold_t)
 
     def root_digest(self) -> bytes:
-        self._flush_node(self.root)
+        if self.root.node_digest is None:
+            self._flush_node(self.root)
         return self.root.node_digest
 
     def _flush_node(self, node: BHashNode) -> None:
-        if node.node_digest is None:
-            if not node.is_leaf:
-                for child in node.children:
+        """Rehash node, which is stale, after its stale children."""
+        if not node.is_leaf:
+            for child in node.children:
+                if child.node_digest is None:
                     self._flush_node(child)
-            node.recompute_digest()
-            self.meter.compute()
+        node.recompute_digest()
+        self.meter.compute()
 
     @property
     def depth(self) -> int:
@@ -547,204 +593,305 @@ class BHashTree:
 
     def range_query(self, start_time: int, end_time: int):
         """All entry ids with start_time <= timestamp <= end_time, ordered
-        by (time key, entry_id), plus a verification object."""
+        by (time key, entry_id), plus a verification object written
+        straight from the nodes."""
         root = self.root_digest()
         if start_time > end_time:
-            proof = (P_PRUNED, self.root.lo, self.root.hi, root)
-            return [], RangeVO(root, proof)
+            body = _KIND[P_PRUNED] + _RANGE.pack(self.root.lo,
+                                                 self.root.hi) + root
+            return [], RangeVO._written(root, body)
         lo = _check_timestamp(max(start_time, 0))
         hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
-        results: list[tuple[int, int]] = []
-        proof = self._prove(self.root, lo, hi, results)
-        results.sort()
-        return [eid for _, eid in results], RangeVO(root, proof)
+        # one leaf gives its ids in (key, id) order already; the ids of
+        # several are gathered with their keys and sorted
+        keyed = not self.root.is_leaf
+        parts: list[bytes] = []
+        found: list = []
+        self._write(self.root, lo, hi, parts, found, keyed)
+        if keyed:
+            found.sort()
+            found = [eid for _, eid in found]
+        return found, RangeVO._written(root, b"".join(parts))
 
-    def _prove(self, node: BHashNode, lo: int, hi: int, results):
+    def _write(self, node: BHashNode, lo: int, hi: int, parts, found,
+               keyed: bool) -> None:
+        """Append node's proof record to parts, and its in-range ids, as
+        (key, id) pairs if keyed, to found."""
         self.meter.read()
-        if node.is_leaf:
-            if node.is_hash_node:
-                return self._prove_hash_leaf(node, lo, hi, results)
-            for k, eid in node.pairs:
-                if lo <= k <= hi:
-                    results.append((k, eid))
-                    self.meter.read()
-            return (P_LEAF, node.lo, node.hi, list(node.pairs))
-        children = []
-        for child in node.children:
-            if child.hi < lo or child.lo > hi:
-                children.append((P_PRUNED, child.lo, child.hi, child.node_digest))
-            else:
-                children.append(self._prove(child, lo, hi, results))
-        return (P_INTERNAL, node.lo, node.hi, children)
+        if node.is_hash_node:
+            self._write_hash_leaf(node, lo, hi, parts, found, keyed)
+        elif node.is_leaf:
+            hits = [pair for pair in node.pairs if lo <= pair[0] <= hi]
+            self.meter.read(len(hits))
+            found += hits if keyed else [eid for _, eid in hits]
+            parts.append(_KIND[P_LEAF]
+                         + _leaf_body(node.lo, node.hi, node.pairs))
+        else:
+            parts.append(_KIND[P_INTERNAL] + _RANGE_COUNT.pack(
+                node.lo, node.hi, len(node.children)))
+            for child in node.children:
+                if child.hi < lo or child.lo > hi:
+                    parts.append(_KIND[P_PRUNED] + _RANGE.pack(
+                        child.lo, child.hi) + child.node_digest)
+                else:
+                    self._write(child, lo, hi, parts, found, keyed)
 
-    def _prove_hash_leaf(self, node: BHashNode, lo: int, hi: int, results):
+    def _write_hash_leaf(self, node: BHashNode, lo: int, hi: int, parts,
+                         found, keyed: bool) -> None:
         """Reveal the in-range buckets plus one digest-only neighbour on
         each side, and the crit-tree subtrees left and right of them."""
-        keys = node.bucket_keys
+        keys, buckets = node.bucket_keys, node.buckets
         i, j = _kernels.range_bounds(keys, lo, hi)
         wstart, wend = max(i - 1, 0), min(j + 1, len(keys))
         left, right, first, last = _crit_window_paths(
             node.crit, keys[wstart], keys[wend - 1])
-        window = []
+        flags = (wstart < i) | (wend > j) << 1
+        if flags == 2 and i == j:
+            flags = 1  # a lone digest-only bucket is the window's first
+        parts.append(_KIND[P_HASHLEAF]
+                     + _HASHLEAF_HEAD.pack(node.lo, node.hi, flags, j - i))
         if wstart < i:
-            window.append((W_DIGEST_ONLY, first.key, first.ids_digest))
+            parts.append(_U64.pack(first.key) + first.ids_digest)
+        n_ids = 0
         for key in keys[i:j]:
-            ids = node.buckets[key]
-            window.append((W_REVEALED, key, list(ids)))
-            results.extend((key, eid) for eid in ids)
-            self.meter.read(len(ids))
+            ids = buckets[key]
+            n = len(ids)
+            if n == 1:
+                parts.append(_KEY_ONE_ID.pack(key, 1, ids[0]))
+            else:
+                parts.append(_KEY_COUNT.pack(key, n) if n < 0xFF else
+                             _KEY_COUNT.pack(key, 0xFF) + _U32.pack(n))
+                parts.append(_pack_u64s(ids))
+            found += [(key, eid) for eid in ids] if keyed else ids
+            n_ids += n
+        self.meter.read(n_ids)
         if wend > j:
-            window.append((W_DIGEST_ONLY, last.key, last.ids_digest))
-        return (P_HASHLEAF, node.lo, node.hi, window, left, right)
+            parts.append(_U64.pack(last.key) + last.ids_digest)
+        parts += (left, right)
 
 
 # --- verification --------------------------------------------------------
 #
-# A verifier checks a proof in two walks.  The first hashes nothing: it
-# checks the proof's shape, key order and completeness and gathers the
+# The verifier reads the VO bytes in one forward walk that hashes nothing:
+# it checks the proof's shape, key order and completeness and gathers the
 # in-range ids, which must equal the claimed results.  Only a proof that
-# passes all of it is hashed, by the second walk, so a forged or damaged
-# proof costs no SHA-256 call unless it is consistent with the claim.
+# passes all of it is hashed, from the nodes the walk recorded, children
+# before parents, each preimage built from slices of the VO.  So a forged
+# or damaged proof costs no SHA-256 call unless it is consistent with the
+# claim.
 
 def verify_range(vo: RangeVO, trusted_root: bytes, start_time: int,
                  end_time: int, results) -> bool:
-    """True iff the VO recomputes trusted_root, its in-range entries equal
-    the claimed results, and no in-range key could have been omitted."""
+    """verify_range_bytes on the VO's encoding; False if it has none."""
     try:
-        if vo.claimed_root != trusted_root:
-            return False
-        if start_time > end_time:
-            if vo.proof[0] != P_PRUNED:
-                return False
-            return results == [] and vo.proof[3] == trusted_root
-        lo = _check_timestamp(max(start_time, 0))
-        hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
-        collected: list[tuple[int, int]] = []
-        if not _check_node(vo.proof, lo, hi, collected):
-            return False
-        collected.sort()
-        if [eid for _, eid in collected] != list(results):
-            return False
-        return _proof_digest(vo.proof) == trusted_root
-    except (VODecodeError, ValueError, TypeError, IndexError, OverflowError,
-            struct.error):
+        blob = vo.to_bytes()
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError,
+            AttributeError, struct.error):
         return False
+    return verify_range_bytes(blob, trusted_root, start_time, end_time,
+                              results)
 
 
 def verify_range_bytes(vo_bytes: bytes, trusted_root: bytes, start_time: int,
                        end_time: int, results) -> bool:
-    """Verify a serialized VO; malformed bytes verify as False."""
+    """True iff the serialized VO recomputes trusted_root, its in-range
+    entries equal the claimed results, and no in-range key could have been
+    omitted; malformed bytes verify as False."""
     try:
-        vo = RangeVO.from_bytes(vo_bytes)
-    except (VODecodeError, ValueError, IndexError):
+        return _verify_range(vo_bytes, trusted_root, start_time, end_time,
+                             results)
+    except (ValueError, TypeError, IndexError, OverflowError, struct.error):
         return False
-    return verify_range(vo, trusted_root, start_time, end_time, results)
 
 
-def _check_node(node, lo: int, hi: int, collected) -> bool:
-    """The first walk: False if the proof node is malformed or could hide
-    a key in [lo, hi]; gathers its in-range (key, id) pairs."""
-    kind = node[0]
+def _verify_range(data, trusted_root, start_time, end_time, results) -> bool:
+    if len(data) < 32 or data[:32] != trusted_root:
+        return False
+    if start_time > end_time:
+        # the whole tree as one pruned node, whose digest is the root
+        return (len(data) == 81 and data[32] == P_PRUNED and results == []
+                and data[49:] == trusted_root)
+    lo = _check_timestamp(max(start_time, 0))
+    hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
+    # one leaf gives its ids in (key, id) order; under an internal node
+    # they are gathered with their keys and sorted, as the prover does
+    keyed = data[32] == P_INTERNAL
+    found: list = []
+    nodes: list = []
+    if _walk(data, 32, 0, lo, hi, found, keyed, nodes) != len(data):
+        return False
+    if keyed:
+        found.sort()
+        found = [eid for _, eid in found]
+    if found != list(results):
+        return False
+    return _proof_root(data, nodes) == trusted_root
+
+
+def _walk(data, off: int, depth: int, lo: int, hi: int, found, keyed: bool,
+          nodes) -> int:
+    """Check the proof node at off without hashing: the offset after it,
+    or -1 if it is malformed or could hide a key in [lo, hi].  Gathers its
+    in-range ids in found and records its nodes, parents first, in nodes
+    for _proof_root."""
+    if depth > MAX_PROOF_DEPTH:
+        return -1
+    kind = data[off]
     if kind == P_HASHLEAF:
-        return _check_hash_leaf(node, lo, hi, collected)
+        return _walk_hash_leaf(data, off, lo, hi, found, keyed, nodes)
     if kind == P_PRUNED:
-        _, nlo, nhi, d = node
+        nlo, nhi = _RANGE.unpack_from(data, off + 1)
+        end = off + 49
         # a pruned subtree may not overlap the query range
-        return not (nlo <= hi and nhi >= lo) and len(d) == 32
+        if end > len(data) or nlo <= hi and nhi >= lo:
+            return -1
+        nodes.append((P_PRUNED, off))
+        return end
     if kind == P_LEAF:
-        _, nlo, nhi, pairs = node
-        for a, b in zip(pairs, pairs[1:]):
-            if b < a:
-                return False
-        for k, eid in pairs:
-            if lo <= k <= hi:
-                collected.append((k, eid))
-        return True
+        n, = _U32.unpack_from(data, off + 17)
+        end = off + 21 + 16 * n
+        if end > len(data):
+            return -1
+        flat = _u64_run(2 * n).unpack_from(data, off + 21)
+        pairs = list(zip(flat[::2], flat[1::2]))
+        if pairs != sorted(pairs):
+            return -1
+        hits = [pair for pair in pairs if lo <= pair[0] <= hi]
+        found += hits if keyed else [eid for _, eid in hits]
+        nodes.append((P_LEAF, off, end))
+        return end
     if kind == P_INTERNAL:
-        _, nlo, nhi, children = node
-        if not children:
-            return False
-        for child in children:
-            if not _check_node(child, lo, hi, collected):
-                return False
-        return True
-    return False
+        n, = _U32.unpack_from(data, off + 17)
+        if n == 0:
+            return -1
+        nodes.append((P_INTERNAL, off, n))
+        off += 21
+        for _ in range(n):  # each child takes a byte at least
+            off = _walk(data, off, depth + 1, lo, hi, found, keyed, nodes)
+            if off < 0:
+                return -1
+        return off
+    return -1
 
 
-def _check_hash_leaf(node, lo, hi, collected) -> bool:
-    _, nlo, nhi, window, (lbits, ldigs), (rbits, rdigs) = node
-    if not window or len(lbits) != len(ldigs) or len(rbits) != len(rdigs):
-        return False
-    # Window keys strictly increase.  Revealed buckets lie in the range
-    # and digest-only ones, whose ids stay hidden, outside it.
-    prev = -1
-    for wkind, key, payload in window:
-        if key <= prev:
-            return False
-        prev = key
-        if wkind == W_REVEALED:
-            if not lo <= key <= hi or sorted(payload) != payload:
-                return False
-            if len(payload) == 1:
-                collected.append((key, payload[0]))
-            else:
-                collected.extend([(key, eid) for eid in payload])
-        elif lo <= key <= hi or len(payload) != 32:
-            return False
+def _walk_hash_leaf(data, off: int, lo: int, hi: int, found, keyed: bool,
+                    nodes) -> int:
+    """_walk for a hash-leaf record.  Window keys strictly increase;
+    revealed buckets lie in the range and digest-only ones, whose ids stay
+    hidden, outside it.  Records where each window bucket's leaf preimage
+    lies, and the crit-bit gaps between the proof's items."""
+    _, _, flags, nrev = _HASHLEAF_HEAD.unpack_from(data, off + 1)
+    if flags & ~0x03:
+        return -1
+    size, p = len(data), off + 22
+    keys, revealed = [], []
+    before = after = -1  # the digest-only buckets' offsets: key ‖ digest
+    if flags & 1:
+        key, = _U64.unpack_from(data, p)
+        if p + 40 > size or lo <= key <= hi:
+            return -1
+        keys.append(key)
+        before, p = p, p + 40
+    prev = keys[0] if keys else -1
+    for _ in range(nrev):
+        key, cnt = _KEY_COUNT.unpack_from(data, p)
+        start = p = p + 9
+        if cnt == 0xFF:  # the u32 count that follows is preimage bytes
+            cnt, = _U32.unpack_from(data, p)
+            head, p = _IDS_HEAD, p + 4
+        else:
+            head = _IDS_HEADS[cnt]
+        end = p + 8 * cnt
+        if end > size or key <= prev or not lo <= key <= hi:
+            return -1
+        if cnt == 1:
+            eid, = _U64.unpack_from(data, p)
+            found.append((key, eid) if keyed else eid)
+        else:
+            ids = _u64_run(cnt).unpack_from(data, p)
+            if list(ids) != sorted(ids):
+                return -1
+            found += [(key, eid) for eid in ids] if keyed else ids
+        keys.append(key)
+        revealed.append((key, head, start, end))
+        prev, p = key, end
+    if flags & 2:
+        key, = _U64.unpack_from(data, p)
+        if p + 40 > size or key <= prev or lo <= key <= hi:
+            return -1
+        keys.append(key)
+        after, p = p, p + 40
+    if not keys:
+        return -1
+    lbits = data[p + 1:p + 1 + data[p]]
+    ldigs, p = p + 1 + len(lbits), p + 1 + 33 * data[p]
+    rbits = data[p + 1:p + 1 + data[p]]
+    rdigs, p = p + 1 + len(rbits), p + 1 + 33 * data[p]
+    if p > size:
+        return -1
     # Completeness: every key of a left subtree shares the first window
     # key's bits above the subtree's branch bit and has a 0 there, where
     # the first key has a 1; its interval must end below lo.  The right
     # side mirrors this around the last key and hi.
-    first, last = window[0][1], prev
+    first, last = keys[0], keys[-1]
     prev = -1
-    for bit, d in zip(lbits, ldigs):
-        if (not prev < bit < 64 or len(d) != 32
-                or not first >> (63 - bit) & 1
+    for bit in lbits:
+        if (not prev < bit < 64 or not first >> (63 - bit) & 1
                 or (first >> (63 - bit) ^ 1) << (63 - bit)
                 | ((1 << (63 - bit)) - 1) >= lo):
-            return False
+            return -1
         prev = bit
     prev = 64
-    for bit, d in zip(rbits, rdigs):
-        if (not 0 <= bit < prev or len(d) != 32 or last >> (63 - bit) & 1
+    for bit in rbits:
+        if (not 0 <= bit < prev or last >> (63 - bit) & 1
                 or (last >> (63 - bit) | 1) << (63 - bit) <= hi):
-            return False
+            return -1
         prev = bit
-    return True
+    gaps = [*lbits, *[64 - (a ^ b).bit_length()
+                      for a, b in zip(keys, keys[1:])], *rbits]
+    nodes.append((P_HASHLEAF, off, before, revealed, after, gaps,
+                  ldigs, len(lbits), rdigs, len(rbits)))
+    return p
 
 
-def _proof_digest(node):
-    """The second walk: the digest of a proof node that passed
-    _check_node."""
-    kind = node[0]
-    if kind == P_HASHLEAF:
-        return _hash_leaf_digest(node)
-    if kind == P_PRUNED:
-        return node[3]
-    if kind == P_LEAF:
-        return leaf_digest(node[3], node[1], node[2])
-    return internal_digest([(c[1], c[2], _proof_digest(c)) for c in node[3]],
-                           node[1], node[2])
+def _proof_root(data, nodes) -> bytes:
+    """The digest of a proof that passed _walk: its nodes hashed in
+    reverse of the walk's order, so that each node's children are done
+    before it.  A stack entry is a child's lo ‖ hi ‖ digest, as its
+    parent's preimage holds it."""
+    stack: list[bytes] = []
+    for node in reversed(nodes):
+        kind, off = node[0], node[1]
+        span = data[off + 1:off + 17]  # lo ‖ hi
+        if kind == P_PRUNED:
+            stack.append(data[off + 1:off + 49])
+        elif kind == P_LEAF:
+            stack.append(span + digest(DOM_LEAF, data[off + 1:node[2]]))
+        elif kind == P_HASHLEAF:
+            stack.append(span + digest(DOM_INTERNAL, b"\x02"
+                                       + _crit_root(data, node) + span))
+        else:
+            n = node[2]
+            children = stack[-n:]
+            del stack[-n:]
+            children.reverse()
+            stack.append(span + digest(DOM_INTERNAL, b"".join(
+                [b"\x01", data[off + 17:off + 21], *children, span])))
+    return stack[0][16:]
 
 
-def _hash_leaf_digest(node):
-    """The hash leaf's digest, hashing its buckets inline; None if the
-    crit-bit fold meets two equal neighbouring gaps."""
-    _, nlo, nhi, window, (lbits, ldigs), (rbits, rdigs) = node
+def _crit_root(data, node) -> bytes:
+    """A checked hash leaf's crit-bit root, its buckets hashed inline.
+    The walk's side checks leave no two gaps that _crit_fold refuses."""
+    _, _, before, revealed, after, gaps, ldigs, nleft, rdigs, nright = node
     sha256, pack_leaf = hashlib.sha256, _BUCKET_LEAF.pack
-    leaves = []
-    # gaps[i] is the bit of the branch between the i-th and next item
-    gaps = list(lbits)
-    prev = None
-    for wkind, key, payload in window:
-        if prev is not None:
-            gaps.append(64 - (prev ^ key).bit_length())
-        prev = key
-        if wkind == W_REVEALED:
-            payload = sha256(_ids_preimage(payload)).digest()
-        leaves.append(sha256(pack_leaf(_LEAF_HEAD, key, payload)).digest())
-    gaps += rbits
-    root = _crit_fold(ldigs + leaves + rdigs, gaps)
-    if root is None:
-        return None
-    return hash_node_digest(root, nlo, nhi)
+    items = [data[q:q + 32] for q in range(ldigs, ldigs + 32 * nleft, 32)]
+    if before >= 0:  # the slice is the leaf preimage's key ‖ digest
+        items.append(sha256(_LEAF_HEAD + data[before:before + 40]).digest())
+    items += [sha256(pack_leaf(_LEAF_HEAD, key, sha256(
+        head + data[start:end]).digest())).digest()
+        for key, head, start, end in revealed]
+    if after >= 0:
+        items.append(sha256(_LEAF_HEAD + data[after:after + 40]).digest())
+    items += [data[q:q + 32] for q in range(rdigs, rdigs + 32 * nright, 32)]
+    return _crit_fold(items, gaps)

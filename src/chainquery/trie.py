@@ -7,6 +7,12 @@ no node but the root is non-terminal with exactly one child, so the shape
 depends only on the key set.  Each node's digest composes its label, its
 terminal entry ids, and all (first label character, child digest) pairs,
 so a path of sibling digests plus the matched subtree reproduces the root.
+
+A prefix proof travels as its wire bytes: prefix_query writes them
+straight from the nodes, and verify_prefix_bytes checks them in one
+forward walk that hashes nothing, then hashes preimages built from slices
+of them.  The fields of a PrefixVO are decoded only for a caller that
+reads them.
 """
 from __future__ import annotations
 
@@ -15,8 +21,9 @@ import struct
 from bisect import bisect_left
 from typing import Optional
 
-from chainquery.core import (_U64, DOM_TRIE, VODecodeError, _pack_u64_list,
-                             _take, _take_u64s, digest)
+from chainquery.core import (_U32, _U64, DOM_TRIE, VODecodeError,
+                             _pack_u64_list, _take, _take_u64s, _u64_run,
+                             digest)
 from chainquery.gas import GasMeter
 
 ALPHABET = "0123456789abcdef-:"
@@ -41,10 +48,15 @@ _BYTE = {i: bytes([i]) for i in range(256)}
 # then label length u8 ‖ label ‖ terminal u8 ‖ id count u32 ‖ ids ‖ child
 # count u8 ‖ one (first label index u8 ‖ digest) per child.  node_digest
 # hands all but the tag to digest(), which puts it back (and which the
-# benchmark's tracer counts); the verifier hashes it with hashlib itself.
+# benchmark's tracer counts).  The verifier puts the tag and the terminal
+# byte around slices of the VO, which holds the rest as it is hashed, and
+# hashes that with hashlib itself.
 _HEAD = {n: bytes((DOM_TRIE, n)) for n in range(256)}  # tag, label length
+_TAG = bytes((DOM_TRIE,))
 _NO_IDS = bytes(5)                        # not terminal, no ids
 _ONE_ID = struct.Struct(">BIQ")           # terminal, 1, id
+_TERMINAL = (b"\x00", b"\x01")            # by whether there are ids
+_NO_ID_LIST = bytes(4)                    # an empty id list on the wire
 
 
 def _node_preimage(label: bytes, entry_ids, child_items) -> bytes:
@@ -84,18 +96,23 @@ class TrieNode:
                                        _items(self))
 
 
-def _items(node: TrieNode, skip: int = _NOT_IN_ALPHABET):
-    """(index, digest) of node's children in index order, less skip."""
-    return [(i, node.children[i].node_digest)
-            for i in sorted(node.children) if i != skip]
+def _items(node: TrieNode):
+    """(index, digest) of node's children in index order."""
+    return [(i, node.children[i].node_digest) for i in sorted(node.children)]
 
 
 class PrefixVO:
     """Proof for a prefix query: sibling digests along the descent plus
-    either the full matched subtree or the divergence node."""
+    either the full matched subtree or the divergence node.
+
+    A prover's VO holds its wire bytes and decodes mode, path and terminal
+    only when something reads one of them.  to_bytes() is always
+    claimed_root plus the encoding of the current fields, so a field
+    assigned or changed in place is what gets encoded."""
 
     MODE_MATCH = 1
     MODE_NONMATCH = 0
+    _FIELDS = ("mode", "path", "terminal")
 
     def __init__(self, claimed_root: bytes, mode: int, path, terminal):
         self.claimed_root = claimed_root
@@ -107,7 +124,33 @@ class PrefixVO:
         # nonmatch: terminal = (label, entry_ids, [(idx, digest)])
         self.terminal = terminal
 
+    @classmethod
+    def _written(cls, claimed_root: bytes, body: bytes) -> "PrefixVO":
+        """A VO whose fields are still their encoding, body."""
+        vo = cls.__new__(cls)
+        vo.claimed_root = claimed_root
+        vo._body = body
+        return vo
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: the fields of a
+        # written VO that nothing has read yet
+        if name in PrefixVO._FIELDS and "_body" in self.__dict__:
+            self._decode_body()
+            return self.__dict__[name]
+        raise AttributeError(name)
+
+    def _decode_body(self) -> None:
+        """Set each field not yet assigned from the body, and drop it."""
+        fields = _decode_fields(self.__dict__.pop("_body"), 0)
+        for name, value in zip(PrefixVO._FIELDS, fields):
+            self.__dict__.setdefault(name, value)
+
     def to_bytes(self) -> bytes:
+        if "_body" in self.__dict__:
+            if not any(name in self.__dict__ for name in PrefixVO._FIELDS):
+                return self.claimed_root + self._body
+            self._decode_body()
         parts = [self.claimed_root, bytes([self.mode, len(self.path)])]
         for label, ids, taken, sibs in self.path:
             parts += [_BYTE[len(label)], label, _pack_u64_list(ids),
@@ -124,27 +167,36 @@ class PrefixVO:
     def from_bytes(cls, data: bytes) -> "PrefixVO":
         try:
             root = _take(data, 0, 32)
-            mode, path_len = data[32], data[33]
-            off = 34
-            path = []
-            for _ in range(path_len):
-                label, ids, off = _decode_label_ids(data, off)
-                taken = data[off]
-                sibs, off = _decode_items(data, off + 1)
-                path.append((label, ids, taken, sibs))
-            if mode == cls.MODE_MATCH:
-                terminal, off = _decode_subtree(data, off, 0)
-            elif mode == cls.MODE_NONMATCH:
-                label, ids, off = _decode_label_ids(data, off)
-                items, off = _decode_items(data, off)
-                terminal = (label, ids, items)
-            else:
-                raise VODecodeError("bad mode")
-            if off != len(data):
-                raise VODecodeError("trailing bytes")
-            return cls(root, mode, path, terminal)
-        except (IndexError, struct.error) as exc:
-            raise VODecodeError(str(exc)) from None
+        except IndexError:
+            raise VODecodeError("truncated") from None
+        return cls(root, *_decode_fields(data, 32))
+
+
+def _decode_fields(data: bytes, off: int):
+    """(mode, path, terminal) from the encoding that fills data from off
+    to its end."""
+    try:
+        mode, path_len = data[off], data[off + 1]
+        off += 2
+        path = []
+        for _ in range(path_len):
+            label, ids, off = _decode_label_ids(data, off)
+            taken = data[off]
+            sibs, off = _decode_items(data, off + 1)
+            path.append((label, ids, taken, sibs))
+        if mode == PrefixVO.MODE_MATCH:
+            terminal, off = _decode_subtree(data, off, 0)
+        elif mode == PrefixVO.MODE_NONMATCH:
+            label, ids, off = _decode_label_ids(data, off)
+            items, off = _decode_items(data, off)
+            terminal = (label, ids, items)
+        else:
+            raise VODecodeError("bad mode")
+        if off != len(data):
+            raise VODecodeError("trailing bytes")
+        return mode, path, terminal
+    except (IndexError, struct.error) as exc:
+        raise VODecodeError(str(exc)) from None
 
 
 def _encode_items(items) -> bytes:
@@ -229,15 +281,17 @@ class Trie:
         self.last_descent_visits = 0
 
     def root_digest(self) -> bytes:
-        self._flush_node(self.root)
+        if self.root.node_digest is None:
+            self._flush_node(self.root)
         return self.root.node_digest
 
     def _flush_node(self, node: TrieNode) -> None:
-        if node.node_digest is None:
-            for child in node.children.values():
+        """Rehash node, which is stale, after its stale children."""
+        for child in node.children.values():
+            if child.node_digest is None:
                 self._flush_node(child)
-            node.recompute_digest()
-            self.meter.compute()
+        node.recompute_digest()
+        self.meter.compute()
 
     @staticmethod
     def _check_key(key: str) -> bytes:
@@ -296,55 +350,95 @@ class Trie:
 
     def prefix_query(self, prefix: str):
         """All entry ids whose key starts with prefix, sorted ascending,
-        plus a PrefixVO (a non-membership proof when nothing matches).
-        The descent compares one prefix character per step and counts the
-        matched ones in last_descent_visits."""
+        plus a PrefixVO (a non-membership proof when nothing matches),
+        written straight from the nodes.  The descent compares one prefix
+        character per step and counts the matched ones in
+        last_descent_visits."""
         root = self.root_digest()
         want = _indices(prefix)
-        node, pos, path = self.root, 0, []
-        meter = self.meter
+        node, pos, npath = self.root, 0, 0
+        parts = [b""]  # the mode and path length go first, once known
         while pos < len(want):
             idx = want[pos]
-            child = node.children.get(idx)
+            kids = node.children
+            child = kids.get(idx)
             if child is None:
                 break  # no branch for the next character
-            path.append((node.label, list(node.entry_ids), idx,
-                         _items(node, idx)))
+            parts += _label_ids(node)
+            parts += (_BYTE[idx], _BYTE[len(kids) - 1])
+            parts += [_BYTE[i] + kids[i].node_digest
+                      for i in sorted(kids) if i != idx]
+            npath += 1
             node = child
-            meter.read()
             matched = _match_len(node.label, want, pos)
             pos += matched
             if matched < len(node.label) and pos < len(want):
                 break  # a mismatch inside the label
+        self.meter.read(npath)
         self.last_descent_visits = pos
         if pos < len(want):
-            terminal = (node.label, list(node.entry_ids), _items(node))
-            return [], PrefixVO(root, PrefixVO.MODE_NONMATCH, path, terminal)
-        # the prefix ends inside or at the end of node's label
-        ids: set[int] = set()
-        subtree = self._collect(node, ids)
-        return sorted(ids), PrefixVO(root, PrefixVO.MODE_MATCH, path, subtree)
+            kids = node.children
+            parts += _label_ids(node)
+            parts.append(_BYTE[len(kids)])
+            parts += [_BYTE[i] + kids[i].node_digest for i in sorted(kids)]
+            parts[0] = bytes((PrefixVO.MODE_NONMATCH, npath))
+            return [], PrefixVO._written(root, b"".join(parts))
+        # the prefix ends inside or at the end of node's label: reveal the
+        # subtree under node, each node before its children, which follow
+        # in index order
+        found: set[int] = set()
+        todo, visited = [node], 0
+        while todo:
+            node = todo.pop()
+            kids = node.children
+            if node.entry_ids:
+                found.update(node.entry_ids)
+            parts += _label_ids(node)
+            parts.append(_BYTE[len(kids)])
+            if kids:
+                todo += [kids[i] for i in sorted(kids, reverse=True)]
+            visited += 1
+        self.meter.read(visited)
+        parts[0] = bytes((PrefixVO.MODE_MATCH, npath))
+        return sorted(found), PrefixVO._written(root, b"".join(parts))
 
-    def _collect(self, node: TrieNode, ids: set[int]):
-        """Encode the subtree under node, gathering terminal entry ids.
-        Key length is capped, so recursion depth is bounded."""
-        ids.update(node.entry_ids)
-        self.meter.read()
-        children = [self._collect(node.children[i], ids)
-                    for i in sorted(node.children)]
-        return (node.label, list(node.entry_ids), children)
+
+def _label_ids(node: TrieNode):
+    """A node's label length u8 ‖ label ‖ id count u32 ‖ ids, as VO
+    parts."""
+    ids = node.entry_ids
+    return (_BYTE[len(node.label)], node.label,
+            _pack_u64_list(ids) if ids else _NO_ID_LIST)
 
 
 # --- verification --------------------------------------------------------
+#
+# The verifier reads the VO bytes in one forward walk that hashes nothing:
+# the descent path, then the terminal, and for a match every node of the
+# revealed subtree, whose ids must equal the claimed results.  Only then
+# does it hash, each preimage built from slices of the VO: a node's
+# `label ‖ count ‖ ids` run and its item run are already preimage bytes.
 
 def verify_prefix(vo: PrefixVO, trusted_root: bytes, prefix: str,
                   results) -> bool:
-    """True iff the VO recomputes trusted_root and the matched subtree's
-    terminal ids equal results (empty for a non-membership proof)."""
+    """verify_prefix_bytes on the VO's encoding; False if it has none."""
     try:
-        return _verify_prefix(vo, trusted_root, prefix, results)
-    except (VODecodeError, ValueError, TypeError, IndexError, KeyError,
+        blob = vo.to_bytes()
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError,
             AttributeError, struct.error):
+        return False
+    return verify_prefix_bytes(blob, trusted_root, prefix, results)
+
+
+def verify_prefix_bytes(vo_bytes: bytes, trusted_root: bytes, prefix: str,
+                        results) -> bool:
+    """True iff the serialized VO recomputes trusted_root and the matched
+    subtree's terminal ids equal results (empty for a non-membership
+    proof); malformed bytes verify as False."""
+    try:
+        return _verify(vo_bytes, trusted_root, prefix, results)
+    except (ValueError, TypeError, IndexError, KeyError, AttributeError,
+            OverflowError, struct.error):
         return False
 
 
@@ -357,102 +451,150 @@ def _label_ok(label: bytes, start: int, root: bool) -> bool:
             and max(label) < len(ALPHABET))
 
 
-def _verify_prefix(vo, trusted_root, prefix, results) -> bool:
+def _indices_ok(idxs: bytes, taken: int) -> bool:
+    """Child indices strictly ascending and in the alphabet, and none is
+    taken."""
+    return (bytes(sorted(set(idxs))) == idxs and taken not in idxs
+            and not (idxs and idxs[-1] >= len(ALPHABET)))
+
+
+def _ids_at(data, off: int, cnt: int):
+    """The cnt ids at off, or None unless they strictly ascend.  The
+    caller has checked that they lie inside data."""
+    if cnt == 1:
+        return _U64.unpack_from(data, off)
+    ids = _u64_run(cnt).unpack_from(data, off)
+    return None if _unsorted(ids) else ids
+
+
+def _verify(data, trusted_root, prefix, results) -> bool:
     """Every check that hashes nothing first, the claimed results
     included; then the hashes, folded up the path to the root."""
-    if vo.claimed_root != trusted_root:
+    if len(data) < 34 or data[:32] != trusted_root:
         return False
-    want = _indices(prefix)
+    want, size = _indices(prefix), len(data)
+    mode, npath = data[32], data[33]
     # The prefix spells out every path label, and the branch taken after
     # each is the prefix's next character, so it starts the next label.
-    pos = 0
-    for k, (label, ids, taken, sibs) in enumerate(vo.path):
-        if not _label_ok(label, pos, k == 0) or \
-                not want.startswith(label, pos):
+    # The fold needs of each path node the offsets of its label, its ids
+    # and its taken index, its id count, the taken index, its place among
+    # its siblings, and the offset after them.
+    path = []
+    off, pos = 34, 0
+    for k in range(npath):
+        mid = off + 1 + data[off]
+        label = data[off + 1:mid]
+        cnt, = _U32.unpack_from(data, mid)
+        end = mid + 4 + 8 * cnt
+        if end + 2 > size or not _label_ok(label, pos, k == 0) \
+                or not want.startswith(label, pos):
             return False
         pos += len(label)
-        if pos >= len(want) or want[pos] != taken or _unsorted(ids) \
-                or not _items_ok(sibs, taken):
+        taken, after = data[end], end + 2 + 33 * data[end + 1]
+        idxs = data[end + 2:after:33]
+        if after > size or pos >= len(want) or want[pos] != taken \
+                or cnt > 1 and _ids_at(data, mid + 4, cnt) is None \
+                or not _indices_ok(idxs, taken):
             return False
+        path.append((off, mid, end, cnt, taken, bisect_left(idxs, taken),
+                     after))
+        off = after
     rest = want[pos:]
-    label = vo.terminal[0]
-    if not _label_ok(label, pos, not vo.path):
+    mid = off + 1 + data[off]
+    label = data[off + 1:mid]
+    cnt, = _U32.unpack_from(data, mid)
+    end = mid + 4 + 8 * cnt
+    if end >= size or not _label_ok(label, pos, not npath):
         return False
-    if vo.mode == PrefixVO.MODE_MATCH:
+    if mode == PrefixVO.MODE_MATCH:
         # the prefix ends inside or at the end of the subtree root's label
         if not label.startswith(rest):
             return False
         collected: set[int] = set()
-        if not _check_subtree(vo.terminal, collected, pos + len(label)) \
-                or sorted(collected) != list(results):
+        nodes: list = []
+        if _walk_subtree(data, off, pos + len(label), collected,
+                         nodes) != size or sorted(collected) != list(results):
             return False
-        cur = _subtree_digest(vo.terminal)
-    elif vo.mode == PrefixVO.MODE_NONMATCH:
-        _, node_ids, items = vo.terminal
+        cur = _subtree_root(data, nodes)
+    elif mode == PrefixVO.MODE_NONMATCH:
         # the label starts with the branch taken, and must leave the
         # prefix: by a mismatch inside it, or by ending before the prefix
         # does with no branch for the next character
-        if results != [] or label.startswith(rest) or _unsorted(node_ids) \
-                or vo.path and label[0] != vo.path[-1][2]:
+        nitems = data[end]
+        idxs = data[end + 1:end + 1 + 33 * nitems:33]
+        if results != [] or label.startswith(rest) \
+                or end + 1 + 33 * nitems != size \
+                or cnt > 1 and _ids_at(data, mid + 4, cnt) is None \
+                or npath and label[0] != path[-1][4]:
             return False
-        if not _items_ok(items, rest[len(label)] if rest.startswith(label)
-                         else _NOT_IN_ALPHABET):
+        if not _indices_ok(idxs, rest[len(label)] if rest.startswith(label)
+                           else _NOT_IN_ALPHABET):
             return False
-        cur = hashlib.sha256(_node_preimage(*vo.terminal)).digest()
+        cur = hashlib.sha256(b"".join((
+            _TAG, data[off:mid], _TERMINAL[cnt > 0], data[mid:size])))\
+            .digest()
     else:
         return False
     # Fold the descent path up to the root, the taken child going in among
     # its siblings by index.
-    for label, ids, taken, sibs in reversed(vo.path):
-        items = list(sibs)
-        items.insert(bisect_left(items, (taken,)), (taken, cur))
-        cur = hashlib.sha256(_node_preimage(label, ids, items)).digest()
+    sha256 = hashlib.sha256
+    for off, mid, end, cnt, taken, at, after in reversed(path):
+        split = end + 2 + 33 * at
+        cur = sha256(b"".join((
+            _TAG, data[off:mid], _TERMINAL[cnt > 0], data[mid:end],
+            _BYTE[data[end + 1] + 1], data[end + 2:split], _BYTE[taken], cur,
+            data[split:after]))).digest()
     return cur == trusted_root
 
 
-def _items_ok(items, taken: int) -> bool:
-    """Child indices ascending and in the alphabet, and none is taken."""
-    idxs = [i for i, _ in items]
-    return not (_unsorted(idxs) or taken in idxs
-                or idxs and idxs[-1] >= len(ALPHABET))
-
-
-def _check_subtree(sub, ids: set[int], end: int) -> bool:
-    """False if a node of the revealed subtree, whose root label ends
-    `end` characters below the trie root, breaks the shape rules; gathers
-    its terminal ids.  Every child label is non-empty and the total stays
+def _walk_subtree(data, off: int, end: int, ids: set[int], nodes) -> int:
+    """Check the revealed subtree at off, whose root's label the caller
+    has checked and ends `end` characters below the trie root, without
+    hashing: the offset after it, or -1 if a node breaks the shape rules.
+    Gathers its terminal ids, and records its nodes, parents first, for
+    _subtree_root.  Every child label is non-empty and the total stays
     within MAX_KEY_LEN, so recursion depth is bounded."""
-    label, node_ids, children = sub
-    if _unsorted(node_ids):
-        return False
-    ids.update(node_ids)
+    mid = off + 1 + data[off]
+    cnt, = _U32.unpack_from(data, mid)
+    p = mid + 4 + 8 * cnt
+    if p >= len(data):
+        return -1
+    if cnt:
+        node_ids = _ids_at(data, mid + 4, cnt)
+        if node_ids is None:
+            return -1
+        ids.update(node_ids)
+    nchild = data[p]
+    nodes.append((off, mid, p + 1, cnt, nchild))
+    p += 1
     last = -1
-    for child in children:
-        c_label = child[0]
-        if not _label_ok(c_label, end, False) or c_label[0] <= last:
-            return False
-        last = c_label[0]
-        if not _check_subtree(child, ids, end + len(c_label)):
-            return False
-    return True
+    for _ in range(nchild):
+        label = data[p + 1:p + 1 + data[p]]
+        if not _label_ok(label, end, False) or label[0] <= last:
+            return -1
+        last = label[0]
+        p = _walk_subtree(data, p, end + len(label), ids, nodes)
+        if p < 0:
+            return -1
+    return p
 
 
-def _subtree_digest(sub) -> bytes:
-    """Digest of a revealed subtree that passed _check_subtree."""
-    label, node_ids, children = sub
-    items = [(child[0][0], _subtree_digest(child)) for child in children]
-    return hashlib.sha256(_node_preimage(label, node_ids, items)).digest()
+def _subtree_root(data, nodes) -> bytes:
+    """The digest of a subtree that passed _walk_subtree: its nodes hashed
+    in reverse of the walk's order, so that each node's children are done
+    before it.  A stack entry is a child's item: its first label index ‖
+    its digest."""
+    sha256 = hashlib.sha256
+    stack: list[bytes] = []
+    for off, mid, end, cnt, nchild in reversed(nodes):
+        parts = [_TAG, data[off:mid], _TERMINAL[cnt > 0], data[mid:end]]
+        if nchild:
+            parts += reversed(stack[-nchild:])
+            del stack[-nchild:]
+        cur = sha256(b"".join(parts)).digest()
+        stack.append(data[off + 1:off + 2] + cur)
+    return cur
 
 
 def _unsorted(ids) -> bool:
     return len(ids) > 1 and any(b <= a for a, b in zip(ids, ids[1:]))
-
-
-def verify_prefix_bytes(vo_bytes: bytes, trusted_root: bytes, prefix: str,
-                        results) -> bool:
-    """Verify a serialized VO; malformed bytes verify as False."""
-    try:
-        vo = PrefixVO.from_bytes(vo_bytes)
-    except (VODecodeError, ValueError, IndexError):
-        return False
-    return verify_prefix(vo, trusted_root, prefix, results)

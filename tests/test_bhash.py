@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from chainquery.bhash import (MAX_PROOF_DEPTH, P_INTERNAL, P_PRUNED,
                               BHashTree, DuplicateEntry, RangeVO,
-                              VODecodeError, _crit_fold, verify_range,
-                              verify_range_bytes)
+                              VODecodeError, _crit_fold, _encode_proof,
+                              verify_range, verify_range_bytes)
 from chainquery.core import MAX_TIMESTAMP, EncodingError
 from chainquery.gas import GasMeter
 
@@ -476,3 +476,50 @@ def test_storage_ticks_and_root_pinned(threshold, writes, reads, root, vos):
     # compute ticks are not, since they count digest recomputations
     got = _metered_run(threshold)
     assert got == (writes, reads, root, vos)
+
+
+# A prover's VO holds its wire bytes and decodes `proof` on first read;
+# to_bytes() must always be claimed_root plus the encoding of the proof
+# as it stands.
+
+_RANGES = [(0, 10_000), (2_000, 2_600), (4_321, 4_321), (10_001, 20_000),
+           (9, 3)]
+
+
+@pytest.mark.parametrize("threshold", [None, 10, 40])
+def test_written_vo_proof_is_its_bytes_decoded(threshold):
+    # 300 more ids at 4,321: a bucket whose count escapes to a u32
+    tree = build(random_entries(300, 8)
+                 + [(eid, 4_321) for eid in range(300, 600)], threshold)
+    for lo, hi in _RANGES:
+        results, vo = tree.range_query(lo, hi)
+        blob = vo.to_bytes()
+        if threshold and lo == 4_321:
+            assert (4_321).to_bytes(8, "big") + b"\xff" in blob
+        decoded = RangeVO.from_bytes(blob)
+        assert vo.claimed_root == decoded.claimed_root == blob[:32]
+        assert vo.proof == decoded.proof
+        assert vars(vo) == vars(decoded)
+        assert vo.to_bytes() == blob == vo.claimed_root + _encode_proof(
+            vo.proof)
+        assert verify_range_bytes(blob, tree.root_digest(), lo, hi, results)
+
+
+@pytest.mark.parametrize("threshold", [None, 10, 40])
+def test_written_vo_encodes_its_current_proof(threshold):
+    tree = build(random_entries(300, 8), threshold)
+    # a proof assigned before anything read the written one
+    _, vo = tree.range_query(*_RANGES[1])
+    _, other = tree.range_query(*_RANGES[0])
+    vo.proof = other.proof
+    assert vo.to_bytes() == other.to_bytes()
+    # a decoded proof changed in place: every proof kind keeps its
+    # pairs, children or window as a list at index 3
+    for lo, hi in _RANGES[:4]:
+        _, vo = tree.range_query(lo, hi)
+        blob = vo.to_bytes()
+        if vo.proof[0] == P_PRUNED:
+            continue
+        vo.proof[3].pop()
+        assert vo.to_bytes() != blob
+        assert vo.to_bytes() == vo.claimed_root + _encode_proof(vo.proof)

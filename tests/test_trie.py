@@ -363,3 +363,62 @@ def test_deeply_nested_vo_bytes_rejected():
     PrefixVO.from_bytes(_nested_prefix_vo(root, MAX_KEY_LEN + 2))
     with pytest.raises(VODecodeError):
         PrefixVO.from_bytes(_nested_prefix_vo(root, MAX_KEY_LEN + 3))
+
+
+# A prover's VO holds its wire bytes and decodes mode, path and terminal on
+# the first read of any of them; to_bytes() must always be claimed_root
+# plus the encoding of the fields as they stand.
+
+def _lazy_trie():
+    pairs = [(k, i) for i, k in enumerate(random_keys(60, 31, 3, 8))]
+    return build(pairs), pairs
+
+
+def _fields(vo):
+    return vo.mode, vo.path, vo.terminal
+
+
+@pytest.mark.parametrize("prefix", ["", "a", "ab1", "0", "zz", "ab1f-"])
+def test_written_vo_fields_are_its_bytes_decoded(prefix):
+    trie, _ = _lazy_trie()
+    results, vo = trie.prefix_query(prefix)
+    blob = vo.to_bytes()
+    decoded = PrefixVO.from_bytes(blob)
+    assert vo.claimed_root == decoded.claimed_root == blob[:32]
+    assert _fields(vo) == _fields(decoded)
+    assert vars(vo) == vars(decoded)
+    assert vo.to_bytes() == blob == PrefixVO(vo.claimed_root,
+                                             *_fields(vo)).to_bytes()
+    assert verify_prefix_bytes(blob, trie.root_digest(), prefix, results)
+
+
+def test_written_vos_cover_both_modes():
+    trie, _ = _lazy_trie()
+    modes = {trie.prefix_query(p)[1].mode
+             for p in ["", "a", "ab1", "0", "zz", "ab1f-"]}
+    assert modes == {PrefixVO.MODE_MATCH, PrefixVO.MODE_NONMATCH}
+
+
+@pytest.mark.parametrize("prefix", ["a", "ab3"])  # a match, a non-match
+def test_written_vo_encodes_its_current_fields(prefix):
+    trie = build([("ab1", 0), ("ab2", 1), ("ac3", 2), ("b", 3)])
+    # one field assigned before anything read the written ones: the
+    # others come from the bytes
+    _, vo = trie.prefix_query(prefix)
+    _, other = trie.prefix_query(prefix)
+    terminal = _fields(other)[2]
+    vo.terminal = (terminal[0], [10 ** 6], terminal[2])
+    assert vo.to_bytes() == PrefixVO(other.claimed_root, other.mode,
+                                     other.path, vo.terminal).to_bytes()
+    assert vo.to_bytes() != other.to_bytes()
+    # decoded lists changed in place: the terminal's children or items,
+    # then the path
+    _, vo = trie.prefix_query(prefix)
+    blob = vo.to_bytes()
+    vo.terminal[2].pop()
+    assert vo.to_bytes() != blob
+    assert vo.to_bytes() == PrefixVO(vo.claimed_root,
+                                     *_fields(vo)).to_bytes()
+    vo.path.pop()
+    assert vo.to_bytes() == PrefixVO(vo.claimed_root,
+                                     *_fields(vo)).to_bytes()
