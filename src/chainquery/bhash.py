@@ -781,7 +781,9 @@ def _walk_hash_leaf(data, off: int, lo: int, hi: int, found, keyed: bool,
     hidden, outside it.  Records where each window bucket's leaf preimage
     lies, and the crit-bit gaps between the proof's items."""
     _, _, flags, nrev = _HASHLEAF_HEAD.unpack_from(data, off + 1)
-    if flags & ~0x03:
+    # the prover writes a lone digest-only bucket as the first, never the
+    # last: one encoding per proof
+    if flags & ~0x03 or flags == 2 and nrev == 0:
         return -1
     size, p = len(data), off + 22
     keys, revealed = [], []
@@ -798,6 +800,8 @@ def _walk_hash_leaf(data, off: int, lo: int, hi: int, found, keyed: bool,
         start = p = p + 9
         if cnt == 0xFF:  # the u32 count that follows is preimage bytes
             cnt, = _U32.unpack_from(data, p)
+            if cnt < 0xFF:  # a count the byte could hold: not canonical
+                return -1
             head, p = _IDS_HEAD, p + 4
         else:
             head = _IDS_HEADS[cnt]

@@ -15,9 +15,12 @@ from chainquery.sqlgrammar import QueryAst
 
 BLOOM_BITS = 1 << 20
 BLOOM_HASHES = 7
-# The most results held at once.  Between two writes the `mixed` benchmark
-# caches at most 22 results (124 rows; seeds 1-3) and `read` never repeats
-# a query, so the bound costs no hit and keeps a write-free run bounded.
+# The most results held at once, and the most read statements an Engine
+# keeps parsed (text -> AST; writes never empty that memo, only a full one
+# empties).  Between two writes the `mixed` benchmark caches at most 22
+# results (124 rows; seeds 1-3) and parses 32 distinct reads in all, and
+# `read` never repeats a query, so the bound costs no hit in either dict
+# and keeps a write-free run bounded.
 MAX_CACHED = 1024
 
 

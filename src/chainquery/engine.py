@@ -12,6 +12,12 @@ checks the VO bytes against the anchors.  The memory store hashes each
 stored payload object on its first fetch and again whenever the object
 under a cid changes; the disk store re-hashes on every fetch.  Every read
 builds fresh row dicts from the entries.
+
+`execute` parses each read statement's text once per engine: a dict maps
+the text to its AST, which `parse` makes as a pure function of the text,
+so no write empties it.  It holds reads only, since an INSERT's text and
+AST carry its payload bytes and write texts seldom repeat, and it empties
+when it reaches `MAX_CACHED`, as the query cache does.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from chainquery.bhash import DEFAULT_THRESHOLD, BHashTree
-from chainquery.cache import QueryCache
+from chainquery.cache import MAX_CACHED, QueryCache
 from chainquery.core import DataEntry
 from chainquery.gas import GasMeter
 from chainquery.ledger import Ledger, OP_DELETE, OP_UPDATE
@@ -36,6 +42,8 @@ NS_TIMESTAMP = ":"
 NS_ADDRESS = "-"
 
 TS_FORMAT = "%Y-%m-%d-%H:%M:%S"
+
+_READS = (SelectSimple, SelectTimeRange, SelectFuzzy)
 
 
 class UnknownEntry(KeyError):
@@ -112,6 +120,9 @@ class Engine:
         # not `store or ...`: an empty ContentStore is falsy via __len__
         self.store = store if store is not None else ContentStore()
         self.cache = QueryCache()
+        # read statement text -> AST; per engine, so a fresh engine parses
+        # every statement afresh
+        self._parsed: dict[str, QueryAst] = {}
         # ids a DELETE or UPDATE ended; the ledger's ops say which
         self.retired: set[int] = set()
         self.entries: dict[int, DataEntry] = {}
@@ -293,7 +304,15 @@ class Engine:
                            vo_bytes=vo_bytes)
 
     def execute(self, sql: str, emit_vo: bool = False) -> QueryResult:
-        return self.execute_ast(parse(sql), emit_vo=emit_vo)
+        # a non-str key could fail to hash; parse rejects it with its own error
+        ast = self._parsed.get(sql) if isinstance(sql, str) else None
+        if ast is None:
+            ast = parse(sql)
+            if isinstance(ast, _READS):
+                if len(self._parsed) >= MAX_CACHED:
+                    self._parsed = {}
+                self._parsed[sql] = ast
+        return self.execute_ast(ast, emit_vo=emit_vo)
 
 
 def replay(ledger: Ledger, store: Optional[ContentStore] = None,

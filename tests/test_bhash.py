@@ -5,8 +5,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainquery.bhash import (MAX_PROOF_DEPTH, P_INTERNAL, P_PRUNED,
-                              BHashTree, DuplicateEntry, RangeVO,
+from chainquery.bhash import (MAX_PROOF_DEPTH, P_HASHLEAF, P_INTERNAL,
+                              P_PRUNED, BHashTree, DuplicateEntry, RangeVO,
                               VODecodeError, _crit_fold, _encode_proof,
                               verify_range, verify_range_bytes)
 from chainquery.core import MAX_TIMESTAMP, EncodingError
@@ -431,6 +431,29 @@ def test_deeply_nested_vo_bytes_rejected():
     RangeVO.from_bytes(_nested_range_vo(root, MAX_PROOF_DEPTH))
     with pytest.raises(VODecodeError):
         RangeVO.from_bytes(_nested_range_vo(root, MAX_PROOF_DEPTH + 1))
+
+
+def test_non_canonical_hash_leaf_encodings_rejected():
+    """Each hash-leaf proof has one encoding: a count the byte could hold
+    behind the 0xFF escape, or a lone digest-only bucket under flag 2
+    rather than 1, verifies as False."""
+    tree = build([(i, 1000 + 10 * i) for i in range(20)])
+    root = tree.root_digest()
+    ids, vo = tree.range_query(1050, 1050)
+    blob = vo.to_bytes()
+    assert ids == [5] and blob[32] == P_HASHLEAF
+    assert verify_range_bytes(blob, root, 1050, 1050, ids)
+    bucket = struct.pack(">QBQ", 1050, 1, 5)
+    assert blob.count(bucket) == 1
+    escaped = blob.replace(bucket, struct.pack(">QBIQ", 1050, 0xFF, 1, 5))
+    assert verify_range_bytes(escaped, root, 1050, 1050, ids) is False
+
+    ids, vo = tree.range_query(0, 5)
+    blob = vo.to_bytes()
+    assert ids == [] and blob[32] == P_HASHLEAF and blob[49] == 1
+    assert verify_range_bytes(blob, root, 0, 5, [])
+    flipped = blob[:49] + b"\x02" + blob[50:]
+    assert verify_range_bytes(flipped, root, 0, 5, []) is False
 
 
 @pytest.mark.parametrize("bad_id", [-1, 1 << 64])

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainquery import engine as engine_module
 from chainquery import ledger as ledger_module
 from chainquery.bhash import verify_range_bytes
 from chainquery.cache import MAX_CACHED, BloomFilter, QueryCache
@@ -15,7 +16,8 @@ from chainquery.engine import (NS_ADDRESS, NS_TIMESTAMP, Engine,
                                VerificationFailure, plan_query, replay,
                                timestamp_string)
 from chainquery.ledger import OP_DELETE, OP_UPDATE, Ledger
-from chainquery.sqlgrammar import InsertQuery, parse
+from chainquery.sqlgrammar import (InsertQuery, SqlSyntaxError,
+                                   UnsupportedFeature, parse)
 from chainquery.store import MAX_PAYLOAD, IntegrityFailure, PayloadTooLarge
 from chainquery.trie import Trie, verify_prefix_bytes
 
@@ -302,6 +304,148 @@ def test_cache_counters_match_a_dict_model():
         assert (cache.hits, cache.misses) == (hits, misses)
         assert len(cache._store) == len(model)
     assert hits and misses and full >= 2 and cache.epoch >= 2
+
+
+def counted_parses(monkeypatch) -> list:
+    """Every text the engine hands to parse from here on, in order."""
+    calls = []
+
+    def counted(sql):
+        calls.append(sql)
+        return parse(sql)
+    monkeypatch.setattr(engine_module, "parse", counted)
+    return calls
+
+
+def test_repeated_select_parsed_once_per_engine_across_writes(monkeypatch):
+    eng, _ = seeded_engine(10)
+    calls = counted_parses(monkeypatch)
+    sql = "SELECT * FROM entries WHERE timestamp BETWEEN 0 AND 2000000000"
+    first, second = eng.execute(sql), eng.execute(sql)
+    eng.execute(insert_sql(1, ADDRS[0], 1_700_000_100))
+    third = eng.execute(sql)
+    assert calls.count(sql) == 1 and len(calls) == 2
+    assert not first.cached and second.cached and not third.cached
+    assert len(third.rows) == len(first.rows) + 1
+
+
+def test_engines_do_not_share_parsed_reads(monkeypatch):
+    a, _ = seeded_engine(5)
+    b, _ = seeded_engine(5)
+    calls = counted_parses(monkeypatch)
+    sql = "SELECT * FROM entries WHERE entry_id = 3"
+    for eng in (a, b, a, b):
+        assert [r["entry_id"] for r in eng.execute(sql).rows] == [3]
+    assert calls == [sql, sql]
+    assert Engine()._parsed == {}
+
+
+def test_writes_parsed_on_every_call_and_never_held(monkeypatch):
+    eng, _ = seeded_engine(5)
+    calls = counted_parses(monkeypatch)
+    insert = insert_sql(7, ADDRS[1], 1_700_000_050)
+    delete = "DELETE FROM entries WHERE entry_id = 0"
+    update = "UPDATE entries SET amount = 3 WHERE entry_id = 1"
+    eng.execute(insert)
+    eng.execute(insert)
+    eng.execute(delete)
+    eng.execute(update)
+    # a second run of each parses again, then finds its entry gone
+    for sql in (delete, update):
+        with pytest.raises(UnknownEntry):
+            eng.execute(sql)
+    assert calls == [insert, insert, delete, update, delete, update]
+    assert eng._parsed == {}
+
+
+def test_parsed_reads_bounded_by_max_cached(monkeypatch):
+    eng, _ = seeded_engine(3)
+    calls = counted_parses(monkeypatch)
+    texts = [f"SELECT * FROM entries WHERE entry_id = {i}"
+             for i in range(MAX_CACHED + 5)]
+    for sql in texts:
+        eng.execute(sql)
+        assert len(eng._parsed) <= MAX_CACHED
+    assert calls == texts
+    # the memo emptied when full, so it holds the newest texts
+    eng.execute(texts[-1])
+    assert len(calls) == len(texts) and texts[-1] in eng._parsed
+    eng.execute(texts[0])
+    assert calls[-1] == texts[0]
+
+
+@pytest.mark.parametrize("sql, error", [
+    ("SELECT * FROM entries WHERE", SqlSyntaxError),
+    ("SELECT * FROM entries WHERE entry_id = 1 AND", SqlSyntaxError),
+    ("SELECT amount FROM entries WHERE entry_id = 1", UnsupportedFeature),
+])
+def test_malformed_statement_raises_alike_every_time(sql, error,
+                                                      monkeypatch):
+    eng, _ = seeded_engine(3)
+    calls = counted_parses(monkeypatch)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            eng.execute(sql)
+        raised.append((type(info.value), str(info.value),
+                       getattr(info.value, "position", None)))
+    assert raised[0] == raised[1] and calls == [sql, sql]
+    assert eng._parsed == {}
+
+
+@pytest.mark.parametrize("sql", [
+    ["SELECT * FROM entries WHERE entry_id = 0"],
+    b"SELECT * FROM entries WHERE entry_id = 0",
+    None,
+    7,
+])
+def test_non_text_statement_is_syntax_error(sql):
+    eng, _ = seeded_engine(3)
+    for _ in range(2):
+        with pytest.raises(SqlSyntaxError) as info:
+            eng.execute(sql)
+        assert info.value.position == 0
+    assert eng._parsed == {}
+
+
+def test_execute_matches_execute_ast_of_parse_over_a_seeded_mix():
+    """The memo changes no result: two engines fed the same seeded reads
+    and writes, one through text and one through parsed ASTs, agree on
+    every field of every result."""
+    rng = random.Random(25)
+    by_text, by_ast = Engine(threshold_t=10), Engine(threshold_t=10)
+    pool = ["SELECT * FROM entries WHERE timestamp BETWEEN "
+            "1700000000 AND 1700001800",
+            "select * from entries where timestamp between 0 and 2000000000",
+            "SELECT * FROM entries WHERE ts_str LIKE '2023-11-14-22:1%'",
+            *[f"SELECT * FROM entries WHERE address LIKE '{a[:5]}%'"
+              for a in ADDRS[:4]],
+            *[f"SELECT * FROM entries WHERE entry_id = {i}"
+              for i in range(6)]]
+    live, next_id = [], 0
+    for _ in range(400):
+        roll = rng.random()
+        if roll < 0.15 or not live:
+            ts = 1_700_000_000 + rng.randrange(0, 3600)
+            sql = insert_sql(rng.randrange(100), rng.choice(ADDRS), ts)
+            live.append(next_id)
+            next_id += 1
+        elif roll < 0.2:
+            victim = live.pop(rng.randrange(len(live)))
+            sql = f"DELETE FROM entries WHERE entry_id = {victim}"
+        elif roll < 0.25:
+            victim = live.pop(rng.randrange(len(live)))
+            sql = (f"UPDATE entries SET amount = {rng.randrange(100)} "
+                   f"WHERE entry_id = {victim}")
+            live.append(next_id)
+            next_id += 1
+        else:
+            sql = rng.choice(pool)
+        # QueryResult's dataclass equality compares every field
+        assert by_text.execute(sql, emit_vo=True) == \
+            by_ast.execute_ast(parse(sql), emit_vo=True)
+    assert 0 < len(by_text._parsed) <= len(pool)
+    assert by_text.cache.hits == by_ast.cache.hits > 0
 
 
 @pytest.mark.parametrize("sql", [
