@@ -5,7 +5,9 @@ statements that parse alike (spacing, keyword case) share one entry.  A
 value is the tuple of verified, immutable DataEntry records a read
 returned, from which every hit builds fresh rows.  A probe is one dict
 lookup.  Staleness has one rule: every ledger write empties the cache.
-A full cache empties the same way.
+A full cache empties the same way.  Fullness counts rows, not results, so
+the cache holds at most `MAX_CACHED` entry references however large the
+results are.
 """
 from __future__ import annotations
 
@@ -15,12 +17,16 @@ from chainquery.sqlgrammar import QueryAst
 
 BLOOM_BITS = 1 << 20
 BLOOM_HASHES = 7
-# The most results held at once, and the most read statements an Engine
-# keeps parsed (text -> AST; writes never empty that memo, only a full one
-# empties).  Between two writes the `mixed` benchmark caches at most 22
-# results (124 rows; seeds 1-3) and parses 32 distinct reads in all, and
-# `read` never repeats a query, so the bound costs no hit in either dict
-# and keeps a write-free run bounded.
+# The most rows the cache holds at once (a result counts as at least one,
+# as even an empty one holds its key), and the most read statements an
+# Engine keeps parsed (text -> AST, each text at most
+# `sqlgrammar.PATTERN_MAX_LEN` characters; writes never empty that memo,
+# only a full one empties).  Between two writes the `mixed` benchmark
+# caches at most 22 results (124 rows; seeds 1-3) and parses 32 distinct
+# reads in all, and `read` never repeats a query, so the bound costs no hit
+# in either dict and keeps a write-free run bounded.  A result of more rows
+# is never cached: 1,024 full-range results over 16,384 entries would
+# otherwise hold 16M references (128 MiB).
 MAX_CACHED = 1024
 
 
@@ -50,13 +56,14 @@ class QueryCache:
     def __init__(self):
         self.epoch = 0  # writes seen
         self._store: dict[QueryAst, tuple] = {}
+        self._rows = 0  # rows held, each result counted as at least one
         self.hits = 0
         self.misses = 0
 
     def invalidate(self) -> None:
         """Count a write and drop every cached result."""
         self.epoch += 1
-        self._store = {}
+        self._store, self._rows = {}, 0
 
     def get(self, ast: QueryAst):
         value = self._store.get(ast)
@@ -67,6 +74,16 @@ class QueryCache:
         return value
 
     def put(self, ast: QueryAst, value: tuple) -> None:
-        if len(self._store) >= MAX_CACHED:
-            self._store = {}
+        """Hold `value`, a tuple of rows, under `ast`, emptying first if
+        it would take the cache past `MAX_CACHED` rows; a larger result is
+        not held."""
+        rows = max(len(value), 1)
+        if rows > MAX_CACHED:
+            return
+        if self._rows + rows > MAX_CACHED:
+            self._store, self._rows = {}, 0
+        old = self._store.get(ast)
+        if old is not None:
+            self._rows -= max(len(old), 1)
         self._store[ast] = value
+        self._rows += rows

@@ -16,8 +16,10 @@ builds fresh row dicts from the entries.
 `execute` parses each read statement's text once per engine: a dict maps
 the text to its AST, which `parse` makes as a pure function of the text,
 so no write empties it.  It holds reads only, since an INSERT's text and
-AST carry its payload bytes and write texts seldom repeat, and it empties
-when it reaches `MAX_CACHED`, as the query cache does.
+AST carry its payload bytes and write texts seldom repeat.  It holds no
+text longer than `sqlgrammar.PATTERN_MAX_LEN`, which is parsed on every
+call, and it empties when it reaches `MAX_CACHED` texts, so it holds at
+most `MAX_CACHED` x `PATTERN_MAX_LEN` characters.
 """
 from __future__ import annotations
 
@@ -30,9 +32,10 @@ from chainquery.cache import MAX_CACHED, QueryCache
 from chainquery.core import DataEntry
 from chainquery.gas import GasMeter
 from chainquery.ledger import Ledger, OP_DELETE, OP_UPDATE
-from chainquery.sqlgrammar import (DeleteQuery, InsertQuery, QueryAst,
-                                   SelectFuzzy, SelectSimple, SelectTimeRange,
-                                   UpdateQuery, parse)
+from chainquery.sqlgrammar import (PATTERN_MAX_LEN, DeleteQuery,
+                                   InsertQuery, QueryAst, SelectFuzzy,
+                                   SelectSimple, SelectTimeRange, UpdateQuery,
+                                   parse)
 from chainquery.store import ContentStore
 from chainquery.trie import Trie
 
@@ -305,10 +308,11 @@ class Engine:
 
     def execute(self, sql: str, emit_vo: bool = False) -> QueryResult:
         # a non-str key could fail to hash; parse rejects it with its own error
-        ast = self._parsed.get(sql) if isinstance(sql, str) else None
+        held = isinstance(sql, str) and len(sql) <= PATTERN_MAX_LEN
+        ast = self._parsed.get(sql) if held else None
         if ast is None:
             ast = parse(sql)
-            if isinstance(ast, _READS):
+            if held and isinstance(ast, _READS):
                 if len(self._parsed) >= MAX_CACHED:
                     self._parsed = {}
                 self._parsed[sql] = ast

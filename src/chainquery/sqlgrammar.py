@@ -12,6 +12,11 @@ Supported statements:
   SELECT * FROM entries WHERE address LIKE 'prefix%'
 
 Anything else raises SqlSyntaxError (with position) or UnsupportedFeature.
+
+The five SELECTs in their plain spellings are matched by one compiled
+pattern, `_READ_RE`, before any tokenizing.  Every other input, and every
+error, goes through the token parser, which stays the grammar's reference:
+the pattern accepts only texts that parser turns into the same AST.
 """
 from __future__ import annotations
 
@@ -99,6 +104,28 @@ _UPDATE_COLUMNS = ("amount", "addresses", "timestamp")
 _REQUIRED_COLUMNS = ("amount", "addresses", "timestamp")
 _FUZZY_FIELDS = {"ts_str": "timestamp_string", "address": "address"}
 
+# The longest text `_READ_RE` is tried on: the longest canonical read is
+# about 90 characters.  Bounding the text bounds the pattern's backtracking
+# over long runs of whitespace, and `Engine.execute` memoizes only texts
+# this short.
+PATTERN_MAX_LEN = 256
+
+# The five reads, each spelled as the token parser reads it: a keyword
+# followed by a word or an integer needs whitespace, one before or after
+# punctuation does not.  re.ASCII keeps the case folding to A-Z, as
+# `_TOKEN_RE`'s words are (without it `ſelect` would match), and `\s` to
+# ASCII whitespace; other whitespace takes the token path.  Integers stop
+# at 18 digits, so `int` never meets its digit limit here, and a LIKE
+# prefix holds no quote, `%` or `_`.  The tail `\s*(?:;\s*)?` cannot split
+# its whitespace two ways.  `lastgroup` names the shape: the last group
+# each alternative closes.
+_READ_RE = re.compile(r"""\s*select\s*\*\s*from\s+entries\s+where\s+(?:
+    entry_id\s*=\s*(?P<entry_id>[0-9]{1,18})
+  | timestamp(?:\s*=\s*(?P<timestamp>[0-9]{1,18})
+      | \s+between\s+(?P<start>[0-9]{1,18})\s*and\s+(?P<end>[0-9]{1,18}))
+  | (?P<field>ts_str|address)\s+like\s*'(?P<prefix>[^'%_]*)%'
+)\s*(?:;\s*)?""", re.VERBOSE | re.IGNORECASE | re.ASCII)
+
 
 class _Tokens:
     def __init__(self, sql: str):
@@ -146,11 +173,25 @@ class _Tokens:
 def parse(sql: str) -> QueryAst:
     if not isinstance(sql, str):
         raise SqlSyntaxError("input is not text", 0)
+    m = _READ_RE.fullmatch(sql) if len(sql) <= PATTERN_MAX_LEN else None
+    if m is not None:
+        return _read_ast(m)
     toks = _Tokens(sql)
     if toks.peek()[0] == "end":
         raise SqlSyntaxError("empty statement", 0)
     _check_word(toks)
     return _STATEMENTS[toks.take(*_STATEMENTS)](toks)
+
+
+def _read_ast(m: re.Match) -> QueryAst:
+    shape = m.lastgroup
+    if shape == "entry_id":
+        return SelectSimple(entry_id=int(m["entry_id"]))
+    if shape == "timestamp":
+        return SelectSimple(timestamp=int(m["timestamp"]))
+    if shape == "end":
+        return SelectTimeRange(int(m["start"]), int(m["end"]))
+    return SelectFuzzy(_FUZZY_FIELDS[m["field"].lower()], m["prefix"])
 
 
 def _check_word(toks: _Tokens) -> None:

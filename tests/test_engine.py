@@ -16,8 +16,8 @@ from chainquery.engine import (NS_ADDRESS, NS_TIMESTAMP, Engine,
                                VerificationFailure, plan_query, replay,
                                timestamp_string)
 from chainquery.ledger import OP_DELETE, OP_UPDATE, Ledger
-from chainquery.sqlgrammar import (InsertQuery, SqlSyntaxError,
-                                   UnsupportedFeature, parse)
+from chainquery.sqlgrammar import (PATTERN_MAX_LEN, InsertQuery,
+                                   SqlSyntaxError, UnsupportedFeature, parse)
 from chainquery.store import MAX_PAYLOAD, IntegrityFailure, PayloadTooLarge
 from chainquery.trie import Trie, verify_prefix_bytes
 
@@ -372,6 +372,63 @@ def test_parsed_reads_bounded_by_max_cached(monkeypatch):
     assert len(calls) == len(texts) and texts[-1] in eng._parsed
     eng.execute(texts[0])
     assert calls[-1] == texts[0]
+
+
+def test_long_read_texts_parsed_every_time_and_never_held(monkeypatch):
+    """The memo holds no text past PATTERN_MAX_LEN characters, so it holds
+    at most MAX_CACHED x PATTERN_MAX_LEN of them."""
+    eng, _ = seeded_engine(3)
+    calls = counted_parses(monkeypatch)
+    sql = "SELECT * FROM entries WHERE entry_id = 1"
+    longest = sql.ljust(PATTERN_MAX_LEN)
+    too_long = longest + " "
+    padded = sql + " " * (1 << 20)
+    for text in (longest, too_long, padded) * 2:
+        assert [r["entry_id"] for r in eng.execute(text).rows] == [1]
+    assert calls == [longest, too_long, padded, too_long, padded]
+    assert list(eng._parsed) == [longest]
+
+
+@pytest.mark.parametrize("sizes, held", [
+    ([300, 300, 300, 124], [300, 300, 300, 124]),
+    ([300, 300, 300, 125], [125]),
+    ([1000, MAX_CACHED + 1], [1000]),
+    ([0] * MAX_CACHED + [0], [0]),
+    ([MAX_CACHED, 1], [1]),
+], ids=["fills-exactly", "empties-first", "too-large-not-held",
+        "empty-counts-one", "one-full-result"])
+def test_cache_bounded_by_rows(sizes, held):
+    cache = QueryCache()
+    asts = [parse(f"SELECT * FROM entries WHERE entry_id = {i}")
+            for i in range(len(sizes))]
+    for ast, n in zip(asts, sizes):
+        cache.put(ast, tuple(range(n)))
+        assert sum(max(len(v), 1) for v in cache._store.values()) \
+            <= MAX_CACHED
+    assert [len(v) for v in cache._store.values()] == held
+
+
+def test_cache_overwrite_counts_the_new_result_only():
+    cache = QueryCache()
+    a, b = (parse(f"SELECT * FROM entries WHERE entry_id = {i}")
+            for i in range(2))
+    for n in (600, 500, 600):
+        cache.put(a, tuple(range(n)))
+    cache.put(b, tuple(range(MAX_CACHED - 600)))
+    assert [len(v) for v in cache._store.values()] == [600, 424]
+
+
+def test_result_past_max_cached_rows_never_cached():
+    eng = Engine()
+    eng.insert_batch([InsertQuery(i, (ADDRS[0],), 1_700_000_000 + i)
+                      for i in range(MAX_CACHED + 1)])
+    sql = "SELECT * FROM entries WHERE timestamp BETWEEN 0 AND 2000000000"
+    first, second = eng.execute(sql), eng.execute(sql)
+    assert len(first.rows) == MAX_CACHED + 1 and not second.cached
+    assert second.rows == first.rows and eng.cache._store == {}
+    small = "SELECT * FROM entries WHERE timestamp BETWEEN 0 AND 1700000009"
+    eng.execute(small)
+    assert eng.execute(small).cached
 
 
 @pytest.mark.parametrize("sql, error", [

@@ -5,6 +5,7 @@ import random
 import re
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,3 +141,105 @@ def test_non_text_input_matches_reference():
     st.lists(st.sampled_from(PIECES), max_size=16).map(" ".join)))
 def test_hypothesis_text_matches_reference(sql):
     same_outcome(sql)
+
+
+# The five reads as perfbench's generators spell them.
+CANONICAL_READS = [
+    "SELECT * FROM entries WHERE entry_id = 4095",
+    "SELECT * FROM entries WHERE timestamp = 1700003600",
+    "SELECT * FROM entries WHERE timestamp BETWEEN 1699999990 AND 1700000410",
+    "SELECT * FROM entries WHERE ts_str LIKE '2023-11-14-22:1%'",
+    "SELECT * FROM entries WHERE address LIKE '0x3fa9c%'",
+]
+
+
+def _read_pattern_inputs():
+    """Spellings on both sides of each edge of `sqlgrammar._READ_RE`."""
+    for sql in CANONICAL_READS:
+        words = sql.split(" ")
+        for gap in (" ", "\t", "\n", "\r\n", "\x0b\x0c", " ", " ",
+                    "  ", "\x1c"):
+            for case in (str.lower, str.upper, str.title, str.swapcase):
+                for tail in ("", ";", "; \t\n", " ;  ", "\n; ", ";;"):
+                    yield gap + gap.join(map(case, words)) + tail
+        for old, new in (("s", "ſ"), ("k", "K"), ("i", "ı"), ("i", "İ"),
+                         ("S", "ſ"), ("K", "K"), ("I", "ı"), ("I", "İ")):
+            for i, c in enumerate(sql):
+                if c == old and sql.count("'", 0, i) != 1:
+                    yield sql[:i] + new + sql[i + 1:]
+    for field in ("ts_str", "address"):
+        for literal in ("'%'", "''", "'%%'", "'a%b%'", "'a_b%'", "'_%'",
+                        "'20\n23%'", "'0x\r%'", "'été%'", "'日本%'",
+                        "'ſelect%'", "'0xab'", "'0xab%", "'0xab%''",
+                        "'0x'ab'%'", '"0xab%"'):
+            yield f"SELECT * FROM entries WHERE {field} LIKE {literal}"
+    yield from (
+        "SELECT*FROM entries WHERE entry_id=5;",
+        "select*from entries where timestamp=7",
+        "SELECT * FROM entries WHERE timestamp BETWEEN 5AND 6",
+        "SELECT * FROM entries WHERE timestamp BETWEEN 5 AND6",
+        "SELECT * FROM entries WHERE timestamp BETWEEN5 AND 6",
+        "SELECT * FROM entries WHERE timestampBETWEEN 5 AND 6",
+        "SELECT * FROM entries WHERE timestamp=5AND",
+        "SELECT * FROM entries WHERE ts_str LIKE'2023%'",
+        "SELECT*FROM entries WHERE address LIKE'0x%';",
+        "SELECT*FROMentries WHERE entry_id = 5",
+        "SELECT * FROM entriesWHERE entry_id = 5",
+        "SELECT * FROM entries WHEREentry_id = 5",
+        "SELECT * FROM entries WHERE entry_id = 5x",
+        "SELECT * FROM entries WHERE entry_id = 5 5",
+        "SELECT * FROM entries WHERE entry_ids = 5",
+        "SELECT * FROM entries WHERE ts_strLIKE '1%'",
+        "SELECT * FROM entries WHERE address LIKE '0x%'x",
+        "SELECT * FROM entries WHERE timestamp BETWEEN 5 AND 6 AND 7",
+        "SELECT COUNT(*) FROM entries WHERE entry_id = 5",
+        "SELECT * FROM other WHERE entry_id = 5",
+    )
+
+
+def test_read_pattern_matches_reference():
+    kinds = set()
+    for sql in _read_pattern_inputs():
+        result = same_outcome(sql)
+        kinds.add(result[0] if isinstance(result, tuple)
+                  else result.split("(")[0])
+    assert kinds == {"SelectSimple", "SelectTimeRange", "SelectFuzzy",
+                     "SqlSyntaxError", "UnsupportedFeature"}
+
+
+@pytest.mark.parametrize("literal", ["7" * 18, "7" * 19, "7" * 4300,
+                                     "7" * 4301, "0" * 18, "0" + "9" * 17,
+                                     "00012", "0"])
+def test_read_integer_literals_match_reference(literal):
+    """Each integer of each read replaced.  Past the interpreter's
+    integer-string limit the reference raises a bare ValueError, as it
+    predates the parser's own "integer literal too long" error."""
+    for sql in CANONICAL_READS:
+        for m in re.finditer(r"\b[0-9]+\b", sql):
+            text = sql[:m.start()] + literal + sql[m.end():]
+            want = outcome(oracle.parse, text)
+            if want == ("ValueError", None):
+                want = ("SqlSyntaxError", m.start())
+            assert outcome(sqlgrammar.parse, text) == want, text
+
+
+def test_padded_reads_match_reference():
+    """1 MiB of whitespace at each gap of each read, alone and followed
+    by a stray character: past the pattern's length limit, and the case
+    where a backtracking tail would take quadratic time."""
+    pad = " " * (1 << 20)
+    for sql in CANONICAL_READS:
+        gaps = [0, *(i for i, c in enumerate(sql) if c == " "), len(sql)]
+        for i in gaps:
+            for stray in ("", "x"):
+                same_outcome(sql[:i] + pad + stray + sql[i:])
+
+
+def test_canonical_reads_skip_the_tokenizer(monkeypatch):
+    """The statement pattern alone parses the five reads perfbench sends."""
+    want = [repr(oracle.parse(sql)) for sql in CANONICAL_READS]
+
+    def no_tokens(sql):
+        raise AssertionError(f"tokenized {sql!r}")
+    monkeypatch.setattr(sqlgrammar, "_Tokens", no_tokens)
+    assert [repr(sqlgrammar.parse(sql)) for sql in CANONICAL_READS] == want
