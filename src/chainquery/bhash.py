@@ -10,8 +10,7 @@ root-to-leaf path, and a range proof carries one digest per level.
 A range proof travels as its wire bytes: range_query writes them straight
 from the nodes, and verify_range_bytes checks them in one forward walk
 that hashes nothing, then hashes preimages built from slices of them.
-The proof tuples of RangeVO.proof are decoded only for a caller that
-reads them.
+A RangeVO is just the claimed root and those bytes.
 """
 from __future__ import annotations
 
@@ -23,14 +22,14 @@ from typing import Optional
 from chainquery import _kernels
 from chainquery.core import (_U32, _U64, DOM_BUCKET, DOM_INTERNAL, DOM_LEAF,
                              MAX_TIMESTAMP, VODecodeError, _check_timestamp,
-                             _pack_u64_list, _pack_u64s, _take, _take_u64s,
-                             _u64_run, digest)
+                             _pack_u64_list, _pack_u64s, _u64_run, digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
 DEFAULT_THRESHOLD = 10
-# Deepest proof nesting the decoder accepts.  Split nodes keep at least 8
-# children, so an honest tree this deep would hold over 2^64 entries.
+# Deepest proof nesting the verifier's walk accepts.  Split nodes keep at
+# least 8 children, so an honest tree this deep would hold over 2^64
+# entries.
 MAX_PROOF_DEPTH = 64
 
 
@@ -234,179 +233,37 @@ P_LEAF = 1
 P_INTERNAL = 2
 P_HASHLEAF = 3
 
-# Window entry kinds inside a hash-leaf proof.
-W_REVEALED = 0
-W_DIGEST_ONLY = 1
-
 
 class RangeVO:
     """Proof that a range query's results are exactly the entries the
-    anchored tree holds in [start_key, end_key].
+    anchored tree holds in [start_key, end_key]: the claimed root and
+    the proof's wire bytes, which verify_range_bytes walks."""
 
-    A prover's VO holds its wire bytes and decodes `proof` only when
-    something reads it.  to_bytes() is always claimed_root plus the
-    encoding of the current proof, so a proof assigned or changed in
-    place is what gets encoded."""
-
-    def __init__(self, claimed_root: bytes, proof):
+    def __init__(self, claimed_root: bytes, body: bytes):
         self.claimed_root = claimed_root
-        self.proof = proof
-
-    # proof nodes are plain tuples:
-    #   (P_PRUNED, lo, hi, digest)
-    #   (P_LEAF, lo, hi, pairs)
-    #   (P_INTERNAL, lo, hi, [children])
-    #   (P_HASHLEAF, lo, hi, [(kind, key, ids_or_digest)],
-    #    (bits, [digest]) of the left siblings, the same of the right)
-
-    @classmethod
-    def _written(cls, claimed_root: bytes, body: bytes) -> "RangeVO":
-        """A VO whose proof is still its encoding, body."""
-        vo = cls.__new__(cls)
-        vo.claimed_root = claimed_root
-        vo._body = body
-        return vo
-
-    def __getattr__(self, name):
-        # reached only for attributes the instance lacks: the proof of a
-        # written VO that nothing has read yet
-        if name == "proof" and "_body" in self.__dict__:
-            self.proof = _decode_body(self.__dict__.pop("_body"), 0)
-            return self.proof
-        raise AttributeError(name)
+        self.body = body
 
     def to_bytes(self) -> bytes:
-        if "proof" in self.__dict__:
-            return self.claimed_root + _encode_proof(self.proof)
-        return self.claimed_root + self._body
+        return self.claimed_root + self.body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RangeVO":
         if len(data) < 32:
             raise VODecodeError("truncated")
-        return cls(bytes(data[:32]), _decode_body(data, 32))
+        return cls(bytes(data[:32]), bytes(data[32:]))
 
 
 # --- wire format for proof trees ----------------------------------------
 
-# One layout per record, shared by the encoder and the decoder; each
-# proof node starts with its kind byte.
+# One layout per record; each proof node starts with its kind byte.  In a
+# hash-leaf record, digest-only buckets only ever sit at the window edges,
+# so two flag bits say whether each edge has one, and id counts use a
+# one-byte varint: revealed buckets cost 8+1+8*ids bytes.  Each side is
+# count u8 ‖ count bits ‖ count digests.
 _KIND = {k: bytes((k,)) for k in (P_PRUNED, P_LEAF, P_INTERNAL, P_HASHLEAF)}
 _HASHLEAF_HEAD = struct.Struct(">QQBI")    # lo, hi, flags, nrev
 _KEY_COUNT = struct.Struct(">QB")          # a revealed bucket's key, count
 _KEY_ONE_ID = struct.Struct(">QBQ")        # key, 1, its one id
-
-
-def _encode_proof(node) -> bytes:
-    kind, lo, hi = node[0], node[1], node[2]
-    if kind == P_PRUNED:
-        return b"".join((_KIND[kind], _RANGE.pack(lo, hi), node[3]))
-    if kind == P_LEAF:
-        return _KIND[kind] + _leaf_body(lo, hi, node[3])
-    if kind == P_INTERNAL:
-        return b"".join([_KIND[kind], _RANGE_COUNT.pack(lo, hi, len(node[3])),
-                         *map(_encode_proof, node[3])])
-    # P_HASHLEAF.  Digest-only window entries only ever sit at the window
-    # edges, so two flag bits replace per-entry kind bytes, and id counts
-    # use a one-byte varint: revealed buckets cost 8+1+8*ids bytes.  Each
-    # side is count u8 ‖ count bits ‖ count digests.
-    window, left, right = node[3:]
-    first_dig = bool(window) and window[0][0] == W_DIGEST_ONLY
-    last_dig = len(window) > 1 and window[-1][0] == W_DIGEST_ONLY
-    revealed = window[1 if first_dig else 0:
-                      len(window) - 1 if last_dig else len(window)]
-    flags = int(first_dig) | (int(last_dig) << 1)
-    parts = [_KIND[kind], _HASHLEAF_HEAD.pack(lo, hi, flags, len(revealed))]
-    if first_dig:
-        parts += [_U64.pack(window[0][1]), window[0][2]]
-    for _, key, ids in revealed:
-        if len(ids) < 0xFF:
-            parts.append(_KEY_COUNT.pack(key, len(ids)))
-        else:
-            parts += [_KEY_COUNT.pack(key, 0xFF), _U32.pack(len(ids))]
-        parts.append(_pack_u64s(ids))
-    if last_dig:
-        parts += [_U64.pack(window[-1][1]), window[-1][2]]
-    for bits, digests in (left, right):
-        parts += [bytes((len(bits),)), bits, *digests]
-    return b"".join(parts)
-
-
-def _decode_body(data: bytes, off: int):
-    """The proof tree that fills data from off to its end."""
-    proof, off = _decode_proof(data, off, 0)
-    if off != len(data):
-        raise VODecodeError("trailing bytes")
-    return proof
-
-
-def _decode_proof(data: bytes, off: int, depth: int):
-    if depth > MAX_PROOF_DEPTH:
-        raise VODecodeError("proof nested too deep")
-    try:
-        kind = data[off]
-        if kind == P_PRUNED:
-            lo, hi = _RANGE.unpack_from(data, off + 1)
-            return (P_PRUNED, lo, hi, _take(data, off + 17, 32)), off + 49
-        if kind == P_LEAF:
-            lo, hi, n = _RANGE_COUNT.unpack_from(data, off + 1)
-            flat = _take_u64s(data, off + 21, 2 * n)
-            return (P_LEAF, lo, hi, list(zip(flat[::2], flat[1::2]))), \
-                off + 21 + 16 * n
-        if kind == P_INTERNAL:
-            lo, hi, n = _RANGE_COUNT.unpack_from(data, off + 1)
-            off += 21
-            children = []
-            for _ in range(n):
-                child, off = _decode_proof(data, off, depth + 1)
-                children.append(child)
-            return (P_INTERNAL, lo, hi, children), off
-        if kind == P_HASHLEAF:
-            return _decode_hash_leaf(data, off + 1)
-        raise VODecodeError(f"bad proof kind {kind}")
-    except (IndexError, struct.error) as exc:
-        raise VODecodeError(str(exc)) from None
-
-
-def _decode_hash_leaf(data: bytes, off: int):
-    """The hash-leaf proof whose body starts at off; IndexError or
-    struct.error on truncated bytes, which _decode_proof converts."""
-    lo, hi, flags, nrev = _HASHLEAF_HEAD.unpack_from(data, off)
-    if flags & ~0x03:
-        raise VODecodeError("bad window flags")
-    off += 21
-    window = []
-    if flags & 1:
-        entry, off = _decode_digest_only(data, off)
-        window.append(entry)
-    for _ in range(nrev):
-        key, cnt = _KEY_COUNT.unpack_from(data, off)
-        off += 9
-        if cnt == 1:
-            window.append((W_REVEALED, key, list(_U64.unpack_from(data, off))))
-            off += 8
-            continue
-        if cnt == 0xFF:
-            cnt, = _U32.unpack_from(data, off)
-            off += 4
-        window.append((W_REVEALED, key, _take_u64s(data, off, cnt)))
-        off += 8 * cnt
-    if flags & 2:
-        entry, off = _decode_digest_only(data, off)
-        window.append(entry)
-    sides = []
-    for _ in range(2):
-        cnt = data[off]
-        bits = _take(data, off + 1, cnt)
-        raw = _take(data, off + 1 + cnt, 32 * cnt)
-        sides.append((bits, [raw[i:i + 32] for i in range(0, len(raw), 32)]))
-        off += 1 + 33 * cnt
-    return (P_HASHLEAF, lo, hi, window, *sides), off
-
-
-def _decode_digest_only(data: bytes, off: int):
-    key, = _U64.unpack_from(data, off)
-    return (W_DIGEST_ONLY, key, _take(data, off + 8, 32)), off + 40
 
 
 # --- the tree ------------------------------------------------------------
@@ -599,7 +456,7 @@ class BHashTree:
         if start_time > end_time:
             body = _KIND[P_PRUNED] + _RANGE.pack(self.root.lo,
                                                  self.root.hi) + root
-            return [], RangeVO._written(root, body)
+            return [], RangeVO(root, body)
         lo = _check_timestamp(max(start_time, 0))
         hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
         # one leaf gives its ids in (key, id) order already; the ids of
@@ -611,7 +468,7 @@ class BHashTree:
         if keyed:
             found.sort()
             found = [eid for _, eid in found]
-        return found, RangeVO._written(root, b"".join(parts))
+        return found, RangeVO(root, b"".join(parts))
 
     def _write(self, node: BHashNode, lo: int, hi: int, parts, found,
                keyed: bool) -> None:
@@ -682,14 +539,9 @@ class BHashTree:
 
 def verify_range(vo: RangeVO, trusted_root: bytes, start_time: int,
                  end_time: int, results) -> bool:
-    """verify_range_bytes on the VO's encoding; False if it has none."""
-    try:
-        blob = vo.to_bytes()
-    except (ValueError, TypeError, KeyError, IndexError, OverflowError,
-            AttributeError, struct.error):
-        return False
-    return verify_range_bytes(blob, trusted_root, start_time, end_time,
-                              results)
+    """verify_range_bytes on the VO's encoding."""
+    return verify_range_bytes(vo.to_bytes(), trusted_root, start_time,
+                              end_time, results)
 
 
 def verify_range_bytes(vo_bytes: bytes, trusted_root: bytes, start_time: int,

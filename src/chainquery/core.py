@@ -76,17 +76,8 @@ def _u64_run(n: int) -> struct.Struct:
     return _U64_RUNS[n] if n < 256 else struct.Struct(f">{n}Q")
 
 
-def _take_u64s(data: bytes, off: int, n: int) -> list[int]:
-    """The n big-endian u64s at data[off:], as a list; IndexError, as
-    _take raises, when fewer than 8 * n bytes remain."""
-    if off + 8 * n > len(data):
-        raise IndexError("truncated")
-    return list(_u64_run(n).unpack_from(data, off))
-
-
 def _pack_u64s(values) -> bytes:
-    """The values as big-endian u64s with no count, as _take_u64s reads
-    them."""
+    """The values as big-endian u64s with no count."""
     return _u64_run(len(values)).pack(*values)
 
 

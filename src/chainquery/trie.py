@@ -11,8 +11,7 @@ so a path of sibling digests plus the matched subtree reproduces the root.
 A prefix proof travels as its wire bytes: prefix_query writes them
 straight from the nodes, and verify_prefix_bytes checks them in one
 forward walk that hashes nothing, then hashes preimages built from slices
-of them.  The fields of a PrefixVO are decoded only for a caller that
-reads them.
+of them.  A PrefixVO is just the claimed root and those bytes.
 """
 from __future__ import annotations
 
@@ -22,8 +21,7 @@ from bisect import bisect_left
 from typing import Optional
 
 from chainquery.core import (_U32, _U64, DOM_TRIE, VODecodeError,
-                             _pack_u64_list, _take, _take_u64s, _u64_run,
-                             digest)
+                             _pack_u64_list, _u64_run, digest)
 from chainquery.gas import GasMeter
 
 ALPHABET = "0123456789abcdef-:"
@@ -103,156 +101,25 @@ def _items(node: TrieNode):
 
 class PrefixVO:
     """Proof for a prefix query: sibling digests along the descent plus
-    either the full matched subtree or the divergence node.
-
-    A prover's VO holds its wire bytes and decodes mode, path and terminal
-    only when something reads one of them.  to_bytes() is always
-    claimed_root plus the encoding of the current fields, so a field
-    assigned or changed in place is what gets encoded."""
+    either the full matched subtree or the divergence node.  It is the
+    claimed root and the proof's wire bytes, which verify_prefix_bytes
+    walks: mode u8 ‖ path length u8, then the path and the terminal."""
 
     MODE_MATCH = 1
     MODE_NONMATCH = 0
-    _FIELDS = ("mode", "path", "terminal")
 
-    def __init__(self, claimed_root: bytes, mode: int, path, terminal):
+    def __init__(self, claimed_root: bytes, body: bytes):
         self.claimed_root = claimed_root
-        self.mode = mode
-        # path, root first: [(label, entry_ids, taken_index, [(idx, digest)])]
-        self.path = path
-        # match: terminal = encoded subtree tuple
-        #   (label, entry_ids, [children subtrees])
-        # nonmatch: terminal = (label, entry_ids, [(idx, digest)])
-        self.terminal = terminal
-
-    @classmethod
-    def _written(cls, claimed_root: bytes, body: bytes) -> "PrefixVO":
-        """A VO whose fields are still their encoding, body."""
-        vo = cls.__new__(cls)
-        vo.claimed_root = claimed_root
-        vo._body = body
-        return vo
-
-    def __getattr__(self, name):
-        # reached only for attributes the instance lacks: the fields of a
-        # written VO that nothing has read yet
-        if name in PrefixVO._FIELDS and "_body" in self.__dict__:
-            self._decode_body()
-            return self.__dict__[name]
-        raise AttributeError(name)
-
-    def _decode_body(self) -> None:
-        """Set each field not yet assigned from the body, and drop it."""
-        fields = _decode_fields(self.__dict__.pop("_body"), 0)
-        for name, value in zip(PrefixVO._FIELDS, fields):
-            self.__dict__.setdefault(name, value)
+        self.body = body
 
     def to_bytes(self) -> bytes:
-        if "_body" in self.__dict__:
-            if not any(name in self.__dict__ for name in PrefixVO._FIELDS):
-                return self.claimed_root + self._body
-            self._decode_body()
-        parts = [self.claimed_root, bytes([self.mode, len(self.path)])]
-        for label, ids, taken, sibs in self.path:
-            parts += [_BYTE[len(label)], label, _pack_u64_list(ids),
-                      _BYTE[taken], _encode_items(sibs)]
-        if self.mode == self.MODE_MATCH:
-            parts.append(_encode_subtree(self.terminal))
-        else:
-            label, ids, items = self.terminal
-            parts += [_BYTE[len(label)], label, _pack_u64_list(ids),
-                      _encode_items(items)]
-        return b"".join(parts)
+        return self.claimed_root + self.body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PrefixVO":
-        try:
-            root = _take(data, 0, 32)
-        except IndexError:
-            raise VODecodeError("truncated") from None
-        return cls(root, *_decode_fields(data, 32))
-
-
-def _decode_fields(data: bytes, off: int):
-    """(mode, path, terminal) from the encoding that fills data from off
-    to its end."""
-    try:
-        mode, path_len = data[off], data[off + 1]
-        off += 2
-        path = []
-        for _ in range(path_len):
-            label, ids, off = _decode_label_ids(data, off)
-            taken = data[off]
-            sibs, off = _decode_items(data, off + 1)
-            path.append((label, ids, taken, sibs))
-        if mode == PrefixVO.MODE_MATCH:
-            terminal, off = _decode_subtree(data, off, 0)
-        elif mode == PrefixVO.MODE_NONMATCH:
-            label, ids, off = _decode_label_ids(data, off)
-            items, off = _decode_items(data, off)
-            terminal = (label, ids, items)
-        else:
-            raise VODecodeError("bad mode")
-        if off != len(data):
-            raise VODecodeError("trailing bytes")
-        return mode, path, terminal
-    except (IndexError, struct.error) as exc:
-        raise VODecodeError(str(exc)) from None
-
-
-def _encode_items(items) -> bytes:
-    """A one-byte count, then one (index byte, digest) per item."""
-    return bytes([len(items)]) + b"".join([_BYTE[i] + d for i, d in items])
-
-
-def _decode_items(data: bytes, off: int):
-    """Inverse of _encode_items at off: (items, offset after them)."""
-    n = data[off]
-    raw = _take(data, off + 1, 33 * n)
-    return ([(raw[i], raw[i + 1:i + 33]) for i in range(0, len(raw), 33)],
-            off + 1 + len(raw))
-
-
-# a label of each length, then the u32 count of the ids after it
-_LABEL_COUNT = tuple(struct.Struct(f">{n}sI") for n in range(256))
-
-
-def _decode_label_ids(data: bytes, off: int):
-    """A label (a one-byte length, then that many alphabet indices) and
-    an id list (a u32 count, then that many u64s) at off: (label, ids,
-    offset after them)."""
-    n = data[off]
-    label, cnt = _LABEL_COUNT[n].unpack_from(data, off + 1)
-    off += 5 + n
-    if cnt == 0:
-        return label, [], off
-    if cnt == 1:
-        return label, list(_U64.unpack_from(data, off)), off + 8
-    return label, _take_u64s(data, off, cnt), off + 8 * cnt
-
-
-def _encode_subtree(sub) -> bytes:
-    label, ids, children = sub
-    parts = [_BYTE[len(label)], label, _pack_u64_list(ids),
-             bytes([len(children)])]
-    for child in children:
-        parts.append(_encode_subtree(child))
-    return b"".join(parts)
-
-
-def _decode_subtree(data: bytes, off: int, depth: int):
-    # a valid subtree nests at most MAX_KEY_LEN + 1 nodes, as every label
-    # below the root is non-empty; stopping here keeps crafted nesting from
-    # exhausting the stack
-    if depth > MAX_KEY_LEN + 1:
-        raise VODecodeError("subtree nested too deep")
-    label, ids, off = _decode_label_ids(data, off)
-    nchild = data[off]
-    off += 1
-    children = []
-    for _ in range(nchild):
-        child, off = _decode_subtree(data, off, depth + 1)
-        children.append(child)
-    return (label, ids, children), off
+        if len(data) < 32:
+            raise VODecodeError("truncated")
+        return cls(bytes(data[:32]), bytes(data[32:]))
 
 
 def _indices(prefix: str) -> bytes:
@@ -382,7 +249,7 @@ class Trie:
             parts.append(_BYTE[len(kids)])
             parts += [_BYTE[i] + kids[i].node_digest for i in sorted(kids)]
             parts[0] = bytes((PrefixVO.MODE_NONMATCH, npath))
-            return [], PrefixVO._written(root, b"".join(parts))
+            return [], PrefixVO(root, b"".join(parts))
         # the prefix ends inside or at the end of node's label: reveal the
         # subtree under node, each node before its children, which follow
         # in index order
@@ -400,7 +267,7 @@ class Trie:
             visited += 1
         self.meter.read(visited)
         parts[0] = bytes((PrefixVO.MODE_MATCH, npath))
-        return sorted(found), PrefixVO._written(root, b"".join(parts))
+        return sorted(found), PrefixVO(root, b"".join(parts))
 
 
 def _label_ids(node: TrieNode):
@@ -421,13 +288,8 @@ def _label_ids(node: TrieNode):
 
 def verify_prefix(vo: PrefixVO, trusted_root: bytes, prefix: str,
                   results) -> bool:
-    """verify_prefix_bytes on the VO's encoding; False if it has none."""
-    try:
-        blob = vo.to_bytes()
-    except (ValueError, TypeError, KeyError, IndexError, OverflowError,
-            AttributeError, struct.error):
-        return False
-    return verify_prefix_bytes(blob, trusted_root, prefix, results)
+    """verify_prefix_bytes on the VO's encoding."""
+    return verify_prefix_bytes(vo.to_bytes(), trusted_root, prefix, results)
 
 
 def verify_prefix_bytes(vo_bytes: bytes, trusted_root: bytes, prefix: str,

