@@ -13,6 +13,8 @@ import sqlgrammar_oracle as oracle
 from chainquery import sqlgrammar
 
 ADDR = "0x" + "ab" * 20
+ADDR2 = "0x" + "3f" * 20
+ADDR3 = "0x" + "0123456789abcdef" * 2 + "01234567"
 PIECES = ["SELECT", "INSERT", "DELETE", "UPDATE", "FROM", "WHERE",
           "entries", "entry_id", "timestamp", "ts_str", "address",
           "BETWEEN", "AND", "LIKE", "VALUES", "INTO", "SET", "*",
@@ -34,6 +36,15 @@ STATEMENTS = [
     "select * from ENTRIES where timestamp between 3 and 8 ;",
     "SELECT * FROM entries WHERE ts_str LIKE '2023-11%'",
     "SELECT * FROM entries WHERE address LIKE '0xab%'",
+    # the INSERT spellings perfbench sends, then both payloads and a NULL
+    f"INSERT INTO entries (amount, addresses, timestamp, image) "
+    f"VALUES (481516, '{ADDR},{ADDR2}', 1700000000, '00ff')",
+    f"INSERT INTO entries (amount, addresses, timestamp, video) "
+    f"VALUES (2342, '{ADDR},{ADDR2},{ADDR3}', 1700000100, 'c0ffee')",
+    f"INSERT INTO entries (amount, addresses, timestamp, image, video) "
+    f"VALUES (1, '{ADDR2}', 1700000200, '00ff', 'beef');",
+    f"INSERT INTO entries (amount, addresses, timestamp, image, video) "
+    f"VALUES (1, '{ADDR2}', 1700000200, NULL, 'beef')",
 ]
 # 64 KiB payload literals: valid, unterminated, upper case last, a space in
 # the middle. Compared once each, outside the mutated corpus.
@@ -153,20 +164,30 @@ CANONICAL_READS = [
 ]
 
 
-def _read_pattern_inputs():
-    """Spellings on both sides of each edge of `sqlgrammar._READ_RE`."""
-    for sql in CANONICAL_READS:
+def _respellings(statements):
+    """Each statement with each gap, keyword case and tail, and with each
+    keyword letter swapped for a character that folds to it outside ASCII.
+    Quoted literals are respelled too, and also kept as they are."""
+    for sql in statements:
         words = sql.split(" ")
         for gap in (" ", "\t", "\n", "\r\n", "\x0b\x0c", " ", " ",
                     "  ", "\x1c"):
             for case in (str.lower, str.upper, str.title, str.swapcase):
-                for tail in ("", ";", "; \t\n", " ;  ", "\n; ", ";;"):
-                    yield gap + gap.join(map(case, words)) + tail
+                cased = [case(w) for w in words]
+                kept = [w if w.startswith("'") else case(w) for w in words]
+                for spelled in [cased, kept] if kept != cased else [cased]:
+                    for tail in ("", ";", "; \t\n", " ;  ", "\n; ", ";;"):
+                        yield gap + gap.join(spelled) + tail
         for old, new in (("s", "ſ"), ("k", "K"), ("i", "ı"), ("i", "İ"),
                          ("S", "ſ"), ("K", "K"), ("I", "ı"), ("I", "İ")):
             for i, c in enumerate(sql):
-                if c == old and sql.count("'", 0, i) != 1:
+                if c == old and sql.count("'", 0, i) % 2 == 0:
                     yield sql[:i] + new + sql[i + 1:]
+
+
+def _read_pattern_inputs():
+    """Spellings on both sides of each edge of `sqlgrammar._READ_RE`."""
+    yield from _respellings(CANONICAL_READS)
     for field in ("ts_str", "address"):
         for literal in ("'%'", "''", "'%%'", "'a%b%'", "'a_b%'", "'_%'",
                         "'20\n23%'", "'0x\r%'", "'été%'", "'日本%'",
@@ -207,14 +228,15 @@ def test_read_pattern_matches_reference():
                      "SqlSyntaxError", "UnsupportedFeature"}
 
 
-@pytest.mark.parametrize("literal", ["7" * 18, "7" * 19, "7" * 4300,
-                                     "7" * 4301, "0" * 18, "0" + "9" * 17,
-                                     "00012", "0"])
-def test_read_integer_literals_match_reference(literal):
-    """Each integer of each read replaced.  Past the interpreter's
+INTEGER_LITERALS = ["7" * 18, "7" * 19, "7" * 4300, "7" * 4301, "0" * 18,
+                    "0" + "9" * 17, "00012", "0"]
+
+
+def _integers_replaced_match_reference(statements, literal):
+    """Each integer of each statement replaced.  Past the interpreter's
     integer-string limit the reference raises a bare ValueError, as it
     predates the parser's own "integer literal too long" error."""
-    for sql in CANONICAL_READS:
+    for sql in statements:
         for m in re.finditer(r"\b[0-9]+\b", sql):
             text = sql[:m.start()] + literal + sql[m.end():]
             want = outcome(oracle.parse, text)
@@ -223,23 +245,158 @@ def test_read_integer_literals_match_reference(literal):
             assert outcome(sqlgrammar.parse, text) == want, text
 
 
-def test_padded_reads_match_reference():
-    """1 MiB of whitespace at each gap of each read, alone and followed
-    by a stray character: past the pattern's length limit, and the case
-    where a backtracking tail would take quadratic time."""
+@pytest.mark.parametrize("literal", INTEGER_LITERALS)
+def test_read_integer_literals_match_reference(literal):
+    _integers_replaced_match_reference(CANONICAL_READS, literal)
+
+
+def _padded(statements):
+    """1 MiB of whitespace at each gap of each statement, alone and
+    followed by a stray character: past the patterns' length limit, and
+    the case where a backtracking tail would take quadratic time."""
     pad = " " * (1 << 20)
-    for sql in CANONICAL_READS:
+    for sql in statements:
         gaps = [0, *(i for i, c in enumerate(sql) if c == " "), len(sql)]
         for i in gaps:
             for stray in ("", "x"):
-                same_outcome(sql[:i] + pad + stray + sql[i:])
+                yield sql[:i] + pad + stray + sql[i:]
+
+
+def test_padded_reads_match_reference():
+    for sql in _padded(CANONICAL_READS):
+        same_outcome(sql)
+
+
+def _tokenizer_skipped(monkeypatch, statements):
+    """Each statement parses to the reference's AST with `_Tokens`
+    replaced by a function that fails."""
+    want = [repr(oracle.parse(sql)) for sql in statements]
+
+    def no_tokens(sql):
+        raise AssertionError(f"tokenized {sql[:80]!r}")
+    monkeypatch.setattr(sqlgrammar, "_Tokens", no_tokens)
+    assert [repr(sqlgrammar.parse(sql)) for sql in statements] == want
 
 
 def test_canonical_reads_skip_the_tokenizer(monkeypatch):
     """The statement pattern alone parses the five reads perfbench sends."""
-    want = [repr(oracle.parse(sql)) for sql in CANONICAL_READS]
+    _tokenizer_skipped(monkeypatch, CANONICAL_READS)
 
-    def no_tokens(sql):
-        raise AssertionError(f"tokenized {sql!r}")
-    monkeypatch.setattr(sqlgrammar, "_Tokens", no_tokens)
-    assert [repr(sqlgrammar.parse(sql)) for sql in CANONICAL_READS] == want
+
+# INSERTs as perfbench's generator spells them: one to three addresses
+# joined by ",", then an image or a video literal or neither.  The payloads
+# are short here; test_canonical_inserts_skip_the_tokenizer also sends
+# perfbench's 2 KiB image and 64 KiB video.
+SHORT_IMAGE, SHORT_VIDEO = "00ff10", "c0ffee"
+CANONICAL_INSERTS = [
+    "INSERT INTO entries (amount, addresses, timestamp) "
+    f"VALUES (999999, '{ADDR}', 1600000100)",
+    "INSERT INTO entries (amount, addresses, timestamp) "
+    f"VALUES (1, '{ADDR},{ADDR2},{ADDR3}', 1600204800)",
+    "INSERT INTO entries (amount, addresses, timestamp, image) "
+    f"VALUES (4242, '{ADDR},{ADDR2}', 1600000200, '{SHORT_IMAGE}')",
+    "INSERT INTO entries (amount, addresses, timestamp, video) "
+    f"VALUES (77, '{ADDR3}', 1600000300, '{SHORT_VIDEO}')",
+]
+
+
+def _insert_pattern_inputs():
+    """Spellings on both sides of each edge of `sqlgrammar._INSERT_RE` and
+    of the payload and tail checks after it."""
+    yield from _respellings(CANONICAL_INSERTS)
+    head = "INSERT INTO entries (amount, addresses, timestamp"
+    image = head + f", image) VALUES (1, '{ADDR}', 2, "
+    both = head + f", image, video) VALUES (1, '{ADDR}', 2, "
+    for payload in ("''", "'abc'", "'ABCD'", "'00Ff'", "'00 ff'", "' 00ff'",
+                    "'00ff\n'", "'0x00'", "'é0'", "'00ff", "'00ff)", "NULL",
+                    "null", "12", "'00ff' 'ab'", "'ab'cd'", '"00ff"'):
+        yield image + payload + ")"
+        yield both + payload + ", 'ab')"
+        yield both + "'ab', " + payload + ")"
+    for junk in ("x", ";;", "; x", ",", ")", "; ;", "é", "@", "\x1c;",
+                 ";\xa0", "'", "'ab'"):
+        for sql in (image + "'ab')", both + "'ab', 'cd')",
+                    head + f") VALUES (1, '{ADDR}', 2)"):
+            yield sql + junk
+            yield sql + " " + junk
+    for between in ("'ab''cd'", "'ab' x 'cd'", "'ab',,'cd'", "'ab';'cd'",
+                    "'ab'\n,\t'cd'", "'ab'\xa0,'cd'", "'ab',\x1c'cd'"):
+        yield both + between + ")"
+    # a literal that fails its check, then a character the tokenizer
+    # rejects: the tokenizer's error comes first
+    yield from (image + "'ABCD') @", image + "'00ff' @)",
+                head + ") VALUES (1, '0xAB', 2) @",
+                head + ") VALUES (1, '', 2);;é")
+    four = ",".join((ADDR, ADDR2, ADDR3, ADDR))
+    for addresses in (four, f"{ADDR}, {ADDR2}", f" {ADDR} ,", ",", "", " ",
+                      ADDR.upper(), ADDR[:-1], ADDR + "0", f"{ADDR};{ADDR2}"):
+        yield head + f") VALUES (1, '{addresses}', 2)"
+    for columns, values in (
+            ("addresses, amount, timestamp", f"'{ADDR}', 1, 2"),
+            ("amount, addresses, timestamp, video, image",
+             f"1, '{ADDR}', 2, 'ab', 'cd'"),
+            ("amount, addresses, timestamp, image, image",
+             f"1, '{ADDR}', 2, 'ab', 'cd'"),
+            ("amount, amount, addresses, timestamp", f"1, 1, '{ADDR}', 2"),
+            ("amount, addresses", f"1, '{ADDR}'"),
+            ("amount, addresses, timestamp, foo", f"1, '{ADDR}', 2, 3"),
+            ("amount, addresses, timestamp, image", f"1, '{ADDR}', 2"),
+            ("amount, addresses, timestamp", f"1, '{ADDR}', 2, 'ab'"),
+            ("amount, addresses, timestamp", f"1, '{ADDR}'"),
+            ("amount, addresses, timestamp", f"NULL, '{ADDR}', 2"),
+            ("amount, addresses, timestamp", "1, NULL, 2"),
+            ("amount, addresses, timestamp", f"1, '{ADDR}', NULL"),
+            ("amount, addresses, timestamp", f"'1', '{ADDR}', 2"),
+            ("amount, addresses, timestamp", f"1, '{ADDR}', '2'"),
+            ("amount, addresses, timestamp", f"1, {ADDR}, 2"),
+            ("amount, addresses, timestamp", f"1, '{ADDR}', 2x"),
+            ("amount, addresses, timestamp", f"1x, '{ADDR}', 2"),
+            ("amount, addresses, timestamp", f"-1, '{ADDR}', 2"),
+            ("amount, addresses, timestamp", f"1 '{ADDR}', 2"),
+            ("amount, addresses, timestamp", f"1, '{ADDR}' 2"),
+            ("amount, addresses, timestamp", f"1, '{ADDR}, 2"),
+            ("amount addresses, timestamp", f"1, '{ADDR}', 2"),
+            ("amount, addresses, timestamp, image", f"1, '{ADDR}', 2 'ab'")):
+        yield f"INSERT INTO entries ({columns}) VALUES ({values})"
+    values = f"(1, '{ADDR}', 2)"
+    yield from (
+        f"INSERT INTO entries(amount,addresses,timestamp)VALUES{values};",
+        f"insert into entries(amount,addresses,timestamp,image)values(1,"
+        f"'{ADDR}',2,'ab')",
+        f"INSERTINTO entries (amount, addresses, timestamp) VALUES {values}",
+        f"INSERT INTOentries (amount, addresses, timestamp) VALUES {values}",
+        f"INSERT INTO entries (amount, addresses, timestamp) VALUES{values}",
+        f"INSERT INTO entries (amount, addresses, timestamp) {values}",
+        f"INSERT INTO other (amount, addresses, timestamp) VALUES {values}",
+        f"INSERT entries (amount, addresses, timestamp) VALUES {values}",
+        f"INSERT INTO entries amount, addresses, timestamp VALUES {values}",
+        f"INSERT INTO entries (amount, addresses, timestamp) VALUES "
+        f"{values[:-1]}",
+    )
+
+
+def test_insert_pattern_matches_reference():
+    kinds = set()
+    for sql in _insert_pattern_inputs():
+        result = same_outcome(sql)
+        kinds.add(result[0] if isinstance(result, tuple)
+                  else result.split("(")[0])
+    assert kinds == {"InsertQuery", "SqlSyntaxError", "UnsupportedFeature"}
+
+
+@pytest.mark.parametrize("literal", INTEGER_LITERALS)
+def test_insert_integer_literals_match_reference(literal):
+    _integers_replaced_match_reference(CANONICAL_INSERTS, literal)
+
+
+def test_padded_inserts_match_reference():
+    for sql in _padded(CANONICAL_INSERTS):
+        same_outcome(sql)
+
+
+def test_canonical_inserts_skip_the_tokenizer(monkeypatch):
+    """The INSERT pattern and `str.find` alone parse the INSERTs perfbench
+    sends, with its 2 KiB image and 64 KiB video literals too."""
+    full = [sql.replace(SHORT_IMAGE, _LONG_HEX[:4096])
+            .replace(SHORT_VIDEO, _LONG_HEX) for sql in CANONICAL_INSERTS]
+    _tokenizer_skipped(monkeypatch, CANONICAL_INSERTS + full[2:])
