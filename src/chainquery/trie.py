@@ -5,8 +5,12 @@ covering addresses and timestamp strings.  The trie is path-compressed
 (PATRICIA): each node holds an edge label of one or more characters, and
 no node but the root is non-terminal with exactly one child, so the shape
 depends only on the key set.  Each node's digest composes its label, its
-terminal entry ids, and all (first label character, child digest) pairs,
-so a path of sibling digests plus the matched subtree reproduces the root.
+terminal entry ids, and one item per child: that child's first label
+character ‖ its digest.  A node keeps its digest only in that item, as
+it stands in its parent's preimage, so a rehash joins its children's
+cached items in index order, and a proof's sibling runs are those same
+items.  A path of sibling items plus the matched subtree reproduces the
+root.
 
 A prefix proof travels as its wire bytes: prefix_query writes them
 straight from the nodes, and verify_prefix_bytes checks them in one
@@ -25,10 +29,14 @@ from chainquery.core import (_U32, _U64, DOM_TRIE, VODecodeError,
 from chainquery.gas import GasMeter
 
 ALPHABET = "0123456789abcdef-:"
-ALPHABET_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 MAX_KEY_LEN = 64
 # stands for a prefix character outside the alphabet: no label holds it
 _NOT_IN_ALPHABET = 0xFF
+# an ASCII byte's alphabet index, _NOT_IN_ALPHABET for any other byte; a
+# string reaches it through encode("ascii", "replace"), which turns each
+# non-ASCII character into one "?"
+_TO_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET
+                  else _NOT_IN_ALPHABET for b in range(256))
 
 
 class InvalidCharacter(ValueError):
@@ -44,12 +52,14 @@ _BYTE = {i: bytes([i]) for i in range(256)}
 
 # A node's digest preimage, spelled once, as hashed: DOM_TRIE's tag byte,
 # then label length u8 ‖ label ‖ terminal u8 ‖ id count u32 ‖ ids ‖ child
-# count u8 ‖ one (first label index u8 ‖ digest) per child.  node_digest
-# hands all but the tag to digest(), which puts it back (and which the
-# benchmark's tracer counts).  The verifier puts the tag and the terminal
-# byte around slices of the VO, which holds the rest as it is hashed, and
-# hashes that with hashlib itself.
-_HEAD = {n: bytes((DOM_TRIE, n)) for n in range(256)}  # tag, label length
+# count u8 ‖ the children's items in index order.  A node's item is its
+# first label index u8 ‖ its digest, as it stands in its parent's
+# preimage and in a proof's sibling runs; each node keeps its own in
+# place of a bare digest, so a rehash joins its children's items and
+# rebuilds none.  _node_preimage writes all but the tag, which digest()
+# puts first (and which the benchmark's tracer counts).  The verifier
+# puts the tag and the terminal byte around slices of the VO, which
+# holds the rest as it is hashed, and hashes that with hashlib itself.
 _TAG = bytes((DOM_TRIE,))
 _NO_IDS = bytes(5)                        # not terminal, no ids
 _ONE_ID = struct.Struct(">BIQ")           # terminal, 1, id
@@ -57,7 +67,9 @@ _TERMINAL = (b"\x00", b"\x01")            # by whether there are ids
 _NO_ID_LIST = bytes(4)                    # an empty id list on the wire
 
 
-def _node_preimage(label: bytes, entry_ids, child_items) -> bytes:
+def _node_preimage(label: bytes, entry_ids, items) -> bytes:
+    """A node's preimage but the tag; items: its children's items in index
+    order."""
     n = len(entry_ids)
     if n == 0:
         ids = _NO_IDS
@@ -65,20 +77,19 @@ def _node_preimage(label: bytes, entry_ids, child_items) -> bytes:
         ids = _ONE_ID.pack(1, 1, entry_ids[0])
     else:
         ids = b"\x01" + _pack_u64_list(entry_ids)
-    return b"".join([_HEAD[len(label)], label, ids, _BYTE[len(child_items)],
-                     *[_BYTE[i] + d for i, d in child_items]])
+    return b"".join([_BYTE[len(label)], label, ids, _BYTE[len(items)],
+                     *items])
 
 
 def node_digest(label: bytes, entry_ids, child_items) -> bytes:
-    """label: the node's alphabet indices.  child_items: sequence of
-    (index, digest) pairs in ascending index order, each index the first
-    character of that child's label.  The terminal flag is set by a
-    non-empty entry id list."""
-    return digest(DOM_TRIE, _node_preimage(label, entry_ids, child_items)[1:])
+    """label: the node's alphabet indices.  child_items: the children's
+    items (first label index u8 ‖ digest) in ascending index order.  The
+    terminal flag is set by a non-empty entry id list."""
+    return digest(DOM_TRIE, _node_preimage(label, entry_ids, child_items))
 
 
 class TrieNode:
-    __slots__ = ("label", "children", "entry_ids", "node_digest")
+    __slots__ = ("label", "children", "entry_ids", "item")
 
     def __init__(self, label: bytes):
         self.label = label
@@ -87,16 +98,15 @@ class TrieNode:
         # a shared empty tuple until the node turns terminal: most inner
         # nodes never do, and a list each would cost memory and GC time
         self.entry_ids: list[int] | tuple = ()
-        self.node_digest = None    # None: stale until the next flush
+        # label[:1] ‖ digest, None while stale; the root's label is
+        # empty, so its item is its digest
+        self.item = None
 
     def recompute_digest(self) -> None:
-        self.node_digest = node_digest(self.label, self.entry_ids,
-                                       _items(self))
-
-
-def _items(node: TrieNode):
-    """(index, digest) of node's children in index order."""
-    return [(i, node.children[i].node_digest) for i in sorted(node.children)]
+        """Rehash from the children's items, which must be fresh."""
+        kids = self.children
+        self.item = self.label[:1] + digest(DOM_TRIE, _node_preimage(
+            self.label, self.entry_ids, [kids[i].item for i in sorted(kids)]))
 
 
 class PrefixVO:
@@ -124,7 +134,7 @@ class PrefixVO:
 
 def _indices(prefix: str) -> bytes:
     """prefix as alphabet indices, _NOT_IN_ALPHABET for other characters."""
-    return bytes([ALPHABET_INDEX.get(c, _NOT_IN_ALPHABET) for c in prefix])
+    return prefix.encode("ascii", "replace").translate(_TO_INDEX)
 
 
 def _match_len(label: bytes, want: bytes, pos: int) -> int:
@@ -148,14 +158,14 @@ class Trie:
         self.last_descent_visits = 0
 
     def root_digest(self) -> bytes:
-        if self.root.node_digest is None:
+        if self.root.item is None:
             self._flush_node(self.root)
-        return self.root.node_digest
+        return self.root.item
 
     def _flush_node(self, node: TrieNode) -> None:
         """Rehash node, which is stale, after its stale children."""
         for child in node.children.values():
-            if child.node_digest is None:
+            if child.item is None:
                 self._flush_node(child)
         node.recompute_digest()
         self.meter.compute()
@@ -166,11 +176,11 @@ class Trie:
             raise InvalidCharacter("key must be non-empty")
         if len(key) > MAX_KEY_LEN:
             raise KeyTooLong(f"key length {len(key)} exceeds {MAX_KEY_LEN}")
-        try:
-            return bytes([ALPHABET_INDEX[c] for c in key])
-        except KeyError:
-            bad = next(c for c in key if c not in ALPHABET_INDEX)
-            raise InvalidCharacter(f"character {bad!r} not in alphabet") from None
+        idxs = _indices(key)
+        if _NOT_IN_ALPHABET in idxs:
+            bad = key[idxs.index(_NOT_IN_ALPHABET)]
+            raise InvalidCharacter(f"character {bad!r} not in alphabet")
+        return idxs
 
     def insert(self, key: str, entry_id: int) -> None:
         """Add entry_id under key; a bad key or id raises first.  Every
@@ -181,7 +191,7 @@ class Trie:
             raise ValueError("entry_id must be non-negative")
         key = self._check_key(key)
         node, pos, visited, written = self.root, 0, 0, 1
-        node.node_digest = None
+        node.item = None
         while pos < len(key):
             child = node.children.get(key[pos])
             if child is None:
@@ -194,7 +204,7 @@ class Trie:
                 if common < len(label):
                     # the key leaves the edge inside its label: split it,
                     # and hang the old node under the shared part
-                    child.node_digest = None
+                    child.item = None
                     written += 1
                     child.label = label[common:]
                     mid = node.children[key[pos]] = TrieNode(label[:common])
@@ -202,7 +212,7 @@ class Trie:
                     child = mid
                 pos += common
             node = child
-            node.node_digest = None
+            node.item = None
             written += 1
         ids = node.entry_ids
         if not ids:
@@ -233,8 +243,7 @@ class Trie:
                 break  # no branch for the next character
             parts += _label_ids(node)
             parts += (_BYTE[idx], _BYTE[len(kids) - 1])
-            parts += [_BYTE[i] + kids[i].node_digest
-                      for i in sorted(kids) if i != idx]
+            parts += [kids[i].item for i in sorted(kids) if i != idx]
             npath += 1
             node = child
             matched = _match_len(node.label, want, pos)
@@ -247,7 +256,7 @@ class Trie:
             kids = node.children
             parts += _label_ids(node)
             parts.append(_BYTE[len(kids)])
-            parts += [_BYTE[i] + kids[i].node_digest for i in sorted(kids)]
+            parts += [kids[i].item for i in sorted(kids)]
             parts[0] = bytes((PrefixVO.MODE_NONMATCH, npath))
             return [], PrefixVO(root, b"".join(parts))
         # the prefix ends inside or at the end of node's label: reveal the

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import verify_oracle as reference
 from chainquery.trie import (ALPHABET, InvalidCharacter, KeyTooLong,
-                             PrefixVO, Trie, node_digest, verify_prefix,
-                             verify_prefix_bytes)
+                             PrefixVO, Trie, _indices, node_digest,
+                             verify_prefix, verify_prefix_bytes)
 from chainquery.gas import GasMeter
 
 
@@ -113,9 +113,15 @@ def test_digest_consistency_bottom_up():
     trie.root_digest()
 
     def recompute(node):
-        items = [(i, recompute(node.children[i])) for i in sorted(node.children)]
+        items = [bytes([i]) + recompute(node.children[i])
+                 for i in sorted(node.children)]
         d = node_digest(node.label, node.entry_ids, items)
-        assert d == node.node_digest
+        # the item a parent's preimage and a proof's sibling runs use;
+        # the root's label is empty, so its item is the root
+        if node is trie.root:
+            assert node.item == d == trie.root_digest()
+        else:
+            assert node.item == bytes([node.label[0]]) + d
         return d
 
     recompute(trie.root)
@@ -155,6 +161,69 @@ def test_shape_depends_only_on_the_key_set(pairs, rng, chunk):
         assert bool(node.entry_ids) == \
             ("".join(ALPHABET[i] for i in spelled) in keys)
     assert count == len(keys) == trie.key_count
+
+
+_PREFIXES = ("", "0", "01", "a", "ab", "ab:", ":", "-", "1-", "b0a", "0_")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet="01ab:-", min_size=1, max_size=8),
+                          st.integers(0, 40)), max_size=30),
+       st.data())
+def test_cached_items_never_stale(pairs, data):
+    """Roots and prefix VOs flushed at random points, by root_digest() or
+    by a prefix_query that then reads the cached items, equal those of a
+    trie built in one batch: the shape depends only on the key set, so a
+    stale item would show in a root or a sibling run."""
+    trie = Trie()
+    for key, eid in pairs:
+        trie.insert(key, eid)
+        action = data.draw(st.integers(0, 2))
+        if action == 1:
+            trie.root_digest()
+        elif action == 2:
+            trie.prefix_query(data.draw(st.sampled_from(_PREFIXES)))
+    batch = build(pairs)
+    assert trie.root_digest() == batch.root_digest()
+    for prefix in _PREFIXES + tuple(key for key, _ in pairs):
+        results, vo = trie.prefix_query(prefix)
+        expected, batch_vo = batch.prefix_query(prefix)
+        assert results == expected
+        assert vo.to_bytes() == batch_vo.to_bytes()
+
+
+@pytest.mark.parametrize("bad", ["\u00e9", "\uff41", "\u0663", "\ud800",
+                                 "\x00", "A", "_"])
+def test_key_outside_alphabet_names_first_bad_character(bad):
+    trie = build([("ab", 1), ("abc", 2)])
+    root = trie.root_digest()
+    for key, first in ((bad, bad), ("ab" + bad, bad), ("0" * 62 + bad, bad),
+                       (bad + "\u00e9_", bad), ("x" + bad, "x")):
+        with pytest.raises(InvalidCharacter) as exc:
+            trie.insert(key, 3)
+        assert str(exc.value) == f"character {first!r} not in alphabet"
+    # the length is checked first, over characters as the key counts them
+    for key in (bad * 65, "ab" * 32 + bad):
+        with pytest.raises(KeyTooLong):
+            trie.insert(key, 3)
+    assert trie.root_digest() == root
+    trie.insert("0" * 64, 3)
+    assert trie.prefix_query("0" * 64)[0] == [3]
+    # in a prefix the same characters match nothing, and the
+    # non-membership proof verifies
+    root = trie.root_digest()
+    for prefix in (bad, "a" + bad, "ab" + bad, "abc" + bad, "0" * 30 + bad):
+        results, vo = trie.prefix_query(prefix)
+        assert results == []
+        assert vo.to_bytes()[32] == PrefixVO.MODE_NONMATCH
+        assert verify_prefix_bytes(vo.to_bytes(), root, prefix, [])
+
+
+def test_indices_match_alphabet_positions_for_every_code_point():
+    text = "".join(map(chr, range(0x110000)))
+    want = bytes([ALPHABET.index(c) if c in ALPHABET else 0xFF
+                  for c in text])
+    assert _indices(text) == want
 
 
 def test_split_inside_one_batch():
@@ -258,8 +327,7 @@ def test_crafted_label_vos_rejected():
     crafted = PrefixVO.from_bytes(
         blob[:32] + bytes([PrefixVO.MODE_NONMATCH]) + blob[33:48]
         + bytes([len(node_ab.children)])
-        + b"".join(bytes([i]) + c.node_digest
-                   for i, c in sorted(node_ab.children.items())))
+        + b"".join(c.item for _, c in sorted(node_ab.children.items())))
     for prefix in ("a", "ab"):
         assert not verify_prefix(crafted, root, prefix, [])
         assert not verify_prefix_bytes(crafted.to_bytes(), root, prefix, [])
@@ -348,7 +416,7 @@ def test_rejected_insert_changes_nothing():
     with pytest.raises(ValueError):
         trie.insert("abd", -1)
     # nothing was marked stale
-    assert trie.root.node_digest == root
+    assert trie.root.item == root
     assert trie.root_digest() == root
     assert trie.prefix_query("abc")[0] == []
 
