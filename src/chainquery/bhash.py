@@ -8,29 +8,27 @@ bits.  Its shape depends only on the key set, so an insert rehashes one
 root-to-leaf path, and a range proof carries one digest per level.
 
 A range proof travels as its wire bytes: range_query writes them straight
-from the nodes, and verify_range_bytes checks them in one forward walk
-that hashes nothing, then hashes preimages built from slices of them.
+from the nodes, and the light client (`chainquery.client`) checks them.
 A RangeVO is just the claimed root and those bytes.
 """
 from __future__ import annotations
 
-import hashlib
 import struct
 from bisect import bisect_left, insort
 from typing import Optional
 
-from chainquery import _kernels
-from chainquery.core import (_U32, _U64, DOM_BUCKET, DOM_INTERNAL, DOM_LEAF,
-                             MAX_TIMESTAMP, VODecodeError, _check_timestamp,
-                             _pack_u64_list, _pack_u64s, _u64_run, digest)
+from chainquery import _kernels, client
+from chainquery.core import (_BRANCH_PREFIX, _BUCKET_LEAF, _HASH_NODE_HEAD,
+                             _HASHLEAF_HEAD, _IDS_HEAD, _INTERNAL_HEAD,
+                             _KEY_COUNT, _LEAF_HEAD, _RANGE, _U32, _U64,
+                             DOM_BUCKET, DOM_INTERNAL, DOM_LEAF,
+                             MAX_TIMESTAMP, P_HASHLEAF, P_INTERNAL, P_LEAF,
+                             P_PRUNED, VODecodeError, _check_timestamp,
+                             _pack_u64_list, _pack_u64s, digest)
 from chainquery.gas import GasMeter
 
 BRANCHING = 16
 DEFAULT_THRESHOLD = 10
-# Deepest proof nesting the verifier's walk accepts.  Split nodes keep at
-# least 8 children, so an honest tree this deep would hold over 2^64
-# entries.
-MAX_PROOF_DEPTH = 64
 
 
 class DuplicateEntry(ValueError):
@@ -39,7 +37,6 @@ class DuplicateEntry(ValueError):
 
 # --- digest compositions -------------------------------------------------
 
-_RANGE = struct.Struct(">QQ")              # a node's lo, hi
 _RANGE_COUNT = struct.Struct(">QQI")       # lo, hi, pair or child count
 
 
@@ -56,21 +53,7 @@ def leaf_digest(pairs, lo: int, hi: int) -> bytes:
     return digest(DOM_LEAF, _leaf_body(lo, hi, pairs))
 
 
-# The bucket preimages, spelled once.  Each layout below is the whole
-# SHA-256 input, DOM_BUCKET's tag byte first: the verifier hashes it with
-# hashlib itself, the ids after a head from _IDS_HEADS sliced from the VO,
-# and the provers hand the rest of it to digest(), which puts the tag back
-# (and which the benchmark's tracer counts).
-#   ids     0x03 ‖ count u32 ‖ count × id u64
-#   leaf    0x00 ‖ key u64 ‖ ids digest
-#   branch  0x04 ‖ bit u8 ‖ left digest ‖ right digest
-_IDS_HEAD = bytes((DOM_BUCKET, 0x03))
-# the ids preimage up to the ids, for each count a one-byte count spells
-_IDS_HEADS = tuple(_IDS_HEAD + _U32.pack(n) for n in range(0xFF))
 _ONE_ID = struct.Struct(">2sIQ")           # _IDS_HEAD, 1, id
-_LEAF_HEAD = bytes((DOM_BUCKET, 0x00))
-_BUCKET_LEAF = struct.Struct(">2sQ32s")    # _LEAF_HEAD, key, ids digest
-_BRANCH_PREFIX = [bytes((DOM_BUCKET, 0x04, bit)) for bit in range(64)]
 
 
 def _ids_preimage(entry_ids) -> bytes:
@@ -89,12 +72,13 @@ def bucket_leaf_digest(key: int, ids_digest: bytes) -> bytes:
 
 
 def hash_node_digest(crit_root: bytes, lo: int, hi: int) -> bytes:
-    return digest(DOM_INTERNAL, b"\x02" + crit_root + _RANGE.pack(lo, hi))
+    return digest(DOM_INTERNAL,
+                  _HASH_NODE_HEAD + crit_root + _RANGE.pack(lo, hi))
 
 
 def internal_digest(child_triples, lo: int, hi: int) -> bytes:
     """child_triples: iterable of (child_lo, child_hi, child_digest)."""
-    parts = [b"\x01", _U32.pack(len(child_triples))]
+    parts = [_INTERNAL_HEAD, _U32.pack(len(child_triples))]
     for clo, chi, d in child_triples:
         parts += [_RANGE.pack(clo, chi), d]
     parts.append(_RANGE.pack(lo, hi))
@@ -171,31 +155,6 @@ def _crit_window_paths(root, first: int, last: int):
             a, b)
 
 
-def _crit_fold(items, gaps):
-    """Root of the crit-bit tree whose leaves, in key order, have the
-    digests `items`; gaps[i] is the bit of the branch that separates
-    items[i] from items[i + 1].  None if two gaps with only larger gaps
-    between them are equal, which no crit-bit tree has.  Hashes inline:
-    this is the verifier's hot loop."""
-    sha256, prefix = hashlib.sha256, _BRANCH_PREFIX
-    # bits holds the open branches' bits above a -1 that no gap reaches
-    digests, bits = [items[0]], [-1]
-    for gap, item in zip(gaps, items[1:]):
-        while bits[-1] > gap:
-            right = digests.pop()
-            digests[-1] = sha256(prefix[bits.pop()] + digests[-1]
-                                 + right).digest()
-        if bits[-1] == gap:
-            return None
-        bits.append(gap)
-        digests.append(item)
-    while len(digests) > 1:
-        right = digests.pop()
-        digests[-1] = sha256(prefix[bits.pop()] + digests[-1]
-                             + right).digest()
-    return digests[0]
-
-
 # --- nodes ---------------------------------------------------------------
 
 class BHashNode:
@@ -227,13 +186,6 @@ class BHashNode:
 
 # --- verification objects ------------------------------------------------
 
-# Proof node kinds (wire tags).
-P_PRUNED = 0
-P_LEAF = 1
-P_INTERNAL = 2
-P_HASHLEAF = 3
-
-
 class RangeVO:
     """Proof that a range query's results are exactly the entries the
     anchored tree holds in [start_key, end_key]: the claimed root and
@@ -255,14 +207,8 @@ class RangeVO:
 
 # --- wire format for proof trees ----------------------------------------
 
-# One layout per record; each proof node starts with its kind byte.  In a
-# hash-leaf record, digest-only buckets only ever sit at the window edges,
-# so two flag bits say whether each edge has one, and id counts use a
-# one-byte varint: revealed buckets cost 8+1+8*ids bytes.  Each side is
-# count u8 ‖ count bits ‖ count digests.
+# Writer-only record layouts; a revealed bucket costs 8+1+8*ids bytes.
 _KIND = {k: bytes((k,)) for k in (P_PRUNED, P_LEAF, P_INTERNAL, P_HASHLEAF)}
-_HASHLEAF_HEAD = struct.Struct(">QQBI")    # lo, hi, flags, nrev
-_KEY_COUNT = struct.Struct(">QB")          # a revealed bucket's key, count
 _KEY_ONE_ID = struct.Struct(">QBQ")        # key, 1, its one id
 
 
@@ -528,14 +474,6 @@ class BHashTree:
 
 
 # --- verification --------------------------------------------------------
-#
-# The verifier reads the VO bytes in one forward walk that hashes nothing:
-# it checks the proof's shape, key order and completeness and gathers the
-# in-range ids, which must equal the claimed results.  Only a proof that
-# passes all of it is hashed, from the nodes the walk recorded, children
-# before parents, each preimage built from slices of the VO.  So a forged
-# or damaged proof costs no SHA-256 call unless it is consistent with the
-# claim.
 
 def verify_range(vo: RangeVO, trusted_root: bytes, start_time: int,
                  end_time: int, results) -> bool:
@@ -546,208 +484,6 @@ def verify_range(vo: RangeVO, trusted_root: bytes, start_time: int,
 
 def verify_range_bytes(vo_bytes: bytes, trusted_root: bytes, start_time: int,
                        end_time: int, results) -> bool:
-    """True iff the serialized VO recomputes trusted_root, its in-range
-    entries equal the claimed results, and no in-range key could have been
-    omitted; malformed bytes verify as False."""
-    try:
-        return _verify_range(vo_bytes, trusted_root, start_time, end_time,
-                             results)
-    except (ValueError, TypeError, IndexError, OverflowError, struct.error):
-        return False
-
-
-def _verify_range(data, trusted_root, start_time, end_time, results) -> bool:
-    if len(data) < 32 or data[:32] != trusted_root:
-        return False
-    if start_time > end_time:
-        # the whole tree as one pruned node, whose digest is the root
-        return (len(data) == 81 and data[32] == P_PRUNED and results == []
-                and data[49:] == trusted_root)
-    lo = _check_timestamp(max(start_time, 0))
-    hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
-    # one leaf gives its ids in (key, id) order; under an internal node
-    # they are gathered with their keys and sorted, as the prover does
-    keyed = data[32] == P_INTERNAL
-    found: list = []
-    nodes: list = []
-    if _walk(data, 32, 0, lo, hi, found, keyed, nodes) != len(data):
-        return False
-    if keyed:
-        found.sort()
-        found = [eid for _, eid in found]
-    if found != list(results):
-        return False
-    return _proof_root(data, nodes) == trusted_root
-
-
-def _walk(data, off: int, depth: int, lo: int, hi: int, found, keyed: bool,
-          nodes) -> int:
-    """Check the proof node at off without hashing: the offset after it,
-    or -1 if it is malformed or could hide a key in [lo, hi].  Gathers its
-    in-range ids in found and records its nodes, parents first, in nodes
-    for _proof_root."""
-    if depth > MAX_PROOF_DEPTH:
-        return -1
-    kind = data[off]
-    if kind == P_HASHLEAF:
-        return _walk_hash_leaf(data, off, lo, hi, found, keyed, nodes)
-    if kind == P_PRUNED:
-        nlo, nhi = _RANGE.unpack_from(data, off + 1)
-        end = off + 49
-        # a pruned subtree may not overlap the query range
-        if end > len(data) or nlo <= hi and nhi >= lo:
-            return -1
-        nodes.append((P_PRUNED, off))
-        return end
-    if kind == P_LEAF:
-        n, = _U32.unpack_from(data, off + 17)
-        end = off + 21 + 16 * n
-        if end > len(data):
-            return -1
-        flat = _u64_run(2 * n).unpack_from(data, off + 21)
-        pairs = list(zip(flat[::2], flat[1::2]))
-        if pairs != sorted(pairs):
-            return -1
-        hits = [pair for pair in pairs if lo <= pair[0] <= hi]
-        found += hits if keyed else [eid for _, eid in hits]
-        nodes.append((P_LEAF, off, end))
-        return end
-    if kind == P_INTERNAL:
-        n, = _U32.unpack_from(data, off + 17)
-        if n == 0:
-            return -1
-        nodes.append((P_INTERNAL, off, n))
-        off += 21
-        for _ in range(n):  # each child takes a byte at least
-            off = _walk(data, off, depth + 1, lo, hi, found, keyed, nodes)
-            if off < 0:
-                return -1
-        return off
-    return -1
-
-
-def _walk_hash_leaf(data, off: int, lo: int, hi: int, found, keyed: bool,
-                    nodes) -> int:
-    """_walk for a hash-leaf record.  Window keys strictly increase;
-    revealed buckets lie in the range and digest-only ones, whose ids stay
-    hidden, outside it.  Records where each window bucket's leaf preimage
-    lies, and the crit-bit gaps between the proof's items."""
-    _, _, flags, nrev = _HASHLEAF_HEAD.unpack_from(data, off + 1)
-    # the prover writes a lone digest-only bucket as the first, never the
-    # last: one encoding per proof
-    if flags & ~0x03 or flags == 2 and nrev == 0:
-        return -1
-    size, p = len(data), off + 22
-    keys, revealed = [], []
-    before = after = -1  # the digest-only buckets' offsets: key ‖ digest
-    if flags & 1:
-        key, = _U64.unpack_from(data, p)
-        if p + 40 > size or lo <= key <= hi:
-            return -1
-        keys.append(key)
-        before, p = p, p + 40
-    prev = keys[0] if keys else -1
-    for _ in range(nrev):
-        key, cnt = _KEY_COUNT.unpack_from(data, p)
-        start = p = p + 9
-        if cnt == 0xFF:  # the u32 count that follows is preimage bytes
-            cnt, = _U32.unpack_from(data, p)
-            if cnt < 0xFF:  # a count the byte could hold: not canonical
-                return -1
-            head, p = _IDS_HEAD, p + 4
-        else:
-            head = _IDS_HEADS[cnt]
-        end = p + 8 * cnt
-        if end > size or key <= prev or not lo <= key <= hi:
-            return -1
-        if cnt == 1:
-            eid, = _U64.unpack_from(data, p)
-            found.append((key, eid) if keyed else eid)
-        else:
-            ids = _u64_run(cnt).unpack_from(data, p)
-            if list(ids) != sorted(ids):
-                return -1
-            found += [(key, eid) for eid in ids] if keyed else ids
-        keys.append(key)
-        revealed.append((key, head, start, end))
-        prev, p = key, end
-    if flags & 2:
-        key, = _U64.unpack_from(data, p)
-        if p + 40 > size or key <= prev or lo <= key <= hi:
-            return -1
-        keys.append(key)
-        after, p = p, p + 40
-    if not keys:
-        return -1
-    lbits = data[p + 1:p + 1 + data[p]]
-    ldigs, p = p + 1 + len(lbits), p + 1 + 33 * data[p]
-    rbits = data[p + 1:p + 1 + data[p]]
-    rdigs, p = p + 1 + len(rbits), p + 1 + 33 * data[p]
-    if p > size:
-        return -1
-    # Completeness: every key of a left subtree shares the first window
-    # key's bits above the subtree's branch bit and has a 0 there, where
-    # the first key has a 1; its interval must end below lo.  The right
-    # side mirrors this around the last key and hi.
-    first, last = keys[0], keys[-1]
-    prev = -1
-    for bit in lbits:
-        if (not prev < bit < 64 or not first >> (63 - bit) & 1
-                or (first >> (63 - bit) ^ 1) << (63 - bit)
-                | ((1 << (63 - bit)) - 1) >= lo):
-            return -1
-        prev = bit
-    prev = 64
-    for bit in rbits:
-        if (not 0 <= bit < prev or last >> (63 - bit) & 1
-                or (last >> (63 - bit) | 1) << (63 - bit) <= hi):
-            return -1
-        prev = bit
-    gaps = [*lbits, *[64 - (a ^ b).bit_length()
-                      for a, b in zip(keys, keys[1:])], *rbits]
-    nodes.append((P_HASHLEAF, off, before, revealed, after, gaps,
-                  ldigs, len(lbits), rdigs, len(rbits)))
-    return p
-
-
-def _proof_root(data, nodes) -> bytes:
-    """The digest of a proof that passed _walk: its nodes hashed in
-    reverse of the walk's order, so that each node's children are done
-    before it.  A stack entry is a child's lo ‖ hi ‖ digest, as its
-    parent's preimage holds it."""
-    stack: list[bytes] = []
-    for node in reversed(nodes):
-        kind, off = node[0], node[1]
-        span = data[off + 1:off + 17]  # lo ‖ hi
-        if kind == P_PRUNED:
-            stack.append(data[off + 1:off + 49])
-        elif kind == P_LEAF:
-            stack.append(span + digest(DOM_LEAF, data[off + 1:node[2]]))
-        elif kind == P_HASHLEAF:
-            stack.append(span + digest(DOM_INTERNAL, b"\x02"
-                                       + _crit_root(data, node) + span))
-        else:
-            n = node[2]
-            children = stack[-n:]
-            del stack[-n:]
-            children.reverse()
-            stack.append(span + digest(DOM_INTERNAL, b"".join(
-                [b"\x01", data[off + 17:off + 21], *children, span])))
-    return stack[0][16:]
-
-
-def _crit_root(data, node) -> bytes:
-    """A checked hash leaf's crit-bit root, its buckets hashed inline.
-    The walk's side checks leave no two gaps that _crit_fold refuses."""
-    _, _, before, revealed, after, gaps, ldigs, nleft, rdigs, nright = node
-    sha256, pack_leaf = hashlib.sha256, _BUCKET_LEAF.pack
-    items = [data[q:q + 32] for q in range(ldigs, ldigs + 32 * nleft, 32)]
-    if before >= 0:  # the slice is the leaf preimage's key ‖ digest
-        items.append(sha256(_LEAF_HEAD + data[before:before + 40]).digest())
-    items += [sha256(pack_leaf(_LEAF_HEAD, key, sha256(
-        head + data[start:end]).digest())).digest()
-        for key, head, start, end in revealed]
-    if after >= 0:
-        items.append(sha256(_LEAF_HEAD + data[after:after + 40]).digest())
-    items += [data[q:q + 32] for q in range(rdigs, rdigs + 32 * nright, 32)]
-    return _crit_fold(items, gaps)
+    """client.verify_range_bytes, under the name the benchmark traces."""
+    return client.verify_range_bytes(vo_bytes, trusted_root, start_time,
+                                     end_time, results)

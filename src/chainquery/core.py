@@ -89,6 +89,64 @@ def _pack_u64_list(values) -> bytes:
     return run.pack(n, *values)
 
 
+# --- the layouts an index's writer and the light client share -------------
+# Time index.  Each proof node starts with its kind byte.  In a hash-leaf
+# record, two flag bits say whether each window edge has a digest-only
+# bucket, and id counts are a one-byte varint.
+P_PRUNED = 0
+P_LEAF = 1
+P_INTERNAL = 2
+P_HASHLEAF = 3
+_RANGE = struct.Struct(">QQ")              # a node's lo, hi
+_HASHLEAF_HEAD = struct.Struct(">QQBI")    # lo, hi, flags, nrev
+_KEY_COUNT = struct.Struct(">QB")          # a revealed bucket's key, count
+# The DOM_INTERNAL preimages start with the node's head byte:
+#   internal   0x01 ‖ child count u32 ‖ per child lo ‖ hi ‖ digest ‖ lo ‖ hi
+#   hash node  0x02 ‖ crit root ‖ lo ‖ hi
+_INTERNAL_HEAD = b"\x01"
+_HASH_NODE_HEAD = b"\x02"
+# The bucket preimages, each the whole SHA-256 input from DOM_BUCKET's tag
+# on: the writer hands all but the tag to digest(), and the client hashes
+# one with hashlib, the ids after an _IDS_HEADS head sliced from the VO.
+#   ids     0x03 ‖ count u32 ‖ count × id u64
+#   leaf    0x00 ‖ key u64 ‖ ids digest
+#   branch  0x04 ‖ bit u8 ‖ left digest ‖ right digest
+_IDS_HEAD = bytes((DOM_BUCKET, 0x03))
+# the ids preimage up to the ids, for each count a one-byte count spells
+_IDS_HEADS = tuple(_IDS_HEAD + _U32.pack(n) for n in range(0xFF))
+_LEAF_HEAD = bytes((DOM_BUCKET, 0x00))
+_BUCKET_LEAF = struct.Struct(">2sQ32s")    # _LEAF_HEAD, key, ids digest
+_BRANCH_PREFIX = [bytes((DOM_BUCKET, 0x04, bit)) for bit in range(64)]
+
+# Trie.  Keys are strings over ALPHABET, held as alphabet indices.
+ALPHABET = "0123456789abcdef-:"
+MAX_KEY_LEN = 64
+# stands for a prefix character outside the alphabet: no label holds it
+_NOT_IN_ALPHABET = 0xFF
+# an ASCII byte's alphabet index, _NOT_IN_ALPHABET for any other byte; a
+# string reaches it through encode("ascii", "replace"), which turns each
+# non-ASCII character into one "?"
+_TO_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET
+                  else _NOT_IN_ALPHABET for b in range(256))
+
+
+def _indices(prefix: str) -> bytes:
+    """prefix as alphabet indices, _NOT_IN_ALPHABET for other characters."""
+    return prefix.encode("ascii", "replace").translate(_TO_INDEX)
+
+
+# one-byte encodings; a dict, so a negative index fails as bytes([i]) would
+_BYTE = {i: bytes([i]) for i in range(256)}
+# A trie node's preimage: DOM_TRIE's tag ‖ label length u8 ‖ label ‖
+# terminal u8 ‖ id count u32 ‖ ids ‖ child count u8 ‖ the children's items
+# in index order.  A prefix VO holds all but the tag and terminal byte.
+_TAG = bytes((DOM_TRIE,))
+_TERMINAL = (b"\x00", b"\x01")            # by whether there are ids
+# A prefix VO is claimed root ‖ mode u8 ‖ path length u8 ‖ path ‖ terminal.
+MODE_NONMATCH = 0
+MODE_MATCH = 1
+
+
 @dataclass(frozen=True)
 class DataEntry:
     """On-chain quintuple: amount, addresses, timestamp, optional media cids."""

@@ -8,10 +8,10 @@ cache, query the index for ids and a VO (verification object), check that
 the VO's root is the latest anchored root, drop deleted or superseded
 entries, check the payloads of the rest with the store and cache those
 entries; a hit skips all of that.  The engine runs no verifier: a client
-checks the VO bytes against the anchors.  The memory store hashes each
-stored payload object on its first fetch and again whenever the object
-under a cid changes; the disk store re-hashes on every fetch.  Every read
-builds fresh row dicts from the entries.
+checks the VO bytes against the anchors with `chainquery.client`.  The
+memory store hashes each stored payload object on its first fetch and
+again whenever the object under a cid changes; the disk store re-hashes
+on every fetch.  Every read builds fresh row dicts from the entries.
 
 `execute` parses each read statement's text once per engine: a dict maps
 the text to its AST, which `parse` makes as a pure function of the text,

@@ -13,30 +13,21 @@ items.  A path of sibling items plus the matched subtree reproduces the
 root.
 
 A prefix proof travels as its wire bytes: prefix_query writes them
-straight from the nodes, and verify_prefix_bytes checks them in one
-forward walk that hashes nothing, then hashes preimages built from slices
-of them.  A PrefixVO is just the claimed root and those bytes.
+straight from the nodes, and the light client (`chainquery.client`)
+checks them.  A PrefixVO is just the claimed root and those bytes.
 """
 from __future__ import annotations
 
-import hashlib
 import struct
 from bisect import bisect_left
 from typing import Optional
 
-from chainquery.core import (_U32, _U64, DOM_TRIE, VODecodeError,
-                             _pack_u64_list, _u64_run, digest)
+from chainquery import client
+# ALPHABET, the keys' alphabet, stays importable from here
+from chainquery.core import (_BYTE, _NOT_IN_ALPHABET, _TERMINAL, ALPHABET,
+                             DOM_TRIE, MAX_KEY_LEN, MODE_MATCH, MODE_NONMATCH,
+                             VODecodeError, _indices, _pack_u64_list, digest)
 from chainquery.gas import GasMeter
-
-ALPHABET = "0123456789abcdef-:"
-MAX_KEY_LEN = 64
-# stands for a prefix character outside the alphabet: no label holds it
-_NOT_IN_ALPHABET = 0xFF
-# an ASCII byte's alphabet index, _NOT_IN_ALPHABET for any other byte; a
-# string reaches it through encode("ascii", "replace"), which turns each
-# non-ASCII character into one "?"
-_TO_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET
-                  else _NOT_IN_ALPHABET for b in range(256))
 
 
 class InvalidCharacter(ValueError):
@@ -47,23 +38,10 @@ class KeyTooLong(ValueError):
     pass
 
 
-# one-byte encodings; a dict, so a negative index fails as bytes([i]) would
-_BYTE = {i: bytes([i]) for i in range(256)}
-
-# A node's digest preimage, spelled once, as hashed: DOM_TRIE's tag byte,
-# then label length u8 ‖ label ‖ terminal u8 ‖ id count u32 ‖ ids ‖ child
-# count u8 ‖ the children's items in index order.  A node's item is its
-# first label index u8 ‖ its digest, as it stands in its parent's
-# preimage and in a proof's sibling runs; each node keeps its own in
-# place of a bare digest, so a rehash joins its children's items and
-# rebuilds none.  _node_preimage writes all but the tag, which digest()
-# puts first (and which the benchmark's tracer counts).  The verifier
-# puts the tag and the terminal byte around slices of the VO, which
-# holds the rest as it is hashed, and hashes that with hashlib itself.
-_TAG = bytes((DOM_TRIE,))
+# A node's preimage is laid out in core; _node_preimage writes all of it
+# but the tag, which digest() puts first.
 _NO_IDS = bytes(5)                        # not terminal, no ids
 _ONE_ID = struct.Struct(">BIQ")           # terminal, 1, id
-_TERMINAL = (b"\x00", b"\x01")            # by whether there are ids
 _NO_ID_LIST = bytes(4)                    # an empty id list on the wire
 
 
@@ -76,7 +54,7 @@ def _node_preimage(label: bytes, entry_ids, items) -> bytes:
     elif n == 1:
         ids = _ONE_ID.pack(1, 1, entry_ids[0])
     else:
-        ids = b"\x01" + _pack_u64_list(entry_ids)
+        ids = _TERMINAL[1] + _pack_u64_list(entry_ids)
     return b"".join([_BYTE[len(label)], label, ids, _BYTE[len(items)],
                      *items])
 
@@ -102,21 +80,12 @@ class TrieNode:
         # empty, so its item is its digest
         self.item = None
 
-    def recompute_digest(self) -> None:
-        """Rehash from the children's items, which must be fresh."""
-        kids = self.children
-        self.item = self.label[:1] + digest(DOM_TRIE, _node_preimage(
-            self.label, self.entry_ids, [kids[i].item for i in sorted(kids)]))
-
 
 class PrefixVO:
     """Proof for a prefix query: sibling digests along the descent plus
     either the full matched subtree or the divergence node.  It is the
     claimed root and the proof's wire bytes, which verify_prefix_bytes
     walks: mode u8 ‖ path length u8, then the path and the terminal."""
-
-    MODE_MATCH = 1
-    MODE_NONMATCH = 0
 
     def __init__(self, claimed_root: bytes, body: bytes):
         self.claimed_root = claimed_root
@@ -130,11 +99,6 @@ class PrefixVO:
         if len(data) < 32:
             raise VODecodeError("truncated")
         return cls(bytes(data[:32]), bytes(data[32:]))
-
-
-def _indices(prefix: str) -> bytes:
-    """prefix as alphabet indices, _NOT_IN_ALPHABET for other characters."""
-    return prefix.encode("ascii", "replace").translate(_TO_INDEX)
 
 
 def _match_len(label: bytes, want: bytes, pos: int) -> int:
@@ -153,22 +117,22 @@ class Trie:
     def __init__(self, meter: Optional[GasMeter] = None):
         self.meter = meter or GasMeter()
         self.root = TrieNode(b"")
-        self.root.recompute_digest()
+        self.root.item = node_digest(b"", (), ())
         self.key_count = 0
         self.last_descent_visits = 0
 
     def root_digest(self) -> bytes:
-        if self.root.item is None:
-            self._flush_node(self.root)
-        return self.root.item
+        return self.root.item or self._rehash(self.root)
 
-    def _flush_node(self, node: TrieNode) -> None:
-        """Rehash node, which is stale, after its stale children."""
-        for child in node.children.values():
-            if child.item is None:
-                self._flush_node(child)
-        node.recompute_digest()
+    def _rehash(self, node: TrieNode) -> bytes:
+        """node's item, node being stale: its children's items in index
+        order, each stale child rehashed as it comes, then joined."""
+        kids = node.children
+        items = [kids[i].item or self._rehash(kids[i]) for i in sorted(kids)]
+        node.item = node.label[:1] + digest(DOM_TRIE, _node_preimage(
+            node.label, node.entry_ids, items))
         self.meter.compute()
+        return node.item
 
     @staticmethod
     def _check_key(key: str) -> bytes:
@@ -257,7 +221,7 @@ class Trie:
             parts += _label_ids(node)
             parts.append(_BYTE[len(kids)])
             parts += [kids[i].item for i in sorted(kids)]
-            parts[0] = bytes((PrefixVO.MODE_NONMATCH, npath))
+            parts[0] = bytes((MODE_NONMATCH, npath))
             return [], PrefixVO(root, b"".join(parts))
         # the prefix ends inside or at the end of node's label: reveal the
         # subtree under node, each node before its children, which follow
@@ -275,7 +239,7 @@ class Trie:
                 todo += [kids[i] for i in sorted(kids, reverse=True)]
             visited += 1
         self.meter.read(visited)
-        parts[0] = bytes((PrefixVO.MODE_MATCH, npath))
+        parts[0] = bytes((MODE_MATCH, npath))
         return sorted(found), PrefixVO(root, b"".join(parts))
 
 
@@ -288,12 +252,6 @@ def _label_ids(node: TrieNode):
 
 
 # --- verification --------------------------------------------------------
-#
-# The verifier reads the VO bytes in one forward walk that hashes nothing:
-# the descent path, then the terminal, and for a match every node of the
-# revealed subtree, whose ids must equal the claimed results.  Only then
-# does it hash, each preimage built from slices of the VO: a node's
-# `label ‖ count ‖ ids` run and its item run are already preimage bytes.
 
 def verify_prefix(vo: PrefixVO, trusted_root: bytes, prefix: str,
                   results) -> bool:
@@ -303,169 +261,5 @@ def verify_prefix(vo: PrefixVO, trusted_root: bytes, prefix: str,
 
 def verify_prefix_bytes(vo_bytes: bytes, trusted_root: bytes, prefix: str,
                         results) -> bool:
-    """True iff the serialized VO recomputes trusted_root and the matched
-    subtree's terminal ids equal results (empty for a non-membership
-    proof); malformed bytes verify as False."""
-    try:
-        return _verify(vo_bytes, trusted_root, prefix, results)
-    except (ValueError, TypeError, IndexError, KeyError, AttributeError,
-            OverflowError, struct.error):
-        return False
-
-
-def _label_ok(label: bytes, start: int, root: bool) -> bool:
-    """The root's label is empty; any other is one or more alphabet
-    characters that end within MAX_KEY_LEN of the root."""
-    if root:
-        return label == b""
-    return (0 < len(label) <= MAX_KEY_LEN - start
-            and max(label) < len(ALPHABET))
-
-
-def _indices_ok(idxs: bytes, taken: int) -> bool:
-    """Child indices strictly ascending and in the alphabet, and none is
-    taken."""
-    return (bytes(sorted(set(idxs))) == idxs and taken not in idxs
-            and not (idxs and idxs[-1] >= len(ALPHABET)))
-
-
-def _ids_at(data, off: int, cnt: int):
-    """The cnt ids at off, or None unless they strictly ascend.  The
-    caller has checked that they lie inside data."""
-    if cnt == 1:
-        return _U64.unpack_from(data, off)
-    ids = _u64_run(cnt).unpack_from(data, off)
-    return None if _unsorted(ids) else ids
-
-
-def _verify(data, trusted_root, prefix, results) -> bool:
-    """Every check that hashes nothing first, the claimed results
-    included; then the hashes, folded up the path to the root."""
-    if len(data) < 34 or data[:32] != trusted_root:
-        return False
-    want, size = _indices(prefix), len(data)
-    mode, npath = data[32], data[33]
-    # The prefix spells out every path label, and the branch taken after
-    # each is the prefix's next character, so it starts the next label.
-    # The fold needs of each path node the offsets of its label, its ids
-    # and its taken index, its id count, the taken index, its place among
-    # its siblings, and the offset after them.
-    path = []
-    off, pos = 34, 0
-    for k in range(npath):
-        mid = off + 1 + data[off]
-        label = data[off + 1:mid]
-        cnt, = _U32.unpack_from(data, mid)
-        end = mid + 4 + 8 * cnt
-        if end + 2 > size or not _label_ok(label, pos, k == 0) \
-                or not want.startswith(label, pos):
-            return False
-        pos += len(label)
-        taken, after = data[end], end + 2 + 33 * data[end + 1]
-        idxs = data[end + 2:after:33]
-        if after > size or pos >= len(want) or want[pos] != taken \
-                or cnt > 1 and _ids_at(data, mid + 4, cnt) is None \
-                or not _indices_ok(idxs, taken):
-            return False
-        path.append((off, mid, end, cnt, taken, bisect_left(idxs, taken),
-                     after))
-        off = after
-    rest = want[pos:]
-    mid = off + 1 + data[off]
-    label = data[off + 1:mid]
-    cnt, = _U32.unpack_from(data, mid)
-    end = mid + 4 + 8 * cnt
-    if end >= size or not _label_ok(label, pos, not npath):
-        return False
-    if mode == PrefixVO.MODE_MATCH:
-        # the prefix ends inside or at the end of the subtree root's label
-        if not label.startswith(rest):
-            return False
-        collected: set[int] = set()
-        nodes: list = []
-        if _walk_subtree(data, off, pos + len(label), collected,
-                         nodes) != size or sorted(collected) != list(results):
-            return False
-        cur = _subtree_root(data, nodes)
-    elif mode == PrefixVO.MODE_NONMATCH:
-        # the label starts with the branch taken, and must leave the
-        # prefix: by a mismatch inside it, or by ending before the prefix
-        # does with no branch for the next character
-        nitems = data[end]
-        idxs = data[end + 1:end + 1 + 33 * nitems:33]
-        if results != [] or label.startswith(rest) \
-                or end + 1 + 33 * nitems != size \
-                or cnt > 1 and _ids_at(data, mid + 4, cnt) is None \
-                or npath and label[0] != path[-1][4]:
-            return False
-        if not _indices_ok(idxs, rest[len(label)] if rest.startswith(label)
-                           else _NOT_IN_ALPHABET):
-            return False
-        cur = hashlib.sha256(b"".join((
-            _TAG, data[off:mid], _TERMINAL[cnt > 0], data[mid:size])))\
-            .digest()
-    else:
-        return False
-    # Fold the descent path up to the root, the taken child going in among
-    # its siblings by index.
-    sha256 = hashlib.sha256
-    for off, mid, end, cnt, taken, at, after in reversed(path):
-        split = end + 2 + 33 * at
-        cur = sha256(b"".join((
-            _TAG, data[off:mid], _TERMINAL[cnt > 0], data[mid:end],
-            _BYTE[data[end + 1] + 1], data[end + 2:split], _BYTE[taken], cur,
-            data[split:after]))).digest()
-    return cur == trusted_root
-
-
-def _walk_subtree(data, off: int, end: int, ids: set[int], nodes) -> int:
-    """Check the revealed subtree at off, whose root's label the caller
-    has checked and ends `end` characters below the trie root, without
-    hashing: the offset after it, or -1 if a node breaks the shape rules.
-    Gathers its terminal ids, and records its nodes, parents first, for
-    _subtree_root.  Every child label is non-empty and the total stays
-    within MAX_KEY_LEN, so recursion depth is bounded."""
-    mid = off + 1 + data[off]
-    cnt, = _U32.unpack_from(data, mid)
-    p = mid + 4 + 8 * cnt
-    if p >= len(data):
-        return -1
-    if cnt:
-        node_ids = _ids_at(data, mid + 4, cnt)
-        if node_ids is None:
-            return -1
-        ids.update(node_ids)
-    nchild = data[p]
-    nodes.append((off, mid, p + 1, cnt, nchild))
-    p += 1
-    last = -1
-    for _ in range(nchild):
-        label = data[p + 1:p + 1 + data[p]]
-        if not _label_ok(label, end, False) or label[0] <= last:
-            return -1
-        last = label[0]
-        p = _walk_subtree(data, p, end + len(label), ids, nodes)
-        if p < 0:
-            return -1
-    return p
-
-
-def _subtree_root(data, nodes) -> bytes:
-    """The digest of a subtree that passed _walk_subtree: its nodes hashed
-    in reverse of the walk's order, so that each node's children are done
-    before it.  A stack entry is a child's item: its first label index ‖
-    its digest."""
-    sha256 = hashlib.sha256
-    stack: list[bytes] = []
-    for off, mid, end, cnt, nchild in reversed(nodes):
-        parts = [_TAG, data[off:mid], _TERMINAL[cnt > 0], data[mid:end]]
-        if nchild:
-            parts += reversed(stack[-nchild:])
-            del stack[-nchild:]
-        cur = sha256(b"".join(parts)).digest()
-        stack.append(data[off + 1:off + 2] + cur)
-    return cur
-
-
-def _unsorted(ids) -> bool:
-    return len(ids) > 1 and any(b <= a for a, b in zip(ids, ids[1:]))
+    """client.verify_prefix_bytes, under the name the benchmark traces."""
+    return client.verify_prefix_bytes(vo_bytes, trusted_root, prefix, results)

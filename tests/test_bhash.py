@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import verify_oracle as reference
 from chainquery.bhash import (P_HASHLEAF, P_INTERNAL, P_PRUNED, BHashTree,
-                              DuplicateEntry, RangeVO, _crit_fold,
-                              verify_range, verify_range_bytes)
+                              DuplicateEntry, RangeVO, verify_range,
+                              verify_range_bytes)
+from chainquery.client import _crit_fold
 from chainquery.core import MAX_TIMESTAMP, EncodingError
 from chainquery.gas import GasMeter
 
@@ -366,8 +367,8 @@ def test_crafted_crit_sides_rejected():
     a, b, vo = _gap_vo(tree)
     root = tree.root_digest()
     blob = vo.to_bytes()
-    _, _, _, _, (lbits, _), (rbits, _) = reference.RangeVO.from_bytes(
-        blob).proof
+    honest = reference.RangeVO.from_bytes(blob).proof
+    *head, (lbits, ldigs), (rbits, rdigs) = honest
     # the root's hash-leaf record: kind at 32, lo, hi, flags 3 at 49, nrev
     # 0, the two digest-only buckets of 40 bytes at 54, then each side:
     # count u8 ‖ bits ‖ digests
@@ -378,18 +379,27 @@ def test_crafted_crit_sides_rejected():
     # a new outermost right bit must lie below the present ones
     set_in_last = next(bit for bit in reversed(range(min(rbits, default=64)))
                        if b >> (63 - bit) & 1)
+    swapped = bytes([lbits[1], lbits[0]])
+    doubled = bytes([lbits[0], lbits[0]])
+    # (forged blob, the sides it should decode to)
     crafted = [
         # left bits must strictly increase
-        blob[:left] + bytes([lbits[1], lbits[0]]) + blob[left + 2:],
-        blob[:left] + bytes([lbits[0], lbits[0]]) + blob[left + 2:],
+        (blob[:left] + swapped + blob[left + 2:],
+         (swapped + lbits[2:], ldigs), (rbits, rdigs)),
+        (blob[:left] + doubled + blob[left + 2:],
+         (doubled + lbits[2:], ldigs), (rbits, rdigs)),
         # a left bit must be set in the first window key
-        blob[:left + len(lbits) - 1] + bytes([unset])
-        + blob[left + len(lbits):],
+        (blob[:left + len(lbits) - 1] + bytes([unset])
+         + blob[left + len(lbits):],
+         (lbits[:-1] + bytes([unset]), ldigs), (rbits, rdigs)),
         # a right bit must be clear in the last window key
-        blob[:right - 1] + bytes([len(rbits) + 1]) + rbits
-        + bytes([set_in_last]) + blob[right + len(rbits):] + bytes(32),
+        (blob[:right - 1] + bytes([len(rbits) + 1]) + rbits
+         + bytes([set_in_last]) + blob[right + len(rbits):] + bytes(32),
+         (lbits, ldigs), (rbits + bytes([set_in_last]), rdigs + [bytes(32)])),
     ]
-    for cut in crafted:
+    for cut, *sides in crafted:
+        # the patch landed where the case means it to, and nowhere else
+        assert reference.RangeVO.from_bytes(cut).proof == (*head, *sides)
         forged = RangeVO.from_bytes(cut)
         assert not verify_range(forged, root, a + 1, b - 1, [])
         assert not verify_range_bytes(forged.to_bytes(), root, a + 1, b - 1,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import verify_oracle as reference
+from chainquery.core import MODE_MATCH, MODE_NONMATCH
 from chainquery.trie import (ALPHABET, InvalidCharacter, KeyTooLong,
                              PrefixVO, Trie, _indices, node_digest,
                              verify_prefix, verify_prefix_bytes)
@@ -64,7 +65,7 @@ def test_unmatched_prefix_nonmembership():
     for prefix in ("abe", "b", "abcdix", "a" * 70):
         results, vo = trie.prefix_query(prefix)
         assert results == []
-        assert vo.to_bytes()[32] == PrefixVO.MODE_NONMATCH
+        assert vo.to_bytes()[32] == MODE_NONMATCH
         assert verify_prefix(vo, trie.root_digest(), prefix, results)
 
 
@@ -215,7 +216,7 @@ def test_key_outside_alphabet_names_first_bad_character(bad):
     for prefix in (bad, "a" + bad, "ab" + bad, "abc" + bad, "0" * 30 + bad):
         results, vo = trie.prefix_query(prefix)
         assert results == []
-        assert vo.to_bytes()[32] == PrefixVO.MODE_NONMATCH
+        assert vo.to_bytes()[32] == MODE_NONMATCH
         assert verify_prefix_bytes(vo.to_bytes(), root, prefix, [])
 
 
@@ -297,7 +298,7 @@ def test_nonmatch_inside_label_vo_byte_fuzz_rejected():
     for prefix in ("ff:1", "f0", "abe13", "abe1_"):
         results, vo = _assert_every_flip_rejected(trie, prefix)
         decoded = reference.PrefixVO.from_bytes(vo.to_bytes())
-        assert results == [] and decoded.mode == PrefixVO.MODE_NONMATCH
+        assert results == [] and decoded.mode == MODE_NONMATCH
         # the prefix leaves the terminal node's label inside it
         rest = prefix[sum(len(label) for label, *_ in decoded.path):]
         label = "".join(ALPHABET[i] for i in decoded.terminal[0])
@@ -325,7 +326,7 @@ def test_crafted_label_vos_rejected():
     assert blob[33] == 1 and blob[34:39] == bytes(5) and blob[40] == 0
     assert blob[41:48] == bytes([2]) + node_ab.label + bytes(4)
     crafted = PrefixVO.from_bytes(
-        blob[:32] + bytes([PrefixVO.MODE_NONMATCH]) + blob[33:48]
+        blob[:32] + bytes([MODE_NONMATCH]) + blob[33:48]
         + bytes([len(node_ab.children)])
         + b"".join(c.item for _, c in sorted(node_ab.children.items())))
     for prefix in ("a", "ab"):
@@ -426,7 +427,7 @@ def _nested_prefix_vo(root: bytes, nodes: int) -> bytes:
     an empty label (length byte 0), no entry ids (count 0) and one child,
     the last no child."""
     node = b"\x00" + struct.pack(">I", 0)
-    return (root + bytes([PrefixVO.MODE_MATCH, 0])
+    return (root + bytes([MODE_MATCH, 0])
             + (node + b"\x01") * (nodes - 1) + node + b"\x00")
 
 
