@@ -18,7 +18,7 @@ from bisect import bisect_left, insort
 from typing import Optional
 
 from chainquery import _kernels, client
-from chainquery.core import (_BRANCH_PREFIX, _BUCKET_LEAF, _HASH_NODE_HEAD,
+from chainquery.core import (_BRANCH_PREFIX, _HASH_NODE_HEAD,
                              _HASHLEAF_HEAD, _IDS_HEAD, _INTERNAL_HEAD,
                              _KEY_COUNT, _LEAF_HEAD, _RANGE, _U32, _U64,
                              DOM_BUCKET, DOM_INTERNAL, DOM_LEAF,
@@ -53,22 +53,22 @@ def leaf_digest(pairs, lo: int, hi: int) -> bytes:
     return digest(DOM_LEAF, _leaf_body(lo, hi, pairs))
 
 
-_ONE_ID = struct.Struct(">2sIQ")           # _IDS_HEAD, 1, id
-
-
-def _ids_preimage(entry_ids) -> bytes:
-    if len(entry_ids) == 1:
-        return _ONE_ID.pack(_IDS_HEAD, 1, entry_ids[0])
-    return _IDS_HEAD + _pack_u64_list(entry_ids)
+# The bucket preimages as digest() takes them: core's layouts without the
+# DOM_BUCKET tag, which digest() puts first.
+_IDS_KIND = _IDS_HEAD[1:]
+_ONE_ID = struct.Struct(">BIQ")            # ids kind, 1, id
+_LEAF_BODY = struct.Struct(">BQ32s")       # leaf kind, key, ids digest
+_BRANCH_BODY = [prefix[1:] for prefix in _BRANCH_PREFIX]
 
 
 def bucket_ids_digest(entry_ids) -> bytes:
-    return digest(DOM_BUCKET, _ids_preimage(entry_ids)[1:])
+    if len(entry_ids) == 1:
+        return digest(DOM_BUCKET, _ONE_ID.pack(_IDS_HEAD[1], 1, entry_ids[0]))
+    return digest(DOM_BUCKET, _IDS_KIND + _pack_u64_list(entry_ids))
 
 
 def bucket_leaf_digest(key: int, ids_digest: bytes) -> bytes:
-    return digest(DOM_BUCKET,
-                  _BUCKET_LEAF.pack(_LEAF_HEAD, key, ids_digest)[1:])
+    return digest(DOM_BUCKET, _LEAF_BODY.pack(_LEAF_HEAD[1], key, ids_digest))
 
 
 def hash_node_digest(crit_root: bytes, lo: int, hi: int) -> bytes:
@@ -115,15 +115,16 @@ class _CritBranch:
 
 
 def _crit_rehash(node) -> bytes:
-    """node's digest, recomputing the stale digests under it first."""
-    if node.digest is None:
-        if node.bit == 64:
-            node.ids_digest = bucket_ids_digest(node.ids)
-            node.digest = bucket_leaf_digest(node.key, node.ids_digest)
-        else:
-            node.digest = digest(DOM_BUCKET, _BRANCH_PREFIX[node.bit][1:]
-                                 + _crit_rehash(node.left)
-                                 + _crit_rehash(node.right))
+    """node's digest, node being stale, after those of its stale
+    children."""
+    if node.bit == 64:
+        node.ids_digest = bucket_ids_digest(node.ids)
+        node.digest = bucket_leaf_digest(node.key, node.ids_digest)
+    else:
+        left, right = node.left, node.right
+        node.digest = digest(DOM_BUCKET, b"".join((
+            _BRANCH_BODY[node.bit], left.digest or _crit_rehash(left),
+            right.digest or _crit_rehash(right))))
     return node.digest
 
 
@@ -175,8 +176,9 @@ class BHashNode:
 
     def recompute_digest(self) -> None:
         if self.is_hash_node:
-            self.node_digest = hash_node_digest(_crit_rehash(self.crit),
-                                                self.lo, self.hi)
+            crit = self.crit
+            self.node_digest = hash_node_digest(
+                crit.digest or _crit_rehash(crit), self.lo, self.hi)
         elif self.is_leaf:
             self.node_digest = leaf_digest(self.pairs, self.lo, self.hi)
         else:

@@ -37,8 +37,9 @@ class VODecodeError(ValueError):
 
 
 def digest(domain_tag: int, payload: bytes) -> bytes:
-    """32-byte SHA-256 of the domain tag byte followed by the payload."""
-    return hashlib.sha256(bytes([domain_tag]) + payload).digest()
+    """32-byte SHA-256 of the domain tag byte (from _BYTE, below) followed
+    by the payload."""
+    return hashlib.sha256(_BYTE[domain_tag] + payload).digest()
 
 
 def content_id(payload: bytes) -> bytes:

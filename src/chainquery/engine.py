@@ -61,9 +61,15 @@ class MalformedBlock(ValueError):
     """A block's operation records do not match its entries."""
 
 
+_EPOCH = datetime.datetime(1970, 1, 1)
+
+
 def timestamp_string(ts: int) -> str:
-    dt = datetime.datetime.fromtimestamp(ts, tz=datetime.timezone.utc)
-    return dt.strftime(TS_FORMAT)
+    """ts as UTC in TS_FORMAT.  A naive date's isoformat is the same text
+    with a `T` for the middle `-`, and takes a third of strftime's time;
+    past year 9999 it raises OverflowError."""
+    return (_EPOCH + datetime.timedelta(seconds=ts)).isoformat() \
+        .replace("T", "-")
 
 
 def _rows(entries) -> list[dict]:
@@ -95,12 +101,18 @@ class QueryResult:
     affected: int = 0
 
 
+# the writes' plans, in the order Engine._commit runs them
+_INSERT_PLAN = Plan(("index-insert", "store-payloads", "anchor-roots",
+                     "ledger-append", "cache-invalidate"))
+_WRITE_PLAN = Plan(("index-insert", "anchor-roots", "ledger-append",
+                    "cache-invalidate"))
+
+
 def plan_query(ast: QueryAst) -> Plan:
-    if isinstance(ast, (InsertQuery, DeleteQuery, UpdateQuery)):
-        # in the order Engine._commit runs them
-        store = ("store-payloads",) if isinstance(ast, InsertQuery) else ()
-        return Plan(("index-insert", *store, "anchor-roots", "ledger-append",
-                     "cache-invalidate"))
+    if isinstance(ast, InsertQuery):
+        return _INSERT_PLAN
+    if isinstance(ast, (DeleteQuery, UpdateQuery)):
+        return _WRITE_PLAN
     if isinstance(ast, SelectSimple) and ast.entry_id is not None:
         index_steps = ("ledger-lookup",)
     elif isinstance(ast, (SelectSimple, SelectTimeRange)):

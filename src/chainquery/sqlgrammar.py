@@ -18,15 +18,23 @@ pattern, `_READ_RE`, before any tokenizing.  So is an INSERT whose columns
 are `amount, addresses, timestamp`, then `image` and `video` if given, in
 that order, and whose values are literals, no NULL: `_INSERT_RE` matches
 its head up to the timestamp, and each payload literal after it is found
-with one `str.find` and checked by `_parse_payload`.  Both patterns take
-ASCII whitespace, keywords in ASCII case and integers of at most 18
-digits, and look at no more than PATTERN_MAX_LEN characters.  On a 2 vCPU
-shared Xeon VM under Python 3.11 a parse takes 1.3-1.6 us for a read
-(8.4-10.5 us through the tokens) and, for an INSERT, 5.2 us without a
-payload, 9.3 us with a 2 KiB image and 88 us with a 64 KiB video (21.8,
-27.5 and 112 us through the tokens).  Every other input, and every error,
-goes through the token parser, which stays the grammar's reference: the
-patterns accept only texts that parser turns into the same AST.
+with one `str.find` and checked by `_parse_payload`.  So are a DELETE and
+an UPDATE of one to three of its columns, whose values are literals:
+`_WRITE_RE` matches the whole statement, and `_canonical_write` checks
+that no column repeats and each value is of its column's kind.  The
+patterns take ASCII whitespace, keywords in ASCII case and integers of
+at most 18 digits, and look at no more than PATTERN_MAX_LEN characters
+(after the INSERT head, at most that many per gap).  On a 2 vCPU shared
+Xeon VM under Python 3.11 a parse takes 1.3-1.6 us for a read (8.4-10.5
+us through the tokens); for an INSERT, 5.2 us without a payload, 9.3 us
+with a 2 KiB image and 88 us with a 64 KiB video (21.8, 27.5 and 112 us
+through the tokens); and for perfbench's writes, 2.8 us for an UPDATE
+of `amount`, 3.5 us with `timestamp` too and 1.4 us for a DELETE (10.8,
+13.6 and 7.5 us through the tokens).  Every other input goes through the
+token parser, which stays the grammar's reference: the patterns accept only texts that parser turns into the
+same AST.  Once a pattern has matched the whole text, a literal that
+fails its check raises the error that parser would raise; every other
+error is the token parser's.
 """
 from __future__ import annotations
 
@@ -150,6 +158,20 @@ _INSERT_RE = re.compile(r"""\s*insert\s+into\s+entries\s*\(
     \s*,\s*'(?P<addresses>[^']*)'
     \s*,\s*(?P<timestamp>[0-9]{1,18})\s*(?P<sep>[,)])
 """, re.VERBOSE | re.IGNORECASE | re.ASCII)
+# A DELETE, or an UPDATE of one to three of its columns, spelled as
+# `_READ_RE`'s reads are.  An assignment's value is an integer or a quoted
+# literal; `_canonical_write` checks that it is the kind its column takes
+# and that no column repeats.  A word after an integer or a literal needs
+# no whitespace, as the tokenizer splits them anyway.
+_ASSIGNMENT = r"""(?P<col{n}>amount|addresses|timestamp)\s*=\s*
+    (?:(?P<int{n}>[0-9]{{1,18}})|'(?P<str{n}>[^']*)')"""
+_WRITE_RE = re.compile(r"""\s*(?:
+    delete\s+from\s+entries\s+
+  | update\s+entries\s+set\s+""" + _ASSIGNMENT.format(n=1) + r"""
+    (?:\s*,\s*""" + _ASSIGNMENT.format(n=2) + r"""
+      (?:\s*,\s*""" + _ASSIGNMENT.format(n=3) + r""")?)?\s*
+)where\s+entry_id\s*=\s*(?P<entry_id>[0-9]{1,18})\s*(?:;\s*)?""",
+                       re.VERBOSE | re.IGNORECASE | re.ASCII)
 # Whitespace as `_TOKEN_RE` skips it, between the literals after the head.
 # Each gap, like the tail after the last `)`, is read on at most
 # PATTERN_MAX_LEN characters: a longer run goes to the token parser, which
@@ -206,7 +228,7 @@ def parse(sql: str) -> QueryAst:
     m = _READ_RE.fullmatch(sql) if len(sql) <= PATTERN_MAX_LEN else None
     if m is not None:
         return _read_ast(m)
-    ast = _canonical_insert(sql)
+    ast = _canonical_insert(sql) or _canonical_write(sql)
     if ast is not None:
         return ast
     toks = _Tokens(sql)
@@ -229,38 +251,63 @@ def _read_ast(m: re.Match) -> QueryAst:
 
 def _canonical_insert(sql: str) -> Optional[InsertQuery]:
     """The INSERT that `_INSERT_RE` and its payload literals spell, or None
-    for the token parser to read.  A literal that fails its check gives
-    None too, since only the token parser reports errors: its tokenizer
-    scans the whole text first, so a stray character after the literal is
-    the error it reports."""
+    for the token parser to read.  Each literal's bounds and the tail are
+    found first, since the token parser's tokenizer scans the whole text
+    before anything else, so a stray character after a literal is the
+    error it reports.  Then the literals are checked in column order, and
+    the first that fails raises its own error, as the token parser would:
+    a 64 KiB payload is decoded once either way."""
     m = _INSERT_RE.match(sql, 0, PATTERN_MAX_LEN)
     if m is None:
         return None
     pos, sep = m.end(), m["sep"]
-    payloads = {}
-    try:
-        addresses = _parse_addresses(m["addresses"], m.start("addresses") - 1)
-        for col in ("image", "video"):
-            if not m[col]:
-                continue
-            pos = _GAP_RE.match(sql, pos, pos + PATTERN_MAX_LEN).end()
-            if sep != "," or not sql.startswith("'", pos):
-                return None
-            close = sql.find("'", pos + 1)
-            if close < 0:
-                return None
-            payloads[col] = _parse_payload(sql[pos + 1:close], pos)
-            pos = close + 1
-            pos = _GAP_RE.match(sql, pos, pos + PATTERN_MAX_LEN).end()
-            sep = sql[pos:pos + 1]
-            pos += 1
-    except SqlSyntaxError:
-        return None
+    literals = []  # (column, position of the opening quote, of the closing)
+    for col in ("image", "video"):
+        if not m[col]:
+            continue
+        pos = _GAP_RE.match(sql, pos, pos + PATTERN_MAX_LEN).end()
+        if sep != "," or not sql.startswith("'", pos):
+            return None
+        close = sql.find("'", pos + 1)
+        if close < 0:
+            return None
+        literals.append((col, pos, close))
+        pos = _GAP_RE.match(sql, close + 1, close + 1 + PATTERN_MAX_LEN).end()
+        sep = sql[pos:pos + 1]
+        pos += 1
     if sep != ")" or len(sql) - pos > PATTERN_MAX_LEN \
             or sql[pos:].strip() not in ("", ";"):
         return None
+    addresses = _parse_addresses(m["addresses"], m.start("addresses") - 1)
+    payloads = {}
+    for col, start, close in literals:
+        payloads[col] = _parse_payload(sql[start + 1:close], start)
     return InsertQuery(int(m["amount"]), addresses, int(m["timestamp"]),
                        payloads.get("image"), payloads.get("video"))
+
+
+def _canonical_write(sql: str) -> Optional[QueryAst]:
+    """The DELETE or UPDATE that `_WRITE_RE` spells, or None for the token
+    parser to read, which reports a repeated column or a value of the
+    wrong kind.  The whole text has matched, so a failing addresses
+    literal raises the error the token parser would, as it comes."""
+    m = _WRITE_RE.fullmatch(sql) if len(sql) <= PATTERN_MAX_LEN else None
+    if m is None:
+        return None
+    entry_id = int(m["entry_id"])
+    if m["col1"] is None:
+        return DeleteQuery(entry_id)
+    changes: dict[str, object] = {}
+    for n in "123":
+        col = m["col" + n]
+        if col is None:
+            break
+        col, text = col.lower(), m["int" + n]
+        if col in changes or (text is None) != (col == "addresses"):
+            return None
+        changes[col] = int(text) if text is not None else _parse_addresses(
+            m["str" + n], m.start("str" + n) - 1)
+    return UpdateQuery(entry_id, tuple(changes.items()))
 
 
 def _check_word(toks: _Tokens) -> None:

@@ -12,6 +12,12 @@ cached items in index order, and a proof's sibling runs are those same
 items.  A path of sibling items plus the matched subtree reproduces the
 root.
 
+Each node's `children` dict lists its children in ascending index order:
+insert puts a new child in its place, and a split builds the shared
+node's two children in order.  The rehash, prefix_query's sibling runs
+and its subtree walk all rely on it, taking the children as the dict
+lists them, with no sort.
+
 A prefix proof travels as its wire bytes: prefix_query writes them
 straight from the nodes, and the light client (`chainquery.client`)
 checks them.  A PrefixVO is just the claimed root and those bytes.
@@ -38,16 +44,16 @@ class KeyTooLong(ValueError):
     pass
 
 
-# A node's preimage is laid out in core; _node_preimage writes all of it
-# but the tag, which digest() puts first.
+# A node's preimage is laid out in core; _node_parts writes its head but
+# the tag, which digest() puts first, and the children's items follow.
 _NO_IDS = bytes(5)                        # not terminal, no ids
 _ONE_ID = struct.Struct(">BIQ")           # terminal, 1, id
 _NO_ID_LIST = bytes(4)                    # an empty id list on the wire
 
 
-def _node_preimage(label: bytes, entry_ids, items) -> bytes:
-    """A node's preimage but the tag; items: its children's items in index
-    order."""
+def _node_parts(label: bytes, entry_ids, n_children: int) -> list:
+    """A node's preimage up to its children's items, without the tag, as
+    parts to join."""
     n = len(entry_ids)
     if n == 0:
         ids = _NO_IDS
@@ -55,15 +61,30 @@ def _node_preimage(label: bytes, entry_ids, items) -> bytes:
         ids = _ONE_ID.pack(1, 1, entry_ids[0])
     else:
         ids = _TERMINAL[1] + _pack_u64_list(entry_ids)
-    return b"".join([_BYTE[len(label)], label, ids, _BYTE[len(items)],
-                     *items])
+    return [_BYTE[len(label)], label, ids, _BYTE[n_children]]
 
 
 def node_digest(label: bytes, entry_ids, child_items) -> bytes:
     """label: the node's alphabet indices.  child_items: the children's
     items (first label index u8 ‖ digest) in ascending index order.  The
     terminal flag is set by a non-empty entry id list."""
-    return digest(DOM_TRIE, _node_preimage(label, entry_ids, child_items))
+    parts = _node_parts(label, entry_ids, len(child_items))
+    return digest(DOM_TRIE, b"".join(parts + list(child_items)))
+
+
+def _rehash(node) -> int:
+    """Set the item of node, which is stale: its children's items join its
+    preimage in index order, each stale child rehashed as it comes.
+    Returns how many nodes it rehashed."""
+    kids, label = node.children, node.label
+    parts = _node_parts(label, node.entry_ids, len(kids))
+    n = 1
+    for child in kids.values():
+        if child.item is None:
+            n += _rehash(child)
+        parts.append(child.item)
+    node.item = label[:1] + digest(DOM_TRIE, b"".join(parts))
+    return n
 
 
 class TrieNode:
@@ -71,7 +92,9 @@ class TrieNode:
 
     def __init__(self, label: bytes):
         self.label = label
-        # keyed by the first character of each child's label
+        # keyed by the first character of each child's label, in
+        # ascending order: rehashing and proofs take the children as the
+        # dict lists them
         self.children: dict[int, TrieNode] = {}
         # a shared empty tuple until the node turns terminal: most inner
         # nodes never do, and a list each would cost memory and GC time
@@ -122,17 +145,12 @@ class Trie:
         self.last_descent_visits = 0
 
     def root_digest(self) -> bytes:
-        return self.root.item or self._rehash(self.root)
-
-    def _rehash(self, node: TrieNode) -> bytes:
-        """node's item, node being stale: its children's items in index
-        order, each stale child rehashed as it comes, then joined."""
-        kids = node.children
-        items = [kids[i].item or self._rehash(kids[i]) for i in sorted(kids)]
-        node.item = node.label[:1] + digest(DOM_TRIE, _node_preimage(
-            node.label, node.entry_ids, items))
-        self.meter.compute()
-        return node.item
+        """The root digest, after rehashing every stale node once,
+        children before parents; one compute tick per node rehashed."""
+        root = self.root
+        if root.item is None:
+            self.meter.compute(_rehash(root))
+        return root.item
 
     @staticmethod
     def _check_key(key: str) -> bytes:
@@ -154,30 +172,49 @@ class Trie:
         if entry_id < 0:
             raise ValueError("entry_id must be non-negative")
         key = self._check_key(key)
-        node, pos, visited, written = self.root, 0, 0, 1
+        end = len(key)
+        # one write per node marked stale: the root, each node descended
+        # into (a split's shared part takes the place of the node it
+        # splits), and the `added` ones, the key's new node and the node a
+        # split relabels
+        node, pos, visited, added = self.root, 0, 0, 0
         node.item = None
-        while pos < len(key):
+        while pos < end:
             child = node.children.get(key[pos])
             if child is None:
-                child = node.children[key[pos]] = TrieNode(key[pos:])
-                pos = len(key)
-            else:
-                visited += 1
-                label = child.label
+                # the new child goes in its place in index order, in a
+                # rebuilt dict: moving the later ones behind it would leave
+                # the dict holes, which make it resize early
+                child, first = TrieNode(key[pos:]), key[pos]
+                kids = list(node.children.items())
+                kids.insert(bisect_left(kids, (first,)), (first, child))
+                node.children = dict(kids)
+                node, added = child, 1
+                break
+            visited += 1
+            label = child.label
+            if not key.startswith(label, pos):
+                # the key leaves the edge inside its label: split it, and
+                # hang the old node under the shared part, beside the
+                # key's new node if the key goes on
                 common = _match_len(label, key, pos)
-                if common < len(label):
-                    # the key leaves the edge inside its label: split it,
-                    # and hang the old node under the shared part
-                    child.item = None
-                    written += 1
-                    child.label = label[common:]
-                    mid = node.children[key[pos]] = TrieNode(label[:common])
-                    mid.children[label[common]] = child
-                    child = mid
+                child.item = None
+                child.label = label[common:]
+                mid = node.children[key[pos]] = TrieNode(label[:common])
                 pos += common
+                old = label[common]
+                if pos == end:
+                    mid.children[old] = child
+                    node, added = mid, 1
+                    break
+                new, node = key[pos], TrieNode(key[pos:])
+                mid.children = ({old: child, new: node} if old < new
+                                else {new: node, old: child})
+                added = 2
+                break
+            pos += len(label)
             node = child
             node.item = None
-            written += 1
         ids = node.entry_ids
         if not ids:
             self.key_count += 1
@@ -187,7 +224,7 @@ class Trie:
             if at == len(ids) or ids[at] != entry_id:
                 ids.insert(at, entry_id)
         self.meter.read(visited)
-        self.meter.write(written)
+        self.meter.write(1 + visited + added)
 
     def prefix_query(self, prefix: str):
         """All entry ids whose key starts with prefix, sorted ascending,
@@ -207,7 +244,7 @@ class Trie:
                 break  # no branch for the next character
             parts += _label_ids(node)
             parts += (_BYTE[idx], _BYTE[len(kids) - 1])
-            parts += [kids[i].item for i in sorted(kids) if i != idx]
+            parts += [c.item for c in kids.values() if c is not child]
             npath += 1
             node = child
             matched = _match_len(node.label, want, pos)
@@ -220,7 +257,7 @@ class Trie:
             kids = node.children
             parts += _label_ids(node)
             parts.append(_BYTE[len(kids)])
-            parts += [kids[i].item for i in sorted(kids)]
+            parts += [c.item for c in kids.values()]
             parts[0] = bytes((MODE_NONMATCH, npath))
             return [], PrefixVO(root, b"".join(parts))
         # the prefix ends inside or at the end of node's label: reveal the
@@ -235,8 +272,7 @@ class Trie:
                 found.update(node.entry_ids)
             parts += _label_ids(node)
             parts.append(_BYTE[len(kids)])
-            if kids:
-                todo += [kids[i] for i in sorted(kids, reverse=True)]
+            todo += reversed(kids.values())
             visited += 1
         self.meter.read(visited)
         parts[0] = bytes((MODE_MATCH, npath))

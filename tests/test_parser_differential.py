@@ -400,3 +400,98 @@ def test_canonical_inserts_skip_the_tokenizer(monkeypatch):
     full = [sql.replace(SHORT_IMAGE, _LONG_HEX[:4096])
             .replace(SHORT_VIDEO, _LONG_HEX) for sql in CANONICAL_INSERTS]
     _tokenizer_skipped(monkeypatch, CANONICAL_INSERTS + full[2:])
+
+
+# UPDATEs and DELETEs as perfbench's mixed generator spells them, then an
+# UPDATE of each other column set.
+CANONICAL_WRITES = [
+    "UPDATE entries SET amount = 481516 WHERE entry_id = 1234",
+    "UPDATE entries SET amount = 77, timestamp = 1600000300 "
+    "WHERE entry_id = 0",
+    "DELETE FROM entries WHERE entry_id = 2047",
+    f"UPDATE entries SET addresses = '{ADDR},{ADDR2}' WHERE entry_id = 9",
+    f"UPDATE entries SET timestamp = 5, addresses = '{ADDR3}', amount = 6 "
+    "WHERE entry_id = 31",
+]
+
+
+def _write_pattern_inputs():
+    """Spellings on both sides of each edge of `sqlgrammar._WRITE_RE` and
+    of the assignment checks after it."""
+    yield from _respellings(CANONICAL_WRITES)
+    update, where = "UPDATE entries SET ", " WHERE entry_id = 3"
+    for sets in ("amount = 1, amount = 2", "timestamp = 1, amount = 2, "
+                 "timestamp = 3", f"addresses = '{ADDR}', addresses = "
+                 f"'{ADDR2}'", "amount = '1'", "timestamp = 'ab'",
+                 "addresses = 5", f"amount = {ADDR}", "amount = NULL",
+                 f"amount = 1, timestamp = 2, addresses = '{ADDR}', "
+                 "amount = 3", "image = 'ab'", "video = 'ab'",
+                 "entry_id = 4", "foo = 1", "amount = -1", "amount = 1.5",
+                 "amount = 1 timestamp = 2", "amount = 1,", ", amount = 1",
+                 "amount 1", "amount == 1", "= 1", "", "amount = 1x",
+                 f"addresses = '{ADDR}' 'x'", f"addresses = '{ADDR}",
+                 f"addresses = '{ADDR}'x", "addresses = ''",
+                 "addresses = ','", f"addresses = '{ADDR.upper()}'",
+                 f"addresses = '{ADDR[:-1]}'", f"addresses = ' {ADDR} ,'",
+                 f"addresses = '{ADDR};{ADDR2}'", "addresses = '00ff'"):
+        yield update + sets + where
+        yield update + sets + where + " @"
+    yield from (
+        "UPDATE entries SET amount=5WHERE entry_id=1",
+        "UPDATE entries SET amount = 5 WHERE entry_id = 1;",
+        f"update entries set addresses='{ADDR}'where entry_id=2",
+        "DELETE FROM entries WHERE entry_id=5;",
+        "delete from entries where entry_id=5",
+        "DELETEFROM entries WHERE entry_id = 5",
+        "DELETE FROMentries WHERE entry_id = 5",
+        "DELETE FROM entriesWHERE entry_id = 5",
+        "DELETE FROM entries WHEREentry_id = 5",
+        "DELETE FROM entries WHERE entry_id = 5x",
+        "DELETE FROM entries WHERE entry_id = 5 5",
+        "DELETE FROM entries WHERE entry_ids = 5",
+        "DELETE FROM entries WHERE timestamp = 5",
+        "DELETE FROM entries WHERE entry_id = '5'",
+        "DELETE FROM entries WHERE entry_id =",
+        "DELETE FROM entries WHERE entry_id",
+        "DELETE FROM entries",
+        "DELETE entries WHERE entry_id = 5",
+        "DELETE FROM other WHERE entry_id = 5",
+        "DELETE * FROM entries WHERE entry_id = 5",
+        "DELETE FROM entries WHERE entry_id = 5 AND entry_id = 6",
+        "UPDATEentries SET amount = 1 WHERE entry_id = 1",
+        "UPDATE entriesSET amount = 1 WHERE entry_id = 1",
+        "UPDATE entries SETamount = 1 WHERE entry_id = 1",
+        "UPDATE entries SET amount = 1WHEREentry_id = 1",
+        "UPDATE entries SET amount = 1 WHERE entry_id = 1 x",
+        "UPDATE entries SET amount = 1",
+        "UPDATE entries amount = 1 WHERE entry_id = 1",
+        "UPDATE other SET amount = 1 WHERE entry_id = 1",
+        "UPDATE entries SET amount = 1 WHERE timestamp = 1",
+        "UPDATE entries SET amount = 1 WHERE entry_id = 1;;",
+    )
+
+
+def test_write_pattern_matches_reference():
+    kinds = set()
+    for sql in _write_pattern_inputs():
+        result = same_outcome(sql)
+        kinds.add(result[0] if isinstance(result, tuple)
+                  else result.split("(")[0])
+    assert kinds == {"UpdateQuery", "DeleteQuery", "SqlSyntaxError",
+                     "UnsupportedFeature"}
+
+
+@pytest.mark.parametrize("literal", INTEGER_LITERALS)
+def test_write_integer_literals_match_reference(literal):
+    _integers_replaced_match_reference(CANONICAL_WRITES, literal)
+
+
+def test_padded_writes_match_reference():
+    for sql in _padded(CANONICAL_WRITES):
+        same_outcome(sql)
+
+
+def test_canonical_writes_skip_the_tokenizer(monkeypatch):
+    """The write pattern alone parses the UPDATEs and DELETEs perfbench
+    sends, and the other column sets."""
+    _tokenizer_skipped(monkeypatch, CANONICAL_WRITES)

@@ -81,3 +81,30 @@ def test_sha256_calls_pinned(sha256_calls):
             assert verify_prefix_bytes(blob, trie_root, query, ids)
         client.append(len(sha256_calls) - before)
     assert (writes, engine_reads, client) == (203, 6, [11, 45, 25, 7])
+
+
+# One write of each kind on the engine of four insert blocks: an INSERT
+# with a 64-byte image and two addresses, an UPDATE that moves its entry in
+# time, and a DELETE.
+WRITES = [
+    "INSERT INTO entries (amount, addresses, timestamp, image) VALUES "
+    f"(5, '{ADDRS[1]},{ADDRS[4]}', {T0 + 333}, '{bytes(range(64)).hex()}')",
+    f"UPDATE entries SET amount = 8, timestamp = {T0 + 444} "
+    "WHERE entry_id = 7",
+    "DELETE FROM entries WHERE entry_id = 12",
+]
+
+
+def test_write_counts_pinned(sha256_calls):
+    """Each write kind's SHA-256 calls and gas meter deltas (storage
+    writes, storage reads, compute units)."""
+    eng = Engine()
+    for block in range(4):
+        eng.insert_batch([_insert(6 * block + k) for k in range(6)])
+    counts = []
+    for sql in WRITES:
+        calls, meter = len(sha256_calls), eng.meter.snapshot()
+        assert eng.execute(sql).affected == 1
+        counts.append((len(sha256_calls) - calls, *(
+            b - a for a, b in zip(meter, eng.meter.snapshot()))))
+    assert counts == [(18, 12, 9, 9), (16, 9, 7, 8), (1, 0, 0, 0)]

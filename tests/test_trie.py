@@ -1,3 +1,4 @@
+import copy
 import random
 import struct
 
@@ -191,6 +192,27 @@ def test_cached_items_never_stale(pairs, data):
         expected, batch_vo = batch.prefix_query(prefix)
         assert results == expected
         assert vo.to_bytes() == batch_vo.to_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet="01ab:-", min_size=1, max_size=8),
+                          st.integers(0, 40)), max_size=40),
+       st.randoms(use_true_random=False))
+def test_children_kept_in_index_order(pairs, rng):
+    """In any insertion order, with splits and siblings that sort before
+    earlier ones, every node lists its children in ascending index order,
+    and prefix_query writes the VO bytes it writes once each node's
+    children are sorted explicitly."""
+    rng.shuffle(pairs)
+    trie = build(pairs)
+    resorted = copy.deepcopy(trie)
+    for node, _ in _nodes(resorted):
+        node.children = dict(sorted(node.children.items()))
+    for node, _ in _nodes(trie):
+        assert list(node.children) == sorted(node.children)
+    for prefix in _PREFIXES + tuple(key for key, _ in pairs):
+        assert trie.prefix_query(prefix)[1].to_bytes() \
+            == resorted.prefix_query(prefix)[1].to_bytes()
 
 
 @pytest.mark.parametrize("bad", ["\u00e9", "\uff41", "\u0663", "\ud800",
