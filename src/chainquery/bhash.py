@@ -5,7 +5,9 @@ Every node carries a digest; internal digests commit each child's key range
 so a verifier can reject proofs that hide an overlapping subtree.  Converted
 leaves commit their buckets through a crit-bit merkle tree over the 64 key
 bits.  Its shape depends only on the key set, so an insert rehashes one
-root-to-leaf path, and a range proof carries one digest per level.
+root-to-leaf path, and a range proof carries one digest per level: the
+subtrees beside the window, which one descent finds for both window ends
+while they take the same branch, then one tail for each.
 
 A range proof travels as its wire bytes: range_query writes them straight
 from the nodes, and the light client (`chainquery.client`) checks them.
@@ -133,27 +135,53 @@ def _crit_window_paths(root, first: int, last: int):
     records of a hash-leaf proof: the left siblings on the path to first,
     outermost first, and the right siblings on the path to last, innermost
     first, each side count u8 ‖ branch bits ‖ sibling digests.  Also
-    returns the leaves of first and last."""
-    lefts, rights = [], []  # branches with a child outside the window
-    a = b = root
-    while a.bit < 64:  # first's left siblings: where first goes right
-        if first >> (63 - a.bit) & 1:
-            lefts.append(a)
+    returns the leaves of first and last.
+
+    One descent serves both keys while they take the same branch; the
+    branch where they part has both in the window, so it gives neither
+    side a sibling, and a tail descends from it to each key."""
+    lbits, ldigs, rbits, rdigs = [], [], [], []
+    node = root
+    bit = node.bit
+    while bit < 64:
+        shift = 63 - bit
+        side = first >> shift & 1
+        if side != last >> shift & 1:
+            break  # the keys part: first goes left and last right
+        if side:
+            lbits.append(bit)
+            ldigs.append(node.left.digest)
+            node = node.right
+        else:
+            rbits.append(bit)
+            rdigs.append(node.right.digest)
+            node = node.left
+        bit = node.bit
+    a = b = node
+    if bit < 64:
+        a, b = node.left, node.right
+    bit = a.bit
+    while bit < 64:  # first's left siblings: where first goes right
+        if first >> (63 - bit) & 1:
+            lbits.append(bit)
+            ldigs.append(a.left.digest)
             a = a.right
         else:
             a = a.left
-    while b.bit < 64:  # last's right siblings: where last goes left
-        if last >> (63 - b.bit) & 1:
+        bit = a.bit
+    bit = b.bit
+    while bit < 64:  # last's right siblings: where last goes left
+        if last >> (63 - bit) & 1:
             b = b.right
         else:
-            rights.append(b)
+            rbits.append(bit)
+            rdigs.append(b.right.digest)
             b = b.left
-    rights.reverse()
-    return (b"".join([bytes([len(lefts)] + [n.bit for n in lefts]),
-                      *[n.left.digest for n in lefts]]),
-            b"".join([bytes([len(rights)] + [n.bit for n in rights]),
-                      *[n.right.digest for n in rights]]),
-            a, b)
+        bit = b.bit
+    rbits.reverse()
+    rdigs.reverse()
+    return (bytes([len(lbits), *lbits]) + b"".join(ldigs),
+            bytes([len(rbits), *rbits]) + b"".join(rdigs), a, b)
 
 
 # --- nodes ---------------------------------------------------------------

@@ -82,8 +82,11 @@ class QueryCache:
             return
         if self._rows + rows > MAX_CACHED:
             self._store, self._rows = {}, 0
-        old = self._store.get(ast)
-        if old is not None:
+        # one hash of ast when it is new, as it is after a missed get
+        store = self._store
+        held = len(store)
+        old = store.setdefault(ast, value)
+        if len(store) == held:  # ast was held: replace its value
             self._rows -= max(len(old), 1)
-        self._store[ast] = value
+            store[ast] = value
         self._rows += rows

@@ -4,10 +4,14 @@ every layout it shares with the index writers.  Each check first walks
 the bytes without hashing: shape, key order, labels, completeness, and
 the proved ids against the claimed results.  Only a proof that passes is
 hashed, children before parents, each preimage built from VO slices, so
-a forged proof costs no SHA-256 call unless it fits the claim."""
+a forged proof costs no SHA-256 call unless it fits the claim.  Each
+crit-bit side of a range proof has its interval tested once, at its
+deepest subtree, whose interval lies nearest the window and so bounds
+the others'."""
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from bisect import bisect_left
 
@@ -30,20 +34,16 @@ _MALFORMED = (ValueError, TypeError, IndexError, KeyError, AttributeError,
               OverflowError, struct.error)
 
 
-def _guarded(check, *args) -> bool:
-    try:
-        return check(*args)
-    except _MALFORMED:
-        return False
-
-
 def verify_range_bytes(vo_bytes: bytes, trusted_root: bytes, start_time: int,
                        end_time: int, results) -> bool:
     """True iff the serialized range VO recomputes trusted_root, its
     in-range entries equal the claimed results, and no in-range key could
     have been omitted; malformed bytes verify as False."""
-    return _guarded(_verify_range, vo_bytes, trusted_root, start_time,
-                    end_time, results)
+    try:
+        return _verify_range(vo_bytes, trusted_root, start_time, end_time,
+                             results)
+    except _MALFORMED:
+        return False
 
 
 def verify_prefix_bytes(vo_bytes: bytes, trusted_root: bytes, prefix: str,
@@ -51,7 +51,10 @@ def verify_prefix_bytes(vo_bytes: bytes, trusted_root: bytes, prefix: str,
     """True iff the serialized prefix VO recomputes trusted_root and the
     matched subtree's terminal ids equal results (empty for a
     non-membership proof); malformed bytes verify as False."""
-    return _guarded(_verify_prefix, vo_bytes, trusted_root, prefix, results)
+    try:
+        return _verify_prefix(vo_bytes, trusted_root, prefix, results)
+    except _MALFORMED:
+        return False
 
 
 # --- the time-range index ------------------------------------------------
@@ -65,11 +68,19 @@ def _verify_range(data, trusted_root, start_time, end_time, results) -> bool:
                 and data[49:] == trusted_root)
     lo = _check_timestamp(max(start_time, 0))
     hi = _check_timestamp(min(end_time, MAX_TIMESTAMP))
+    found: list = []
+    nodes: list = []
+    if data[32] == P_HASHLEAF:
+        # a converted tree of one hash node, the engine's only proof shape
+        # once it holds more than its threshold: the node's digest is the
+        # root, so no stack is needed
+        if _walk_hash_leaf(data, 32, lo, hi, found, False, nodes) \
+                != len(data) or found != list(results):
+            return False
+        return _hash_leaf_digest(data, nodes[0]) == trusted_root
     # one leaf gives its ids in (key, id) order; under an internal node
     # they are gathered with their keys and sorted, as the prover does
     keyed = data[32] == P_INTERNAL
-    found: list = []
-    nodes: list = []
     if _walk(data, 32, 0, lo, hi, found, keyed, nodes) != len(data):
         return False
     if keyed:
@@ -188,21 +199,30 @@ def _walk_hash_leaf(data, off: int, lo: int, hi: int, found, keyed: bool,
     # Completeness: every key of a left subtree shares the first window
     # key's bits above the subtree's branch bit and has a 0 there, where
     # the first key has a 1; its interval must end below lo.  The right
-    # side mirrors this around the last key and hi.
+    # side mirrors this around the last key and hi.  Bits strictly
+    # ascend on the left, from the root down, and descend on the right,
+    # from the window up, so each side's deepest subtree comes last on
+    # the left and first on the right.  It is the only one whose bound
+    # needs a test: of two left subtrees, the deeper one shares the
+    # first key's 1 at the shallower one's bit, where that one has its
+    # 0, so it ends higher; of two right subtrees, the deeper one starts
+    # lower, as it has the last key's 0 where the shallower one has its 1.
     first, last = keys[0], keys[-1]
     prev = -1
     for bit in lbits:
-        if (not prev < bit < 64 or not first >> (63 - bit) & 1
-                or (first >> (63 - bit) ^ 1) << (63 - bit)
-                | ((1 << (63 - bit)) - 1) >= lo):
+        if not prev < bit < 64 or not first >> (63 - bit) & 1:
             return -1
         prev = bit
+    if lbits and (first >> (63 - prev) ^ 1) << (63 - prev) \
+            | ((1 << (63 - prev)) - 1) >= lo:
+        return -1
     prev = 64
     for bit in rbits:
-        if (not 0 <= bit < prev or last >> (63 - bit) & 1
-                or (last >> (63 - bit) | 1) << (63 - bit) <= hi):
+        if not 0 <= bit < prev or last >> (63 - bit) & 1:
             return -1
         prev = bit
+    if rbits and (last >> (63 - rbits[0]) | 1) << (63 - rbits[0]) <= hi:
+        return -1
     gaps = [*lbits, *[64 - (a ^ b).bit_length()
                       for a, b in zip(keys, keys[1:])], *rbits]
     nodes.append((P_HASHLEAF, off, before, revealed, after, gaps,
@@ -224,8 +244,7 @@ def _proof_root(data, nodes) -> bytes:
         elif kind == P_LEAF:
             stack.append(span + digest(DOM_LEAF, data[off + 1:node[2]]))
         elif kind == P_HASHLEAF:
-            stack.append(span + digest(DOM_INTERNAL, _HASH_NODE_HEAD
-                                       + _crit_root(data, node) + span))
+            stack.append(span + _hash_leaf_digest(data, node))
         else:
             n = node[2]
             children = stack[-n:]
@@ -236,46 +255,67 @@ def _proof_root(data, nodes) -> bytes:
     return stack[0][16:]
 
 
+def _hash_leaf_digest(data, node) -> bytes:
+    """The digest of the hash node whose record passed _walk_hash_leaf."""
+    off = node[1]
+    return digest(DOM_INTERNAL, _HASH_NODE_HEAD + _crit_root(data, node)
+                  + data[off + 1:off + 17])
+
+
 def _crit_root(data, node) -> bytes:
     """A checked hash leaf's crit-bit root, its buckets hashed inline.
-    The walk's side checks leave no two gaps that _crit_fold refuses."""
+    The walk's side checks leave no two gaps that _crit_fold refuses, and
+    order each side's bits as _crit_fold asks."""
     _, _, before, revealed, after, gaps, ldigs, nleft, rdigs, nright = node
     sha256, pack_leaf = hashlib.sha256, _BUCKET_LEAF.pack
-    items = [data[q:q + 32] for q in range(ldigs, ldigs + 32 * nleft, 32)]
-    if before >= 0:  # the slice is the leaf preimage's key ‖ digest
-        items.append(sha256(_LEAF_HEAD + data[before:before + 40]).digest())
+    # a digest-only bucket's slice is its leaf preimage's key ‖ digest
+    items = [sha256(_LEAF_HEAD + data[before:before + 40]).digest()] \
+        if before >= 0 else []
     items += [sha256(pack_leaf(_LEAF_HEAD, key, sha256(
         head + data[start:end]).digest())).digest()
         for key, head, start, end in revealed]
     if after >= 0:
         items.append(sha256(_LEAF_HEAD + data[after:after + 40]).digest())
-    items += [data[q:q + 32] for q in range(rdigs, rdigs + 32 * nright, 32)]
-    return _crit_fold(items, gaps)
+    return _crit_fold(
+        items, gaps,
+        [data[q:q + 32] for q in range(ldigs, ldigs + 32 * nleft, 32)],
+        [data[q:q + 32] for q in range(rdigs, rdigs + 32 * nright, 32)])
 
 
-def _crit_fold(items, gaps):
+def _crit_fold(items, gaps, lefts=(), rights=()):
     """Root of the crit-bit tree whose leaves, in key order, have the
-    digests `items`; gaps[i] is the bit of the branch that separates
-    items[i] from items[i + 1].  None if two gaps with only larger gaps
-    between them are equal, which no crit-bit tree has.  Hashes inline:
-    this is the client's hot loop."""
+    digests lefts, items and rights; gaps[i] is the bit of the branch that
+    separates the i-th leaf from the next.  None if two gaps with only
+    larger gaps between them are equal, which no crit-bit tree has.
+    Hashes inline: this is the client's hot loop.
+
+    The gaps of lefts, the first len(lefts), must strictly ascend and
+    those of rights, the last len(rights), strictly descend, as a hash
+    leaf's side subtrees do.  Then no left leaf closes a branch, so they
+    open the stack as they come, and each right leaf closes its own branch
+    at once, so it joins the top without being pushed.  The top is `cur`,
+    and the stack below it holds each open branch's bit and left digest."""
     sha256, prefix = hashlib.sha256, _BRANCH_PREFIX
-    # bits holds the open branches' bits above a -1 that no gap reaches
-    digests, bits = [items[0]], [-1]
-    for gap, item in zip(gaps, items[1:]):
+    nleft, split = len(lefts), len(gaps) - len(rights)
+    # a -1 that no gap reaches ends bits, which holds one more than stack
+    stack, bits, cur = [*lefts], [-1, *gaps[:nleft]], items[0]
+    for gap, item in zip(gaps[nleft:split], items[1:]):
         while bits[-1] > gap:
-            right = digests.pop()
-            digests[-1] = sha256(prefix[bits.pop()] + digests[-1]
-                                 + right).digest()
+            cur = sha256(prefix[bits.pop()] + stack.pop() + cur).digest()
         if bits[-1] == gap:
             return None
         bits.append(gap)
-        digests.append(item)
-    while len(digests) > 1:
-        right = digests.pop()
-        digests[-1] = sha256(prefix[bits.pop()] + digests[-1]
-                             + right).digest()
-    return digests[0]
+        stack.append(cur)
+        cur = item
+    for gap, item in zip(gaps[split:], rights):
+        while bits[-1] > gap:
+            cur = sha256(prefix[bits.pop()] + stack.pop() + cur).digest()
+        if bits[-1] == gap:
+            return None
+        cur = sha256(prefix[gap] + cur + item).digest()
+    for bit, left in zip(reversed(bits), reversed(stack)):
+        cur = sha256(prefix[bit] + left + cur).digest()
+    return cur
 
 
 # --- the prefix trie -----------------------------------------------------
@@ -292,11 +332,17 @@ def _label_ok(label: bytes, start: int, root: bool) -> bool:
             and max(label) < len(ALPHABET))
 
 
+# the strictly ascending runs of alphabet indices: each index at most once,
+# in order
+_ASCENDING_INDICES = re.compile(b"".join(
+    re.escape(_BYTE[i]) + b"?" for i in range(len(ALPHABET))))
+
+
 def _indices_ok(idxs: bytes, taken: int) -> bool:
     """Child indices strictly ascending and in the alphabet, and none is
     taken."""
-    return (bytes(sorted(set(idxs))) == idxs and taken not in idxs
-            and not (idxs and idxs[-1] >= len(ALPHABET)))
+    return (_ASCENDING_INDICES.fullmatch(idxs) is not None
+            and taken not in idxs)
 
 
 def _ids_at(data, off: int, cnt: int):
@@ -314,6 +360,7 @@ def _verify_prefix(data, trusted_root, prefix, results) -> bool:
     if len(data) < 34 or data[:32] != trusted_root:
         return False
     want, size = _indices(prefix), len(data)
+    nwant = len(want)
     mode, npath = data[32], data[33]
     # The prefix spells out every path label, and the branch taken after
     # each is the prefix's next character, so it starts the next label.
@@ -323,23 +370,28 @@ def _verify_prefix(data, trusted_root, prefix, results) -> bool:
     path = []
     off, pos = 34, 0
     for k in range(npath):
-        mid = off + 1 + data[off]
-        label = data[off + 1:mid]
+        n = data[off]
+        mid = off + 1 + n
         cnt, = _U32.unpack_from(data, mid)
         end = mid + 4 + 8 * cnt
-        if end + 2 > size or not _label_ok(label, pos, k == 0) \
-                or not want.startswith(label, pos):
+        # only the root's label is empty; the others' room and alphabet
+        # are checked once, below, on the part of the prefix they spell
+        if end + 2 > size or (n == 0) != (k == 0) \
+                or not want.startswith(data[off + 1:mid], pos):
             return False
-        pos += len(label)
+        pos += n
         taken, after = data[end], end + 2 + 33 * data[end + 1]
         idxs = data[end + 2:after:33]
-        if after > size or pos >= len(want) or want[pos] != taken \
+        if after > size or pos >= nwant or want[pos] != taken \
                 or cnt > 1 and _ids_at(data, mid + 4, cnt) is None \
                 or not _indices_ok(idxs, taken):
             return False
         path.append((off, mid, end, cnt, taken, bisect_left(idxs, taken),
                      after))
         off = after
+    # _label_ok for every path label at once: they spell want[:pos]
+    if pos > MAX_KEY_LEN or pos and max(want[:pos]) >= len(ALPHABET):
+        return False
     rest = want[pos:]
     mid = off + 1 + data[off]
     label = data[off + 1:mid]
@@ -409,9 +461,13 @@ def _walk_subtree(data, off: int, end: int, ids: set[int], nodes) -> int:
     nodes.append((off, mid, p + 1, cnt, nchild))
     p += 1
     last = -1
+    room = MAX_KEY_LEN - end
     for _ in range(nchild):
+        # _label_ok for a child, inline, and the labels' first characters
+        # strictly ascend
         label = data[p + 1:p + 1 + data[p]]
-        if not _label_ok(label, end, False) or label[0] <= last:
+        if not 0 < len(label) <= room or label[0] <= last \
+                or max(label) >= len(ALPHABET):
             return -1
         last = label[0]
         p = _walk_subtree(data, p, end + len(label), ids, nodes)

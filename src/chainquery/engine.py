@@ -7,7 +7,9 @@ insert into both indexes, store payloads, anchor the new roots in a block
 cache, query the index for ids and a VO (verification object), check that
 the VO's root is the latest anchored root, drop deleted or superseded
 entries, check the payloads of the rest with the store and cache those
-entries; a hit skips all of that.  The engine runs no verifier: a client
+entries; a hit skips all of that.  Each statement kind has one plan, a
+module constant: `plan_query` looks it up by the AST's exact type, and
+`execute_ast` dispatches on it.  The engine runs no verifier: a client
 checks the VO bytes against the anchors with `chainquery.client`.  The
 memory store hashes each stored payload object on its first fetch and
 again whenever the object under a cid changes; the disk store re-hashes
@@ -101,27 +103,31 @@ class QueryResult:
     affected: int = 0
 
 
-# the writes' plans, in the order Engine._commit runs them
+# Every statement of a kind has one plan, built once.  The writes' plans
+# list the steps in the order Engine._commit runs them.
 _INSERT_PLAN = Plan(("index-insert", "store-payloads", "anchor-roots",
                      "ledger-append", "cache-invalidate"))
 _WRITE_PLAN = Plan(("index-insert", "anchor-roots", "ledger-append",
                     "cache-invalidate"))
+_ID_PLAN = Plan(("cache-probe", "ledger-lookup", "payload-fetch", "merge"))
+_TIME_PLAN = Plan(("cache-probe", "time-index-query", "check-anchor",
+                   "payload-fetch", "merge"))
+_TRIE_PLAN = Plan(("cache-probe", "trie-query", "check-anchor",
+                   "payload-fetch", "merge"))
+_PLANS = {InsertQuery: _INSERT_PLAN, DeleteQuery: _WRITE_PLAN,
+          UpdateQuery: _WRITE_PLAN, SelectTimeRange: _TIME_PLAN,
+          SelectFuzzy: _TRIE_PLAN}
 
 
 def plan_query(ast: QueryAst) -> Plan:
-    if isinstance(ast, InsertQuery):
-        return _INSERT_PLAN
-    if isinstance(ast, (DeleteQuery, UpdateQuery)):
-        return _WRITE_PLAN
-    if isinstance(ast, SelectSimple) and ast.entry_id is not None:
-        index_steps = ("ledger-lookup",)
-    elif isinstance(ast, (SelectSimple, SelectTimeRange)):
-        index_steps = ("time-index-query", "check-anchor")
-    elif isinstance(ast, SelectFuzzy):
-        index_steps = ("trie-query", "check-anchor")
-    else:
+    """The plan of ast's kind, looked up by its exact type; a SelectSimple
+    is a ledger lookup when it names an entry id."""
+    if type(ast) is SelectSimple:
+        return _TIME_PLAN if ast.entry_id is None else _ID_PLAN
+    plan = _PLANS.get(type(ast))
+    if plan is None:
         raise TypeError(f"unplannable ast {ast!r}")
-    return Plan(("cache-probe", *index_steps, "payload-fetch", "merge"))
+    return plan
 
 
 class Engine:
@@ -228,7 +234,7 @@ class Engine:
 
     def _exec_insert(self, ast: InsertQuery) -> QueryResult:
         self.insert_batch([ast])
-        return QueryResult([], plan_query(ast), affected=1)
+        return QueryResult([], _INSERT_PLAN, affected=1)
 
     def _require_live(self, entry_id: int) -> DataEntry:
         if not self.is_live(entry_id):
@@ -237,7 +243,7 @@ class Engine:
 
     def _exec_delete(self, ast: DeleteQuery) -> QueryResult:
         self._commit([], [(OP_DELETE, ast.entry_id)], ())
-        return QueryResult([], plan_query(ast), affected=1)
+        return QueryResult([], _WRITE_PLAN, affected=1)
 
     def _exec_update(self, ast: UpdateQuery) -> QueryResult:
         old = self._require_live(ast.entry_id)
@@ -249,13 +255,15 @@ class Engine:
                         tuple(fields["addresses"]), fields["timestamp"],
                         old.image_cid, old.video_cid)
         self._commit([new], [(OP_UPDATE, ast.entry_id)], ())
-        return QueryResult([], plan_query(ast), affected=1)
+        return QueryResult([], _WRITE_PLAN, affected=1)
 
     # -- reads ---------------------------------------------------------
 
     def _live(self, ids) -> tuple[DataEntry, ...]:
-        return tuple(self.entries[eid] for eid in sorted(set(ids))
-                     if self.is_live(eid))
+        """The live entries of ids, which strictly ascend and are all
+        committed: is_live, inline."""
+        entries, retired = self.entries, self.retired
+        return tuple(entries[eid] for eid in ids if eid not in retired)
 
     def _anchor(self, vo, index: int) -> None:
         """The VO's root must be its index's (0 time, 1 trie) latest anchor."""
@@ -269,7 +277,8 @@ class Engine:
     def _exec_time_range(self, start: int, end: int):
         ids, vo = self.time_index.range_query(start, end)
         self._anchor(vo, 0)
-        return self._live(ids), vo
+        # the time index holds each id once, in (key, id) order
+        return self._live(sorted(ids)), vo
 
     def _exec_fuzzy(self, ast: SelectFuzzy):
         if ast.field == "timestamp_string":
@@ -281,7 +290,7 @@ class Engine:
         else:
             # every address starts with 0x: the schema rules out a match
             return (), None
-        ids, vo = self.trie.prefix_query(key)
+        ids, vo = self.trie.prefix_query(key)  # ascending, each once
         self._anchor(vo, 1)
         return self._live(ids), vo
 
@@ -289,24 +298,25 @@ class Engine:
 
     def execute_ast(self, ast: QueryAst, emit_vo: bool = False) \
             -> QueryResult:
-        if isinstance(ast, InsertQuery):
-            return self._exec_insert(ast)
-        if isinstance(ast, DeleteQuery):
-            return self._exec_delete(ast)
-        if isinstance(ast, UpdateQuery):
-            return self._exec_update(ast)
         plan = plan_query(ast)  # a TypeError for an ast it cannot plan
+        if plan is _INSERT_PLAN:
+            return self._exec_insert(ast)
+        if plan is _WRITE_PLAN:
+            if type(ast) is DeleteQuery:
+                return self._exec_delete(ast)
+            return self._exec_update(ast)
         cached = self.cache.get(ast)
         if cached is not None:
             return QueryResult(_rows(cached), plan, verified=True,
                                cached=True)
         vo = None
-        if isinstance(ast, SelectFuzzy):
+        if plan is _TRIE_PLAN:
             entries, vo = self._exec_fuzzy(ast)
-        elif isinstance(ast, SelectTimeRange):
+        elif plan is _ID_PLAN:
+            eid = ast.entry_id
+            entries = self._live([eid] if eid in self.entries else ())
+        elif type(ast) is SelectTimeRange:
             entries, vo = self._exec_time_range(ast.start_time, ast.end_time)
-        elif ast.entry_id is not None:
-            entries = self._live([ast.entry_id])
         else:
             entries, vo = self._exec_time_range(ast.timestamp, ast.timestamp)
         # one batch check of every payload; a corrupt or missing one raises

@@ -234,26 +234,32 @@ class Trie:
         last_descent_visits."""
         root = self.root_digest()
         want = _indices(prefix)
-        node, pos, npath = self.root, 0, 0
+        node, pos, npath, nwant = self.root, 0, 0, len(want)
         parts = [b""]  # the mode and path length go first, once known
-        while pos < len(want):
+        while pos < nwant:
             idx = want[pos]
             kids = node.children
             child = kids.get(idx)
             if child is None:
                 break  # no branch for the next character
-            parts += _label_ids(node)
-            parts += (_BYTE[idx], _BYTE[len(kids) - 1])
+            # _label_ids, inline
+            label, ids = node.label, node.entry_ids
+            parts += (_BYTE[len(label)], label,
+                      _pack_u64_list(ids) if ids else _NO_ID_LIST,
+                      _BYTE[idx], _BYTE[len(kids) - 1])
             parts += [c.item for c in kids.values() if c is not child]
             npath += 1
             node = child
-            matched = _match_len(node.label, want, pos)
-            pos += matched
-            if matched < len(node.label) and pos < len(want):
-                break  # a mismatch inside the label
+            label = node.label
+            if want.startswith(label, pos):
+                pos += len(label)
+            else:
+                pos += _match_len(label, want, pos)
+                if pos < nwant:
+                    break  # a mismatch inside the label
         self.meter.read(npath)
         self.last_descent_visits = pos
-        if pos < len(want):
+        if pos < nwant:
             kids = node.children
             parts += _label_ids(node)
             parts.append(_BYTE[len(kids)])
@@ -266,12 +272,14 @@ class Trie:
         found: set[int] = set()
         todo, visited = [node], 0
         while todo:
+            # _label_ids and the child count, inline
             node = todo.pop()
-            kids = node.children
-            if node.entry_ids:
-                found.update(node.entry_ids)
-            parts += _label_ids(node)
-            parts.append(_BYTE[len(kids)])
+            kids, label, ids = node.children, node.label, node.entry_ids
+            if ids:
+                found.update(ids)
+            parts += (_BYTE[len(label)], label,
+                      _pack_u64_list(ids) if ids else _NO_ID_LIST,
+                      _BYTE[len(kids)])
             todo += reversed(kids.values())
             visited += 1
         self.meter.read(visited)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import verify_oracle as reference
 from chainquery.bhash import (P_HASHLEAF, P_INTERNAL, P_PRUNED, BHashTree,
-                              DuplicateEntry, RangeVO, verify_range,
-                              verify_range_bytes)
+                              DuplicateEntry, RangeVO, _crit_window_paths,
+                              verify_range, verify_range_bytes)
 from chainquery.client import _crit_fold
 from chainquery.core import MAX_TIMESTAMP, EncodingError
 from chainquery.gas import GasMeter
@@ -334,6 +334,58 @@ def test_hash_node_root_depends_only_on_the_key_set(stamps, rnd):
     rnd.shuffle(shuffled)
     assert root_after(shuffled, 0.3) == want
     assert root_after(shuffled[::-1], 1.0) == want
+
+
+def _two_walk_window_paths(root, first: int, last: int):
+    """The reference for bhash._crit_window_paths: one walk from the root
+    to each window end, the first's gathering its left siblings and the
+    last's its right ones."""
+    lefts, rights = [], []  # branches with a child outside the window
+    a = b = root
+    while a.bit < 64:  # first's left siblings: where first goes right
+        if first >> (63 - a.bit) & 1:
+            lefts.append(a)
+            a = a.right
+        else:
+            a = a.left
+    while b.bit < 64:  # last's right siblings: where last goes left
+        if last >> (63 - b.bit) & 1:
+            b = b.right
+        else:
+            rights.append(b)
+            b = b.left
+    rights.reverse()
+    return (b"".join([bytes([len(lefts)] + [n.bit for n in lefts]),
+                      *[n.left.digest for n in lefts]]),
+            b"".join([bytes([len(rights)] + [n.bit for n in rights]),
+                      *[n.right.digest for n in rights]]),
+            a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 300),
+                          st.integers(0, MAX_TIMESTAMP)),
+                min_size=11, max_size=80),
+       st.data())
+def test_window_paths_match_two_walks(stamps, data):
+    tree = build(enumerate(stamps))
+    tree.root_digest()
+    node = tree.root
+    assert node.is_hash_node
+    keys = node.bucket_keys
+    i = data.draw(st.integers(0, len(keys) - 1))
+    j = data.draw(st.integers(i, len(keys) - 1))
+    # one key, adjacent keys, the whole range and either end of the tree,
+    # then a drawn window
+    windows = [(0, 0), (i, i), (len(keys) - 1, len(keys) - 1),
+               (0, len(keys) - 1), (i, j)]
+    if len(keys) > 1:
+        windows += [(0, 1), (len(keys) - 2, len(keys) - 1),
+                    (min(i, len(keys) - 2), min(i, len(keys) - 2) + 1)]
+    for a, b in windows:
+        first, last = keys[a], keys[b]
+        assert (_crit_window_paths(node.crit, first, last)
+                == _two_walk_window_paths(node.crit, first, last))
 
 
 def _gap_vo(tree, top=True):

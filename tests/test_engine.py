@@ -3,6 +3,7 @@ naive in-memory oracle, tombstone/supersession semantics, replay
 determinism over mixed workloads, and cache behavior."""
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from chainquery import ledger as ledger_module
 from chainquery.bhash import verify_range_bytes
 from chainquery.cache import MAX_CACHED, BloomFilter, QueryCache
 from chainquery.core import DataEntry, EncodingError
-from chainquery.engine import (NS_ADDRESS, NS_TIMESTAMP, Engine,
+from chainquery.engine import (NS_ADDRESS, NS_TIMESTAMP, TS_FORMAT, Engine,
                                MalformedBlock, UnknownEntry,
                                VerificationFailure, plan_query, replay,
                                timestamp_string)
@@ -141,6 +142,34 @@ def test_delete_only_block_hashes_nothing():
 
 # 9999-12-31T23:59:59Z, the last second with a four-digit year
 LAST_DATED_SECOND = 253_402_300_799
+
+
+@pytest.mark.parametrize("ts, text", [
+    (0, "1970-01-01-00:00:00"),
+    (68_169_600, "1972-02-29-00:00:00"),      # the first leap day
+    (951_868_799, "2000-02-29-23:59:59"),     # a leap day of a 400th year
+    (1_709_164_800, "2024-02-29-00:00:00"),
+    (2**31, "2038-01-19-03:14:08"),           # past the 32-bit time_t
+    (LAST_DATED_SECOND, "9999-12-31-23:59:59"),
+])
+def test_timestamp_string_pinned(ts, text):
+    # every trie key and trie root is built from this text
+    assert timestamp_string(ts) == text
+    assert time.strftime(TS_FORMAT, time.gmtime(ts)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, LAST_DATED_SECOND))
+def test_timestamp_string_matches_strftime(ts):
+    assert timestamp_string(ts) == time.strftime(TS_FORMAT, time.gmtime(ts))
+
+
+def test_timestamp_past_year_9999_has_no_string():
+    with pytest.raises(OverflowError):
+        timestamp_string(LAST_DATED_SECOND + 1)
+    late = DataEntry(0, 1, (ADDRS[0],), LAST_DATED_SECOND + 1)
+    with pytest.raises(MalformedBlock):
+        Engine()._trie_keys([late])
 
 
 @settings(max_examples=100, deadline=None)
