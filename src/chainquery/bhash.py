@@ -58,14 +58,11 @@ def leaf_digest(pairs, lo: int, hi: int) -> bytes:
 # The bucket preimages as digest() takes them: core's layouts without the
 # DOM_BUCKET tag, which digest() puts first.
 _IDS_KIND = _IDS_HEAD[1:]
-_ONE_ID = struct.Struct(">BIQ")            # ids kind, 1, id
 _LEAF_BODY = struct.Struct(">BQ32s")       # leaf kind, key, ids digest
 _BRANCH_BODY = [prefix[1:] for prefix in _BRANCH_PREFIX]
 
 
 def bucket_ids_digest(entry_ids) -> bytes:
-    if len(entry_ids) == 1:
-        return digest(DOM_BUCKET, _ONE_ID.pack(_IDS_HEAD[1], 1, entry_ids[0]))
     return digest(DOM_BUCKET, _IDS_KIND + _pack_u64_list(entry_ids))
 
 

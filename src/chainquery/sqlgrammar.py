@@ -13,28 +13,23 @@ Supported statements:
 
 Anything else raises SqlSyntaxError (with position) or UnsupportedFeature.
 
-The five SELECTs in their plain spellings are matched by one compiled
-pattern, `_READ_RE`, before any tokenizing.  So is an INSERT whose columns
-are `amount, addresses, timestamp`, then `image` and `video` if given, in
-that order, and whose values are literals, no NULL: `_INSERT_RE` matches
-its head up to the timestamp, and each payload literal after it is found
-with one `str.find` and checked by `_parse_payload`.  So are a DELETE and
-an UPDATE of one to three of its columns, whose values are literals:
-`_WRITE_RE` matches the whole statement, and `_canonical_write` checks
-that no column repeats and each value is of its column's kind.  The
-patterns take ASCII whitespace, keywords in ASCII case and integers of
-at most 18 digits, and look at no more than PATTERN_MAX_LEN characters
-(after the INSERT head, at most that many per gap).  On a 2 vCPU shared
-Xeon VM under Python 3.11 a parse takes 1.3-1.6 us for a read (8.4-10.5
-us through the tokens); for an INSERT, 5.2 us without a payload, 9.3 us
-with a 2 KiB image and 88 us with a 64 KiB video (21.8, 27.5 and 112 us
-through the tokens); and for perfbench's writes, 2.8 us for an UPDATE
-of `amount`, 3.5 us with `timestamp` too and 1.4 us for a DELETE (10.8,
-13.6 and 7.5 us through the tokens).  Every other input goes through the
-token parser, which stays the grammar's reference: the patterns accept only texts that parser turns into the
-same AST.  Once a pattern has matched the whole text, a literal that
-fails its check raises the error that parser would raise; every other
-error is the token parser's.
+The five SELECTs in their plain spellings, a DELETE, an UPDATE of one to
+three of its columns whose values are literals, and the head of an INSERT
+are matched by one compiled pattern, `_STATEMENT_RE`, before any
+tokenizing: `parse` tries it once, on at most PATTERN_MAX_LEN characters.
+A read, DELETE or UPDATE must end the text, and `_pattern_ast` builds its
+AST, checking that no UPDATE column repeats and each value is of its
+column's kind.  An INSERT head takes the columns `amount, addresses,
+timestamp`, then `image` and `video` if given, in that order, and their
+values up to the timestamp; each payload literal after it is found with
+one `str.find` and checked by `_parse_payload`, and a NULL goes to the
+tokens.  The pattern takes ASCII whitespace, keywords in ASCII case and
+integers of at most 18 digits.  Every other input goes through the token
+parser, which stays the grammar's reference: the pattern accepts only
+texts that parser turns into the same AST.  Once a whole statement has
+matched (for an INSERT, once its literals' bounds and the tail are
+found), a literal that fails its check raises the error that parser
+would raise; every other error is the token parser's.
 """
 from __future__ import annotations
 
@@ -122,58 +117,52 @@ _UPDATE_COLUMNS = ("amount", "addresses", "timestamp")
 _REQUIRED_COLUMNS = ("amount", "addresses", "timestamp")
 _FUZZY_FIELDS = {"ts_str": "timestamp_string", "address": "address"}
 
-# The longest text `_READ_RE` is tried on: the longest canonical read is
-# about 90 characters.  Bounding the text bounds the pattern's backtracking
-# over long runs of whitespace, and `Engine.execute` memoizes only texts
-# this short.
+# The longest text `_STATEMENT_RE` is tried on: the longest canonical read
+# is about 90 characters, perfbench's longest INSERT head 217.  Bounding
+# the text bounds the pattern's backtracking over long runs of whitespace,
+# and `Engine.execute` memoizes only texts this short.
 PATTERN_MAX_LEN = 256
 
-# The five reads, each spelled as the token parser reads it: a keyword
-# followed by a word or an integer needs whitespace, one before or after
-# punctuation does not.  re.ASCII keeps the case folding to A-Z, as
-# `_TOKEN_RE`'s words are (without it `ſelect` would match), and `\s` to
-# ASCII whitespace; other whitespace takes the token path.  Integers stop
-# at 18 digits, so `int` never meets its digit limit here, and a LIKE
-# prefix holds no quote, `%` or `_`.  The tail `\s*(?:;\s*)?` cannot split
-# its whitespace two ways.  `lastgroup` names the shape: the last group
-# each alternative closes.
-_READ_RE = re.compile(r"""\s*select\s*\*\s*from\s+entries\s+where\s+(?:
-    entry_id\s*=\s*(?P<entry_id>[0-9]{1,18})
-  | timestamp(?:\s*=\s*(?P<timestamp>[0-9]{1,18})
-      | \s+between\s+(?P<start>[0-9]{1,18})\s*and\s+(?P<end>[0-9]{1,18}))
-  | (?P<field>ts_str|address)\s+like\s*'(?P<prefix>[^'%_]*)%'
-)\s*(?:;\s*)?""", re.VERBOSE | re.IGNORECASE | re.ASCII)
+# An UPDATE's assignment.  Its value is an integer or a quoted literal;
+# `_pattern_ast` checks that it is the kind its column takes and that no
+# column repeats.
+_ASSIGNMENT = r"""(?P<col{n}>amount|addresses|timestamp)\s*=\s*
+    (?:(?P<int{n}>[0-9]{{1,18}})|'(?P<str{n}>[^']*)')"""
 
-# The head of an INSERT, spelled as `_READ_RE`'s reads are: the three
-# required columns in order, then `image` and `video` if given, and the
-# values up to `timestamp`'s integer and the `,` or `)` after it.  It is
-# tried on at most PATTERN_MAX_LEN characters, which bounds its
-# backtracking; since the head ends in that `,` or `)`, the bound cannot
-# cut an integer short.  The payload literals after it, up to megabytes of
-# hex, are found with `str.find`.
-_INSERT_RE = re.compile(r"""\s*insert\s+into\s+entries\s*\(
-    \s*amount\s*,\s*addresses\s*,\s*timestamp
+# The five reads, a DELETE, an UPDATE and an INSERT's head, each spelled
+# as the token parser reads it: a keyword followed by a word or an integer
+# needs whitespace, one before or after punctuation does not, and nor
+# does a word after an integer or a literal, as the tokenizer splits them
+# anyway.  re.ASCII keeps the case folding to A-Z, as `_TOKEN_RE`'s words
+# are (without it `ſelect` would match), and `\s` to ASCII whitespace;
+# other whitespace takes the token path.  Integers stop at 18 digits, so
+# `int` never meets its digit limit here, and a LIKE prefix holds no
+# quote, `%` or `_`.  A read, DELETE or UPDATE ends in the tail
+# `\s*(?:;\s*)?`, which cannot split its whitespace two ways, and `\Z`.
+# An INSERT head ends in the `,` or `)` after the timestamp, so the length
+# bound cannot cut an integer short; the payload literals after it, up to
+# megabytes of hex, are found with `str.find`.  `lastgroup` names the
+# shape: the last group each alternative closes.
+_STATEMENT_RE = re.compile(r"""\s*(?:(?:
+    select\s*\*\s*from\s+entries\s+where\s+(?:
+        entry_id\s*=\s*(?P<entry_id>[0-9]{1,18})
+      | timestamp(?:\s*=\s*(?P<timestamp>[0-9]{1,18})
+          | \s+between\s+(?P<start>[0-9]{1,18})\s*and\s+(?P<end>[0-9]{1,18}))
+      | (?P<field>ts_str|address)\s+like\s*'(?P<prefix>[^'%_]*)%')
+  | (?:delete\s+from\s+entries\s+
+      | update\s+entries\s+set\s+""" + _ASSIGNMENT.format(n=1) + r"""
+        (?:\s*,\s*""" + _ASSIGNMENT.format(n=2) + r"""
+          (?:\s*,\s*""" + _ASSIGNMENT.format(n=3) + r""")?)?\s*
+    )where\s+entry_id\s*=\s*(?P<target>[0-9]{1,18})
+  )\s*(?:;\s*)?\Z
+  | insert\s+into\s+entries\s*\(\s*amount\s*,\s*addresses\s*,\s*timestamp
     (?:\s*,\s*(?P<image>image))?(?:\s*,\s*(?P<video>video))?\s*\)
     \s*values\s*\(\s*(?P<amount>[0-9]{1,18})
     \s*,\s*'(?P<addresses>[^']*)'
-    \s*,\s*(?P<timestamp>[0-9]{1,18})\s*(?P<sep>[,)])
-""", re.VERBOSE | re.IGNORECASE | re.ASCII)
-# A DELETE, or an UPDATE of one to three of its columns, spelled as
-# `_READ_RE`'s reads are.  An assignment's value is an integer or a quoted
-# literal; `_canonical_write` checks that it is the kind its column takes
-# and that no column repeats.  A word after an integer or a literal needs
-# no whitespace, as the tokenizer splits them anyway.
-_ASSIGNMENT = r"""(?P<col{n}>amount|addresses|timestamp)\s*=\s*
-    (?:(?P<int{n}>[0-9]{{1,18}})|'(?P<str{n}>[^']*)')"""
-_WRITE_RE = re.compile(r"""\s*(?:
-    delete\s+from\s+entries\s+
-  | update\s+entries\s+set\s+""" + _ASSIGNMENT.format(n=1) + r"""
-    (?:\s*,\s*""" + _ASSIGNMENT.format(n=2) + r"""
-      (?:\s*,\s*""" + _ASSIGNMENT.format(n=3) + r""")?)?\s*
-)where\s+entry_id\s*=\s*(?P<entry_id>[0-9]{1,18})\s*(?:;\s*)?""",
-                       re.VERBOSE | re.IGNORECASE | re.ASCII)
-# Whitespace as `_TOKEN_RE` skips it, between the literals after the head.
-# Each gap, like the tail after the last `)`, is read on at most
+    \s*,\s*(?P<time>[0-9]{1,18})\s*(?P<sep>[,)])
+)""", re.VERBOSE | re.IGNORECASE | re.ASCII)
+# Whitespace as `_TOKEN_RE` skips it, between the literals after an INSERT
+# head.  Each gap, like the tail after the last `)`, is read on at most
 # PATTERN_MAX_LEN characters: a longer run goes to the token parser, which
 # then skips it only once.
 _GAP_RE = re.compile(r"\s*")
@@ -225,12 +214,11 @@ class _Tokens:
 def parse(sql: str) -> QueryAst:
     if not isinstance(sql, str):
         raise SqlSyntaxError("input is not text", 0)
-    m = _READ_RE.fullmatch(sql) if len(sql) <= PATTERN_MAX_LEN else None
+    m = _STATEMENT_RE.match(sql, 0, PATTERN_MAX_LEN)
     if m is not None:
-        return _read_ast(m)
-    ast = _canonical_insert(sql) or _canonical_write(sql)
-    if ast is not None:
-        return ast
+        ast = _pattern_ast(sql, m)
+        if ast is not None:
+            return ast
     toks = _Tokens(sql)
     if toks.peek()[0] == "end":
         raise SqlSyntaxError("empty statement", 0)
@@ -238,28 +226,49 @@ def parse(sql: str) -> QueryAst:
     return _STATEMENTS[toks.take(*_STATEMENTS)](toks)
 
 
-def _read_ast(m: re.Match) -> QueryAst:
+def _pattern_ast(sql: str, m: re.Match) -> Optional[QueryAst]:
+    """The statement `_STATEMENT_RE` matched, or None for the token parser
+    to read, which reports a repeated UPDATE column or a value of the
+    wrong kind.  Once a read, DELETE or UPDATE has matched the whole text,
+    a failing addresses literal raises the error the token parser would,
+    as it comes."""
     shape = m.lastgroup
+    if shape == "sep":
+        return _canonical_insert(sql, m)
+    if m.end() != len(sql):
+        return None  # `\Z` held at PATTERN_MAX_LEN, inside a longer text
     if shape == "entry_id":
         return SelectSimple(entry_id=int(m["entry_id"]))
     if shape == "timestamp":
         return SelectSimple(timestamp=int(m["timestamp"]))
     if shape == "end":
         return SelectTimeRange(int(m["start"]), int(m["end"]))
-    return SelectFuzzy(_FUZZY_FIELDS[m["field"].lower()], m["prefix"])
+    if shape == "prefix":
+        return SelectFuzzy(_FUZZY_FIELDS[m["field"].lower()], m["prefix"])
+    entry_id = int(m["target"])
+    if m["col1"] is None:
+        return DeleteQuery(entry_id)
+    changes: dict[str, object] = {}
+    for n in "123":
+        col = m["col" + n]
+        if col is None:
+            break
+        col, text = col.lower(), m["int" + n]
+        if col in changes or (text is None) != (col == "addresses"):
+            return None
+        changes[col] = int(text) if text is not None else _parse_addresses(
+            m["str" + n], m.start("str" + n) - 1)
+    return UpdateQuery(entry_id, tuple(changes.items()))
 
 
-def _canonical_insert(sql: str) -> Optional[InsertQuery]:
-    """The INSERT that `_INSERT_RE` and its payload literals spell, or None
-    for the token parser to read.  Each literal's bounds and the tail are
-    found first, since the token parser's tokenizer scans the whole text
-    before anything else, so a stray character after a literal is the
-    error it reports.  Then the literals are checked in column order, and
+def _canonical_insert(sql: str, m: re.Match) -> Optional[InsertQuery]:
+    """The INSERT whose head `m` matched, with the payload literals after
+    it, or None for the token parser to read.  Each literal's bounds and
+    the tail are found first, since the token parser's tokenizer scans the
+    whole text before anything else, so a stray character after a literal
+    is the error it reports.  Then the literals are checked in column order, and
     the first that fails raises its own error, as the token parser would:
     a 64 KiB payload is decoded once either way."""
-    m = _INSERT_RE.match(sql, 0, PATTERN_MAX_LEN)
-    if m is None:
-        return None
     pos, sep = m.end(), m["sep"]
     literals = []  # (column, position of the opening quote, of the closing)
     for col in ("image", "video"):
@@ -282,32 +291,8 @@ def _canonical_insert(sql: str) -> Optional[InsertQuery]:
     payloads = {}
     for col, start, close in literals:
         payloads[col] = _parse_payload(sql[start + 1:close], start)
-    return InsertQuery(int(m["amount"]), addresses, int(m["timestamp"]),
+    return InsertQuery(int(m["amount"]), addresses, int(m["time"]),
                        payloads.get("image"), payloads.get("video"))
-
-
-def _canonical_write(sql: str) -> Optional[QueryAst]:
-    """The DELETE or UPDATE that `_WRITE_RE` spells, or None for the token
-    parser to read, which reports a repeated column or a value of the
-    wrong kind.  The whole text has matched, so a failing addresses
-    literal raises the error the token parser would, as it comes."""
-    m = _WRITE_RE.fullmatch(sql) if len(sql) <= PATTERN_MAX_LEN else None
-    if m is None:
-        return None
-    entry_id = int(m["entry_id"])
-    if m["col1"] is None:
-        return DeleteQuery(entry_id)
-    changes: dict[str, object] = {}
-    for n in "123":
-        col = m["col" + n]
-        if col is None:
-            break
-        col, text = col.lower(), m["int" + n]
-        if col in changes or (text is None) != (col == "addresses"):
-            return None
-        changes[col] = int(text) if text is not None else _parse_addresses(
-            m["str" + n], m.start("str" + n) - 1)
-    return UpdateQuery(entry_id, tuple(changes.items()))
 
 
 def _check_word(toks: _Tokens) -> None:

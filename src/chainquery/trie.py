@@ -24,7 +24,6 @@ checks them.  A PrefixVO is just the claimed root and those bytes.
 """
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left
 from typing import Optional
 
@@ -47,20 +46,13 @@ class KeyTooLong(ValueError):
 # A node's preimage is laid out in core; _node_parts writes its head but
 # the tag, which digest() puts first, and the children's items follow.
 _NO_IDS = bytes(5)                        # not terminal, no ids
-_ONE_ID = struct.Struct(">BIQ")           # terminal, 1, id
 _NO_ID_LIST = bytes(4)                    # an empty id list on the wire
 
 
 def _node_parts(label: bytes, entry_ids, n_children: int) -> list:
     """A node's preimage up to its children's items, without the tag, as
     parts to join."""
-    n = len(entry_ids)
-    if n == 0:
-        ids = _NO_IDS
-    elif n == 1:
-        ids = _ONE_ID.pack(1, 1, entry_ids[0])
-    else:
-        ids = _TERMINAL[1] + _pack_u64_list(entry_ids)
+    ids = _TERMINAL[1] + _pack_u64_list(entry_ids) if entry_ids else _NO_IDS
     return [_BYTE[len(label)], label, ids, _BYTE[n_children]]
 
 
@@ -126,8 +118,6 @@ class PrefixVO:
 
 def _match_len(label: bytes, want: bytes, pos: int) -> int:
     """How many leading characters of label equal those of want[pos:]."""
-    if want.startswith(label, pos):
-        return len(label)
     n, end = 0, min(len(label), len(want) - pos)
     while n < end and label[n] == want[pos + n]:
         n += 1
@@ -242,7 +232,6 @@ class Trie:
             child = kids.get(idx)
             if child is None:
                 break  # no branch for the next character
-            # _label_ids, inline
             label, ids = node.label, node.entry_ids
             parts += (_BYTE[len(label)], label,
                       _pack_u64_list(ids) if ids else _NO_ID_LIST,
@@ -260,9 +249,10 @@ class Trie:
         self.meter.read(npath)
         self.last_descent_visits = pos
         if pos < nwant:
-            kids = node.children
-            parts += _label_ids(node)
-            parts.append(_BYTE[len(kids)])
+            kids, label, ids = node.children, node.label, node.entry_ids
+            parts += (_BYTE[len(label)], label,
+                      _pack_u64_list(ids) if ids else _NO_ID_LIST,
+                      _BYTE[len(kids)])
             parts += [c.item for c in kids.values()]
             parts[0] = bytes((MODE_NONMATCH, npath))
             return [], PrefixVO(root, b"".join(parts))
@@ -272,7 +262,6 @@ class Trie:
         found: set[int] = set()
         todo, visited = [node], 0
         while todo:
-            # _label_ids and the child count, inline
             node = todo.pop()
             kids, label, ids = node.children, node.label, node.entry_ids
             if ids:
@@ -285,14 +274,6 @@ class Trie:
         self.meter.read(visited)
         parts[0] = bytes((MODE_MATCH, npath))
         return sorted(found), PrefixVO(root, b"".join(parts))
-
-
-def _label_ids(node: TrieNode):
-    """A node's label length u8 ‖ label ‖ id count u32 ‖ ids, as VO
-    parts."""
-    ids = node.entry_ids
-    return (_BYTE[len(node.label)], node.label,
-            _pack_u64_list(ids) if ids else _NO_ID_LIST)
 
 
 # --- verification --------------------------------------------------------

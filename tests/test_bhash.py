@@ -532,6 +532,22 @@ def test_non_canonical_hash_leaf_encodings_rejected():
     assert verify_range_bytes(flipped, root, 0, 5, []) is False
 
 
+def test_hash_leaf_without_window_buckets_rejected():
+    """A hash-leaf record with flags 0 and no revealed bucket has no
+    window to place the range against: it verifies as False."""
+    tree = build([(i, 1000 + 10 * i) for i in range(20)])
+    root = tree.root_digest()
+    ids, vo = tree.range_query(0, 5)
+    blob = vo.to_bytes()
+    assert ids == [] and blob[32] == P_HASHLEAF
+    lo, hi = struct.unpack_from(">QQ", blob, 33)
+    empty = blob[:33] + struct.pack(">QQBI", lo, hi, 0, 0) + bytes(2)
+    for start, end in ((0, 5), (1000, 1190), (0, MAX_TIMESTAMP)):
+        assert verify_range_bytes(empty, root, start, end, []) is False
+        assert reference.verify_range_bytes(empty, root, start, end,
+                                            []) is False
+
+
 def _metered_run(threshold):
     """600 inserts with random flushes and a range VO every 50 inserts."""
     meter = GasMeter()

@@ -73,11 +73,13 @@ def test_query_bad_sql_exit_2(dataset, capsys):
     f"(1, '0x{'ab' * 20}', {1 << 64})",
     "DELETE FROM entries WHERE entry_id = 999",
     "DELETE FROM entries WHERE entry_id = " + "1" * 5000,
-], ids=["year-11476", "2^64", "delete-unknown", "5000-digit-id"])
+    "SELECT * FROM entries WHERE timestamp = 9223372036854775808",
+], ids=["year-11476", "2^64", "delete-unknown", "5000-digit-id",
+        "select-timestamp-2^63"])
 def test_query_rejected_statement_exit_2(dataset, capsys, sql):
     code, _, err = run(capsys, "query", "--dataset", dataset, sql)
     assert code == 2
-    assert "bad query" in err and "Traceback" not in err
+    assert err.startswith("error: bad query") and err.count("\n") == 1
 
 
 def _store_files(dataset):
@@ -297,7 +299,7 @@ def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
     ("generate", "--density", "0"),
     ("bench", "--scales", "x"),
     ("ingest", "--blocks", "16"),
-    ("ingest", "--threshold-t", "0"),
+    ("ingest", "--blocks", "8", "--threshold-t", "0"),
     ("generate", "--queries-per-primitive", "-1"),
     ("ingest", "--blocks", "0"),
     ("ingest", "--blocks", "-3"),
@@ -305,12 +307,13 @@ def test_flag_a_subcommand_does_not_read_exit_2(dataset, capsys, argv):
     ("generate", "--density", "nan"),
     ("generate", "--density", "5e-324"),
     ("generate", "--density", "1e-20"),
+    ("bench", "--scales", ","),
 ], ids=["generate-blocks-3", "generate-density-0", "bench-scales-x",
         "ingest-past-dataset", "ingest-threshold-t-0",
         "generate-queries-per-primitive-negative", "ingest-blocks-0",
         "ingest-blocks-negative", "ingest-entries-per-block-0",
         "generate-density-nan", "generate-density-5e-324",
-        "generate-density-1e-20"])
+        "generate-density-1e-20", "bench-scales-empty"])
 def test_bad_input_value_exit_2(tmp_path, capsys, argv):
     d = str(tmp_path / "data")
     if argv[0] == "ingest":
@@ -318,6 +321,9 @@ def test_bad_input_value_exit_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv[0], "--dataset", d, *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--threshold-t" in argv:
+        # the index's own check, not the dataset's size
+        assert "threshold_t" in err
 
 
 def test_rejected_generate_keeps_the_dataset(tmp_path, capsys):

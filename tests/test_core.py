@@ -102,6 +102,10 @@ def test_entry_validation():
         DataEntry(0, 1, ("0x" + "ab" * 20,), 1 << 63)
     with pytest.raises(EncodingError):
         DataEntry(0, 1, (ADDR + "\n",), 0)  # "$" would match before "\n"
+    with pytest.raises(EncodingError, match="entry_id"):
+        DataEntry(-1, 1, (ADDR,), 0)
+    with pytest.raises(EncodingError, match="content id"):
+        DataEntry(0, 1, (ADDR,), 0, b"\x07" * 31)
 
 
 def test_digest_definition():

@@ -685,6 +685,8 @@ def test_plan_steps():
                            "BETWEEN 1 AND 2"))
     assert "cache-probe" in sel.steps and "ledger-append" in ins.steps
     assert rng.steps[0] == "cache-probe"
+    with pytest.raises(TypeError, match="unplannable"):
+        plan_query("SELECT * FROM entries WHERE entry_id = 1")
 
 
 @pytest.mark.parametrize("sql", [
@@ -776,20 +778,25 @@ def test_replay_detects_foreign_roots():
         replay(eng.ledger, store=eng.store)
 
 
-@pytest.mark.parametrize("ops", [
-    [(OP_UPDATE, 0)],     # no replacement entry rides in the block
-    [(0, 99)],            # the insert record blocks no longer carry
-    [(7, 0)],             # unknown op kind
-    [(OP_DELETE, 999)],   # target never existed
+@pytest.mark.parametrize("ops,error", [
+    # no replacement entry rides in the block
+    ([(OP_UPDATE, 0)], "1 UPDATE ops but 0 entries"),
+    # the insert record blocks no longer carry
+    ([(0, 99)], "unknown op kind 0"),
+    ([(7, 0)], "unknown op kind 7"),
+    # target never existed
+    ([(OP_DELETE, 999)], "changes entry 999, which is not live"),
+    # each op alone fits: only the check that no target repeats catches it
+    ([(OP_DELETE, 3), (OP_DELETE, 3)], "changes entry 3, which is not live"),
 ], ids=["update-without-entry", "insert-record-is-unknown", "unknown-kind",
-        "delete-unknown"])
-def test_replay_rejects_ops_that_do_not_fit(ops):
+        "delete-unknown", "same-target-twice"])
+def test_replay_rejects_ops_that_do_not_fit(ops, error):
     # the crafted block re-anchors the previous roots and links correctly,
     # so only the op check can catch it
     eng, _ = seeded_engine(12)
     eng.ledger.append_block([], eng.ledger.latest_roots(), ops=ops)
     assert eng.ledger.verify_chain()
-    with pytest.raises(VerificationFailure):
+    with pytest.raises(VerificationFailure, match=error):
         replay(eng.ledger, store=eng.store)
 
 

@@ -52,6 +52,8 @@ def test_unknown_height():
     ledger = Ledger()
     with pytest.raises(UnknownHeight):
         ledger.trusted_root(0)
+    with pytest.raises(UnknownHeight):
+        ledger.latest_roots()
 
 
 def test_replay_determinism(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import verify_oracle as reference
-from chainquery.core import MODE_MATCH, MODE_NONMATCH
+from chainquery.core import _NOT_IN_ALPHABET, MODE_MATCH, MODE_NONMATCH
 from chainquery.trie import (ALPHABET, InvalidCharacter, KeyTooLong,
                              PrefixVO, Trie, _indices, node_digest,
                              verify_prefix, verify_prefix_bytes)
@@ -357,6 +357,36 @@ def test_crafted_label_vos_rejected():
     # the same node proves a prefix that does leave it
     assert verify_prefix(crafted, root, "abe", [])
     assert verify_prefix(crafted, root, "ax", [])
+
+
+def _chain_vo(label: bytes, leaf: bytes, leaf_id: int):
+    """A match VO from the root through a one-child node with `label` and
+    id 1 to a leaf holding leaf_id, and the root it folds to."""
+    below = reference.node_digest(leaf, [leaf_id], [])
+    mid = reference.node_digest(label, [1], [(leaf[0], below)])
+    root = reference.node_digest(b"", [], [(label[0], mid)])
+    return root, b"".join([
+        root, bytes([MODE_MATCH, 2]),
+        b"\x00", reference.pack_u64_list([]), bytes([label[0], 0]),
+        bytes([len(label)]), label, reference.pack_u64_list([1]),
+        bytes([leaf[0], 0]),
+        bytes([len(leaf)]), leaf, reference.pack_u64_list([leaf_id]), b"\x00"])
+
+
+def test_path_outside_the_alphabet_or_past_max_key_len_rejected():
+    """The path labels spell the prefix, so the part of the prefix they
+    spell must lie in the alphabet and within MAX_KEY_LEN.  Each chain
+    folds to the root it is checked against; beside each forgery, an
+    honest-shaped chain verifies."""
+    a, b = ALPHABET.index("a"), ALPHABET.index("5")
+    for prefix, label, want in [
+            ("a50", bytes([a, b]), True),
+            ("ag0", bytes([a, _NOT_IN_ALPHABET]), False),
+            ("0" * 64, bytes(63), True),
+            ("0" * 66, bytes(65), False)]:
+        root, blob = _chain_vo(label, b"\x00", 7)
+        assert verify_prefix_bytes(blob, root, prefix, [7]) is want
+        assert reference.verify_prefix_bytes(blob, root, prefix, [7]) is want
 
 
 def test_reordered_path_siblings_rejected():
